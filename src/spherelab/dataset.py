@@ -49,6 +49,23 @@ class Sample:
     label: int
 
 
+class CacheTruncatedError(ValueError):
+    """A dataset cache file ends before a section its header promises."""
+
+    def __init__(self, section: str, expected: int, actual: int) -> None:
+        super().__init__(f"dataset cache ends inside the {section}: "
+                         f"expected {expected} bytes, found {actual}")
+        self.expected = expected
+        self.actual = actual
+
+
+def _read_exact(f, size: int, section: str) -> bytes:
+    data = f.read(size)
+    if len(data) != size:
+        raise CacheTruncatedError(section, size, len(data))
+    return data
+
+
 @dataclass
 class FixedDataset:
     """A materialized training set of N points with its provenance."""
@@ -82,11 +99,13 @@ class FixedDataset:
             magic = f.read(4)
             if magic != _CACHE_MAGIC:
                 raise ValueError(f"not a dataset cache file (magic {magic!r})")
-            version, n, radius, count, seed = struct.unpack(">IQdQQ", f.read(36))
+            version, n, radius, count, seed = struct.unpack(
+                ">IQdQQ", _read_exact(f, 36, "header"))
             if version != _CACHE_VERSION:
                 raise ValueError(f"unsupported dataset cache version {version}")
-            labels = np.frombuffer(f.read(count), dtype=np.uint8).copy()
-            xs = np.frombuffer(f.read(count * n * 8), dtype="<f8").reshape(count, n).copy()
+            labels = np.frombuffer(_read_exact(f, count, "labels"), dtype=np.uint8).copy()
+            xs = np.frombuffer(_read_exact(f, count * n * 8, "points"),
+                               dtype="<f8").reshape(count, n).copy()
         return cls(xs=xs, labels=labels, config=SphereConfig(n=n, R=radius, seed=seed))
 
 

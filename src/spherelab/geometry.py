@@ -9,9 +9,11 @@ Gaussian-approximation conventions used throughout:
 - The CLT error estimate maps ellipsoid coefficients to shell error rates
   through ``X = sum (gamma_i - 1) u_i^2`` with ``gamma = alpha`` on the
   inner shell and ``R^2 alpha`` on the outer shell: the inner rate is
-  ``P(X > 0) = 1 - Phi(-mu_hat/sigma_hat)`` and the outer rate is
-  ``P(X < 0)``. A zero sigma_hat degenerates to an exact 0/1 by the sign
-  of mu_hat.
+  ``P(X > 0) = Phi(mu_hat/sigma_hat)`` and the outer rate is
+  ``P(X < 0) = Phi(-mu_hat/sigma_hat)``. Each is evaluated directly, never
+  as one minus the other, so rates far below 1e-16 keep their relative
+  accuracy. A zero sigma_hat degenerates to an exact 0/1 by the sign of
+  mu_hat.
 
 Two Monte Carlo cap-distance formulas ship side by side: the
 ``sqrt(2) * (t - x_1)`` form and the exact chord to the cap boundary
@@ -91,8 +93,8 @@ def clt_error_rate(spec: AlphaSpectrum, shell: str) -> float:
         if shell == "inner":
             return 1.0 if mu_hat > 0 else 0.0
         return 1.0 if mu_hat < 0 else 0.0
-    inner_rate = 1.0 - normal_cdf(-mu_hat / sigma_hat)
-    return inner_rate if shell == "inner" else 1.0 - inner_rate
+    z = mu_hat / sigma_hat
+    return normal_cdf(z) if shell == "inner" else normal_cdf(-z)
 
 
 def mc_error_rate(spec: AlphaSpectrum, shell: str, samples: int,

@@ -1,35 +1,21 @@
 """Dense linear algebra: singular values and top principal components.
 
-Singular values come from a cyclic Jacobi eigensolve of the Gram matrix
-(the smaller of M^T M and M M^T). Jacobi is chosen over bidiagonalization
-because only the values of matrices up to about 2000 x 500 are needed and
-the rotation sweep is simple and accurate to near machine precision.
+Both functions validate their input and then call LAPACK through numpy:
 
-Principal components come from power iteration with deflation on the
-mean-centered sample covariance (ddof=1).
+- ``singular_values`` is ``np.linalg.svd(m, compute_uv=False)``: all
+  ``min(m.shape)`` values in descending order, each with an absolute error
+  of a small multiple of machine epsilon times the largest one.
+- ``top_principal_components`` is ``np.linalg.eigh`` on the mean-centered
+  sample covariance (ddof=1). The sign of each direction is whatever LAPACK
+  returns; callers that care must try both.
+
+Malformed input (not 2-D, empty, or non-finite) raises ``ValueError``
+before LAPACK sees it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from spherelab.rng import RngStream
-
-# Rotations below this relative off-diagonal size are skipped; a sweep that
-# performs no rotations means the matrix is numerically diagonal.
-_JACOBI_REL_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 30
-
-_PCA_MAX_ITER = 20_000
-_PCA_REL_TOL = 1e-13
-
-
-class IterationLimitError(RuntimeError):
-    """An iterative solver exhausted its documented budget."""
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration could not settle an eigenpair (eigengap too small)."""
 
 
 def _check_matrix(m: np.ndarray) -> np.ndarray:
@@ -41,86 +27,12 @@ def _check_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row-cyclically over the strict upper triangle, annihilating
-    entries whose magnitude exceeds ``_JACOBI_REL_TOL`` relative to the
-    geometric mean of the paired diagonal entries. Returns eigenvalues in
-    descending order.
-
-    Raises
-    ------
-    IterationLimitError
-        If a sweep still rotates after ``max_sweeps`` sweeps.
-    """
-    a = _check_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"jacobi_eigenvalues needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    a = np.array(a, order="C")
-    row_p = np.empty(n)
-    row_q = np.empty(n)
-    for _ in range(max_sweeps):
-        rotated = 0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                scale = np.sqrt(abs(a[p, p] * a[q, q])) + np.finfo(float).tiny
-                if abs(apq) <= _JACOBI_REL_TOL * scale:
-                    continue
-                rotated += 1
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Rotate rows p and q, mirror onto the columns (the result
-                # is symmetric), then overwrite the 2x2 block in closed form.
-                np.multiply(a[p], c, out=row_p)
-                row_p -= s * a[q]
-                np.multiply(a[q], c, out=row_q)
-                row_q += s * a[p]
-                a[p] = row_p
-                a[q] = row_q
-                a[:, p] = a[p]
-                a[:, q] = a[q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        if rotated == 0:
-            return np.sort(a.diagonal())[::-1].copy()
-    raise IterationLimitError(
-        f"Jacobi eigensolve did not converge within {max_sweeps} sweeps "
-        f"on a {n}x{n} matrix"
-    )
-
-
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of ``m`` in descending order.
-
-    Computed as square roots of the Jacobi eigenvalues of the smaller Gram
-    matrix; tiny negative eigenvalues from roundoff are clipped to zero.
-    """
-    m = _check_matrix(m)
-    rows, cols = m.shape
-    gram = m.T @ m if cols <= rows else m @ m.T
-    eig = jacobi_eigenvalues(gram)
-    return np.sqrt(np.clip(eig, 0.0, None))
+    """Singular values of ``m`` in descending order."""
+    return np.linalg.svd(_check_matrix(m), compute_uv=False)
 
 
-def top_principal_components(
-    data: np.ndarray,
-    k: int,
-    max_iter: int = _PCA_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
+def top_principal_components(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Leading ``k`` principal directions and variances of ``data``.
 
     Parameters
@@ -133,16 +45,11 @@ def top_principal_components(
     Returns
     -------
     directions : (k, dim) array
-        Orthonormal rows, each the eigenvector of the centered covariance
-        found by power iteration with deflation.
+        Orthonormal rows, the eigenvectors of the centered covariance
+        belonging to its ``k`` largest eigenvalues.
     variances : (k,) array
-        Matching eigenvalues, descending.
-
-    Raises
-    ------
-    ConvergenceError
-        If the Rayleigh quotient of some component fails to settle within
-        ``max_iter`` iterations (numerically zero eigengap).
+        Matching eigenvalues, descending, with roundoff negatives clipped
+        to zero.
     """
     data = _check_matrix(data)
     n_samples, dim = data.shape
@@ -152,42 +59,5 @@ def top_principal_components(
         raise ValueError(f"k must be in [1, {dim}], got {k}")
     centered = data - data.mean(axis=0)
     cov = (centered.T @ centered) / (n_samples - 1)
-    start_stream = RngStream(0x5EED5, 0)
-
-    directions = np.empty((k, dim))
-    variances = np.empty(k)
-    for comp in range(k):
-        v = start_stream.normals(dim)
-        v /= np.linalg.norm(v)
-        lam = float(v @ cov @ v)
-        settled = False
-        for _ in range(max_iter):
-            w = cov @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                # Covariance is (numerically) zero on the remaining subspace.
-                lam = 0.0
-                settled = True
-                break
-            v = w / norm
-            lam_new = float(v @ cov @ v)
-            if abs(lam_new - lam) <= _PCA_REL_TOL * max(abs(lam_new), 1e-300):
-                lam = lam_new
-                settled = True
-                break
-            lam = lam_new
-        if not settled:
-            raise ConvergenceError(
-                f"power iteration for component {comp} did not converge in "
-                f"{max_iter} iterations"
-            )
-        # Re-orthogonalize against previous directions to stop drift.
-        for j in range(comp):
-            v -= (v @ directions[j]) * directions[j]
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            v /= norm
-        directions[comp] = v
-        variances[comp] = max(lam, 0.0)
-        cov -= variances[comp] * np.outer(v, v)
-    return directions, variances
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    return eigvecs[:, ::-1][:, :k].T.copy(), np.clip(eigvals[::-1][:k], 0.0, None)

@@ -8,8 +8,8 @@ JSON lines with a schema header. A non-finite training loss aborts the
 run, restoring the last parameters snapshotted at a metric point.
 
 Quadratic nets additionally report their ellipsoid-coefficient violation
-count at a separate (coarser) cadence, since each check costs a Jacobi
-eigensolve of an n x n Gram matrix.
+count at a separate (coarser) cadence, since each check costs an SVD of
+the h x n first-layer weights.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spherelab.dataset import (
+    CacheTruncatedError,
     FixedDataset,
     IdxBadMagicError,
     IdxCountMismatchError,
@@ -109,6 +110,23 @@ def test_dataset_cache_round_trip(tmp_path):
     assert (back.xs == ds.xs).all()
     assert (back.labels == ds.labels).all()
     assert back.config == ds.config
+
+
+# A 64-point, n=7 cache: 4 magic bytes, a 36-byte header, 64 label bytes,
+# then 64*7*8 point bytes. Each case keeps ``found`` bytes of one section.
+@pytest.mark.parametrize("section,start,size,found", [
+    ("header", 4, 36, 20),
+    ("labels", 40, 64, 10),
+    ("points", 104, 64 * 7 * 8, 99),
+])
+def test_dataset_cache_truncated(tmp_path, section, start, size, found):
+    path = tmp_path / "ds.bin"
+    make_training_set(SphereConfig(n=7, seed=3), 64).save(path)
+    path.write_bytes(path.read_bytes()[:start + found])
+    with pytest.raises(CacheTruncatedError) as exc:
+        FixedDataset.load(path)
+    assert (exc.value.expected, exc.value.actual) == (size, found)
+    assert f"{section}: expected {size} bytes, found {found}" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

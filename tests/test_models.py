@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spherelab.linalg import singular_values
 from spherelab.models import (
     AlphaSpectrum,
     InfeasibleInitError,
@@ -86,6 +87,24 @@ def test_alpha_spectrum_orthonormal_rows():
     spec = alpha_spectrum(net, R)
     np.testing.assert_allclose(spec.alphas, 0.9 * s * s / 2.5, rtol=1e-12)
     assert not spec.padded
+
+
+@pytest.mark.parametrize("h", [500, 1000])
+def test_alpha_spectrum_recovers_planted_singular_values_at_paper_scale(h):
+    # W1 = diag(s) Q with Q orthogonal has singular values s exactly, so the
+    # oracle is the planted s itself; h = 1000 appends zero rows, which
+    # leaves the singular values unchanged.
+    n, w, b = 500, 0.8, -30.0
+    stream = RngStream(2018)
+    q, _ = np.linalg.qr(stream.child(0).normal_matrix(n, n))
+    s = 0.5 + 6.0 * stream.child(1).uniforms(n)
+    w1 = np.zeros((h, n))
+    w1[:n] = s[:, None] * q
+    np.testing.assert_allclose(singular_values(w1), np.sort(s)[::-1], rtol=1e-12, atol=0.0)
+    spec = alpha_spectrum(QuadraticNet(w1, w, b), R)
+    assert not spec.padded
+    np.testing.assert_allclose(spec.alphas, np.sort(w * s * s / -b)[::-1],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_alpha_spectrum_requires_negative_b():

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spherelab.linalg import (
-    ConvergenceError,
-    IterationLimitError,
-    jacobi_eigenvalues,
-    singular_values,
-    top_principal_components,
-)
+from spherelab.linalg import singular_values, top_principal_components
 from spherelab.rng import RngStream
 from spherelab.special import normal_cdf, normal_pdf, normal_quantile
 
@@ -209,12 +203,6 @@ def test_singular_values_wide_matrix_uses_smaller_gram():
     s = singular_values(m)
     assert s.shape == (3,)
     np.testing.assert_allclose(s, np.linalg.svd(m, compute_uv=False), rtol=1e-8)
-
-
-def test_jacobi_iteration_limit_raises():
-    a = np.array([[1.0, 0.5], [0.5, 2.0]])
-    with pytest.raises(IterationLimitError):
-        jacobi_eigenvalues(a, max_sweeps=0)
 
 
 def test_singular_values_rejects_nonfinite():
