@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spherelab.dataset import SphereConfig, Sample, _normalized_rows
+from spherelab.dataset import SphereConfig, Sample, sphere_points
 from spherelab.models import sigmoid_ce_loss
 from spherelab.rng import RngStream
 
@@ -270,7 +270,7 @@ def _starts_on_shell(sphere: SphereConfig, shell: str, count: int,
         labels = stream.coins(count).astype(np.uint8)
     else:
         labels = np.full(count, 0 if shell == "inner" else 1, dtype=np.uint8)
-    xs = _normalized_rows(stream, count, sphere.n)
+    xs = sphere_points(stream, count, sphere.n)
     xs[labels == 1] *= sphere.R
     return xs, labels
 

@@ -31,11 +31,13 @@ def _flat(a: np.ndarray) -> list[float]:
 
 
 def save_checkpoint(path, model, created: dict | None = None) -> None:
+    if not isinstance(model, (QuadraticNet, MlpNet)):
+        raise TypeError(f"cannot checkpoint a {type(model).__name__}")
     doc: dict = {"schema": SCHEMA, "family": model.family, "created": created or {}}
     if isinstance(model, QuadraticNet):
         doc["dims"] = {"n": model.n, "h": model.h}
         doc["params"] = {"W1": _flat(model.W1), "w": float(model.w), "b": float(model.b)}
-    elif isinstance(model, MlpNet):
+    else:
         doc["dims"] = {"n": model.n, "hidden": list(model.hidden)}
         doc["batch_norm"] = {
             "epsilon": BN_EPSILON,
@@ -51,8 +53,6 @@ def save_checkpoint(path, model, created: dict | None = None) -> None:
             "w_out": _flat(model.w_out),
             "b_out": float(model.b_out),
         }
-    else:
-        raise TypeError(f"cannot checkpoint a {type(model).__name__}")
     with _open(path, "w") as f:
         json.dump(doc, f)
 

@@ -109,15 +109,21 @@ class FixedDataset:
         return cls(xs=xs, labels=labels, config=SphereConfig(n=n, R=radius, seed=seed))
 
 
-def _normalized_rows(stream: RngStream, count: int, n: int) -> np.ndarray:
-    """Unit-norm rows of normal draws; redraws a row on norm underflow."""
+def sphere_points(stream: RngStream, count: int, n: int) -> np.ndarray:
+    """``count`` uniform points on the unit sphere in R^n, one per row.
+
+    Each row is ``n`` normal draws scaled to unit norm (``count * n``
+    draws in one call); a row whose norm underflows to zero is redrawn
+    from the same stream.
+    """
     z = stream.normal_matrix(count, n)
     norms = np.linalg.norm(z, axis=1)
     while (norms == 0.0).any():  # pragma: no cover - probability ~0
         bad = np.flatnonzero(norms == 0.0)
         z[bad] = stream.normal_matrix(len(bad), n)
         norms[bad] = np.linalg.norm(z[bad], axis=1)
-    return z / norms[:, None]
+    z /= norms[:, None]
+    return z
 
 
 def sample_batch(config: SphereConfig, stream: RngStream, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +131,7 @@ def sample_batch(config: SphereConfig, stream: RngStream, count: int) -> tuple[n
     if count < 1:
         raise ValueError("count must be positive")
     labels = stream.coins(count).astype(np.uint8)  # True -> outer
-    xs = _normalized_rows(stream, count, config.n)
+    xs = sphere_points(stream, count, config.n)
     xs[labels == 1] *= config.R
     return xs, labels
 
@@ -133,7 +139,7 @@ def sample_batch(config: SphereConfig, stream: RngStream, count: int) -> tuple[n
 def sample_sphere(config: SphereConfig, stream: RngStream) -> Sample:
     """Draw one sample: label coin first, then the point's normals."""
     label = int(stream.coins(1)[0])
-    x = _normalized_rows(stream, 1, config.n)[0]
+    x = sphere_points(stream, 1, config.n)[0]
     if label == 1:
         x = x * config.R
     return Sample(x, label)

@@ -34,7 +34,7 @@ from spherelab.attack import ErrorSetStats
 from spherelab.dataset import MnistSet
 from spherelab.linalg import top_principal_components
 from spherelab.models import AlphaSpectrum
-from spherelab.rng import RngStream
+from spherelab.rng import RngStream, _shard_map
 from spherelab.special import normal_cdf, normal_quantile
 
 log = logging.getLogger(__name__)
@@ -97,28 +97,34 @@ def clt_error_rate(spec: AlphaSpectrum, shell: str) -> float:
     return normal_cdf(z) if shell == "inner" else normal_cdf(-z)
 
 
+def _chunks(samples: int) -> list[tuple[int, int]]:
+    """``(chunk index, count)`` of each Monte Carlo chunk, in order."""
+    return [(i, min(_MC_CHUNK, samples - done))
+            for i, done in enumerate(range(0, samples, _MC_CHUNK))]
+
+
 def mc_error_rate(spec: AlphaSpectrum, shell: str, samples: int,
                   stream: RngStream) -> float:
-    """Sampling oracle for :func:`clt_error_rate` on uniform shell points."""
+    """Sampling oracle for :func:`clt_error_rate` on uniform shell points.
+
+    Chunk ``i`` of 16384 samples draws from ``stream.child(i)``. The chunks
+    run on the process-wide pool of :func:`spherelab.rng._shard_map` (one
+    worker per CPU this process may use), and their integer hit counts add
+    up to the same total in any order.
+    """
     if samples < 10**3:
         raise ValueError("mc_error_rate needs at least 1e3 samples")
     gamma = _gammas(spec, shell)
     n = gamma.size
-    hits = 0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        count = min(_MC_CHUNK, samples - done)
+
+    def hits(job: tuple[int, int]) -> int:
+        chunk_idx, count = job
         u = stream.child(chunk_idx).normal_matrix(count, n)
         u *= u
         stat = u @ (gamma - 1.0)
-        if shell == "inner":
-            hits += int((stat > 0.0).sum())
-        else:
-            hits += int((stat < 0.0).sum())
-        done += count
-        chunk_idx += 1
-    return hits / samples
+        return int((stat > 0.0).sum() if shell == "inner" else (stat < 0.0).sum())
+
+    return sum(_shard_map(hits, _chunks(samples))) / samples
 
 
 def theorem_bound(mu: float, n: int) -> float:
@@ -149,20 +155,25 @@ def mc_cap_distance(cap: CapSpec, samples: int, stream: RngStream,
     ``paper`` uses the sqrt(2)-scaled height-gap form; ``exact_chord``
     measures the true Euclidean distance to the nearest point of the cap
     (on its boundary circle for points outside it).
+
+    Chunk ``i`` of 16384 points draws from ``stream.child(i)``. The chunks
+    run on the process-wide pool of :func:`spherelab.rng._shard_map` (one
+    worker per CPU this process may use); their float sums are added in
+    chunk order, so the mean does not depend on the pool size.
     """
     if samples < 10**4:
         raise ValueError("mc_cap_distance needs at least 1e4 samples")
     t = cap.t
-    total = 0.0
-    done = 0
-    chunk_idx = 0
-    while done < samples:
-        count = min(_MC_CHUNK, samples - done)
+
+    def distance_sum(job: tuple[int, int]) -> float:
+        chunk_idx, count = job
         u = stream.child(chunk_idx).normal_matrix(count, cap.n)
         x1 = u[:, 0] / np.linalg.norm(u, axis=1)
-        total += float(_cap_distances(x1, t, formula).sum())
-        done += count
-        chunk_idx += 1
+        return float(_cap_distances(x1, t, formula).sum())
+
+    total = 0.0  # a plain loop: sum() compensates float sums from Python 3.12
+    for part in _shard_map(distance_sum, _chunks(samples)):
+        total += part
     return total / samples
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spherelab import attack as attack_mod
-from spherelab.dataset import FixedDataset, SphereConfig, sample_batch
+from spherelab.dataset import FixedDataset, SphereConfig, sample_batch, sphere_points
 from spherelab.models import MlpNet, QuadraticNet, alpha_spectrum, is_perfect, sigmoid_ce_loss
 from spherelab.rng import (
     CHILD_ERROR_MC,
@@ -28,6 +28,7 @@ from spherelab.rng import (
     CHILD_MINIBATCH,
     CHILD_PROBE,
     RngStream,
+    _shard_map,
 )
 
 METRICS_SCHEMA = "spherelab-metrics/1"
@@ -212,36 +213,36 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
                         stream: RngStream) -> ErrorRateEstimate:
     """Misclassification counts over half-inner half-outer shell samples.
 
-    Points are generated in chunks keyed by ``stream.child(chunk index)``
-    (even children inner, odd outer), so sharding the chunks across
-    workers reproduces the same counts in any order. A logit of exactly
-    zero classifies as inner.
+    Points are generated in chunks of 4096 keyed by
+    ``stream.child(2 * chunk + shell)`` (shell 0 inner, 1 outer). The
+    chunks run on the process-wide pool of :func:`spherelab.rng._shard_map`,
+    one worker per CPU this process may use; the integer counts add up to
+    the same totals in any order, so the result does not depend on the
+    pool size. Jobs call ``model.logits`` concurrently, so it must not
+    mutate the model (it does not for either family: ``MlpNet.logits``
+    uses the running statistics without updating them). A logit of
+    exactly zero classifies as inner.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     inner_total = samples // 2
-    outer_total = samples - inner_total
-    errors_inner = 0
-    errors_outer = 0
-    for shell, total in (("inner", inner_total), ("outer", outer_total)):
-        done = 0
-        chunk_idx = 0
-        while done < total:
-            count = min(_EVAL_CHUNK, total - done)
-            child = stream.child(2 * chunk_idx + (0 if shell == "inner" else 1))
-            z = child.normal_matrix(count, sphere.n)
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            if shell == "outer":
-                z *= sphere.R
-            logits = model.logits(z)
-            if shell == "inner":
-                errors_inner += int((logits > 0.0).sum())
-            else:
-                errors_outer += int((logits <= 0.0).sum())
-            done += count
-            chunk_idx += 1
-    return ErrorRateEstimate(samples=samples, errors_inner=errors_inner,
-                             errors_outer=errors_outer)
+    jobs = [(2 * i + outer, min(_EVAL_CHUNK, total - done))
+            for outer, total in ((0, inner_total), (1, samples - inner_total))
+            for i, done in enumerate(range(0, total, _EVAL_CHUNK))]
+
+    def errors(job: tuple[int, int]) -> int:
+        child, count = job
+        z = sphere_points(stream.child(child), count, sphere.n)
+        if child % 2:
+            z *= sphere.R
+            return int((model.logits(z) <= 0.0).sum())
+        return int((model.logits(z) > 0.0).sum())
+
+    counts = _shard_map(errors, jobs)
+    return ErrorRateEstimate(
+        samples=samples,
+        errors_inner=sum(c for (child, _), c in zip(jobs, counts) if child % 2 == 0),
+        errors_outer=sum(c for (child, _), c in zip(jobs, counts) if child % 2))
 
 
 @dataclass
@@ -269,6 +270,9 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         raise ValueError(f"model dim {getattr(model, 'n', None)} != sphere dim {sphere.n}")
     if isinstance(model, MlpNet) and cfg.batch_size < 2:
         raise ValueError("batch-norm models need batch size >= 2")
+    fixed = cfg.dataset
+    if fixed is not None and fixed.config.n != sphere.n:
+        raise ValueError("fixed dataset dimension does not match the sphere config")
 
     root = RngStream(cfg.seed)
     data_stream = root.child(CHILD_MINIBATCH)
@@ -278,8 +282,6 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
 
     params = model.params()
     state = AdamState.for_params(params, lr=cfg.lr)
-    writer = MetricsWriter(cfg.metrics_path, {"seed": cfg.seed, "steps": cfg.steps}) \
-        if cfg.metrics_path else None
     metrics: list[MetricsRecord] = []
     probe_batch = None
     eval_events = 0
@@ -341,61 +343,60 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         return rec
 
     first_perfect: int | None = None
-    alpha0 = _alpha_violations(model, sphere) if cfg.alpha_every > 0 else None
-    emit(0, None, alpha0, do_probe=cfg.probe is not None)
-    snapshot = {k: v.copy() for k, v in params.items()}
     loss_sum = 0.0
     loss_count = 0
     aborted = False
     abort_reason = None
     completed = 0
+    writer = MetricsWriter(cfg.metrics_path, {"seed": cfg.seed, "steps": cfg.steps}) \
+        if cfg.metrics_path else None
+    try:
+        alpha0 = _alpha_violations(model, sphere) if cfg.alpha_every > 0 else None
+        emit(0, None, alpha0, do_probe=cfg.probe is not None)
+        snapshot = {k: v.copy() for k, v in params.items()}
 
-    fixed = cfg.dataset
-    if fixed is not None and fixed.config.n != sphere.n:
-        raise ValueError("fixed dataset dimension does not match the sphere config")
+        for step in range(1, cfg.steps + 1):
+            if fixed is None:
+                xs, ys = sample_batch(sphere, data_stream, cfg.batch_size)
+            else:
+                idx = (data_stream.uniforms(cfg.batch_size) * fixed.N).astype(np.int64)
+                xs, ys = fixed.xs[idx], fixed.labels[idx]
+            logits, cache = model.forward(xs, mode="train")
+            batch_loss = float(np.mean(sigmoid_ce_loss(logits, ys)))
+            if not np.isfinite(batch_loss):
+                for k, v in params.items():
+                    np.copyto(v, snapshot[k])
+                aborted = True
+                abort_reason = f"non-finite training loss at step {step}"
+                if writer:
+                    writer.write_event({"step": step, "event": "aborted",
+                                        "reason": abort_reason})
+                break
+            loss_sum += batch_loss
+            loss_count += 1
+            grads = model.backward(cache, ys)
+            adam_step(params, grads, state)
+            completed = step
 
-    for step in range(1, cfg.steps + 1):
-        if fixed is None:
-            xs, ys = sample_batch(sphere, data_stream, cfg.batch_size)
-        else:
-            idx = (data_stream.uniforms(cfg.batch_size) * fixed.N).astype(np.int64)
-            xs, ys = fixed.xs[idx], fixed.labels[idx]
-        logits, cache = model.forward(xs, mode="train")
-        batch_loss = float(np.mean(sigmoid_ce_loss(logits, ys)))
-        if not np.isfinite(batch_loss):
-            for k, v in params.items():
-                np.copyto(v, snapshot[k])
-            aborted = True
-            abort_reason = f"non-finite training loss at step {step}"
-            if writer:
-                writer.write_event({"step": step, "event": "aborted",
-                                    "reason": abort_reason})
-            break
-        loss_sum += batch_loss
-        loss_count += 1
-        grads = model.backward(cache, ys)
-        adam_step(params, grads, state)
-        completed = step
-
-        alpha = None
-        if cfg.alpha_every > 0 and step % cfg.alpha_every == 0:
-            alpha = _alpha_violations(model, sphere)
-            if alpha == 0 and first_perfect is None:
-                first_perfect = step
-        stopping = cfg.stop_on_perfect and first_perfect is not None
-        final = step == cfg.steps or stopping
-        do_probe = cfg.probe is not None and (step % cfg.probe.every == 0 or final)
-        if step % cfg.metric_every == 0 or final or alpha is not None or do_probe:
-            mean_loss = loss_sum / loss_count if loss_count else None
-            emit(step, mean_loss, alpha, do_probe)
-            loss_sum = 0.0
-            loss_count = 0
-            snapshot = {k: v.copy() for k, v in params.items()}
-        if stopping:
-            break
-
-    if writer:
-        writer.close()
+            alpha = None
+            if cfg.alpha_every > 0 and step % cfg.alpha_every == 0:
+                alpha = _alpha_violations(model, sphere)
+                if alpha == 0 and first_perfect is None:
+                    first_perfect = step
+            stopping = cfg.stop_on_perfect and first_perfect is not None
+            final = step == cfg.steps or stopping
+            do_probe = cfg.probe is not None and (step % cfg.probe.every == 0 or final)
+            if step % cfg.metric_every == 0 or final or alpha is not None or do_probe:
+                mean_loss = loss_sum / loss_count if loss_count else None
+                emit(step, mean_loss, alpha, do_probe)
+                loss_sum = 0.0
+                loss_count = 0
+                snapshot = {k: v.copy() for k, v in params.items()}
+            if stopping:
+                break
+    finally:
+        if writer:
+            writer.close()
     return TrainResult(model=model, metrics=metrics, completed_steps=completed,
                        aborted=aborted, abort_reason=abort_reason,
                        first_perfect_step=first_perfect)

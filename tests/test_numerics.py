@@ -1,9 +1,13 @@
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from spherelab.linalg import singular_values, top_principal_components
-from spherelab.rng import RngStream
+from spherelab.rng import _NORMAL_BLOCK, RngStream, _shard_map
 from spherelab.special import normal_cdf, normal_pdf, normal_quantile
 
 
@@ -139,6 +143,60 @@ def test_chunking_does_not_change_the_stream():
     s2 = RngStream(9)
     u = np.concatenate([s2.uniforms(7), s2.uniforms(1)])
     assert (u == RngStream(9).uniforms(8)).all()
+
+
+def reference_normals(seed: int, stream: int, count: int) -> np.ndarray:
+    """Box-Muller cosine branch over all words at once, from raw words."""
+    words = RngStream(seed, stream).raw(2 * count).reshape(count, 2)
+    u1 = ((words[:, 0] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    u2 = (words[:, 1] >> np.uint64(11)) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+@pytest.mark.parametrize("count", [1, _NORMAL_BLOCK - 1, _NORMAL_BLOCK,
+                                   _NORMAL_BLOCK + 1, 3 * _NORMAL_BLOCK + 5])
+def test_blocked_normals_equal_a_whole_array_reference(count):
+    s = RngStream(20180108, 5)
+    z = s.normals(count)
+    assert z.dtype == np.float64 and z.shape == (count,)
+    assert z.tobytes() == reference_normals(20180108, 5, count).tobytes()
+    # The call consumed exactly 2 * count words.
+    assert (s.raw(3) == RngStream(20180108, 5).raw(2 * count + 3)[-3:]).all()
+
+
+def test_normals_of_zero_draws_consume_nothing():
+    s = RngStream(4)
+    assert s.normals(0).shape == (0,)
+    assert (s.raw(2) == RngStream(4).raw(2)).all()
+
+
+def test_shard_map_keeps_job_order_and_uses_the_pool():
+    names = []
+
+    def job(i):
+        names.append(threading.current_thread().name)
+        return i * i
+
+    assert _shard_map(job, range(37)) == [i * i for i in range(37)]
+    assert _shard_map(job, []) == []
+    assert all(name.startswith("spherelab-shard") for name in names)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_shard_map_works_in_a_forked_child():
+    # The child inherits the parent's pool object but none of its threads.
+    assert _shard_map(abs, range(-50, 0)) == list(range(50, 0, -1))
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        signal.alarm(20)
+        os._exit(0 if _shard_map(abs, [-3, -4]) == [3, 4] else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_shard_map_refuses_nested_jobs():
+    with pytest.raises(RuntimeError, match="inside a sharded job"):
+        _shard_map(lambda _: _shard_map(abs, [1]), [0])
 
 
 def test_substreams_are_distinct_and_reproducible():

@@ -1,9 +1,12 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from spherelab import training
 from spherelab.dataset import SphereConfig, make_training_set
 from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init
 from spherelab.rng import RngStream
@@ -204,6 +207,51 @@ def test_metrics_file_schema_and_records(tmp_path):
     assert [r["step"] for r in records] == [0, 3, 6]
 
 
+@pytest.fixture
+def opened_writers(monkeypatch):
+    """Every MetricsWriter that train() opens during the test."""
+    opened = []
+
+    class Recording(MetricsWriter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(training, "MetricsWriter", Recording)
+    return opened
+
+
+def test_dataset_mismatch_opens_no_metrics_file(tmp_path, opened_writers):
+    path = tmp_path / "metrics.jsonl"
+    ds = make_training_set(SphereConfig(n=6, seed=4), 16)
+    cfg = TrainConfig(steps=5, dataset=ds, seed=4, metrics_path=str(path))
+    with pytest.raises(ValueError, match="dimension"):
+        train(small_quad(seed=4), cfg, SphereConfig(n=10, seed=4))
+    assert opened_writers == []
+    assert not path.exists()
+
+
+def test_metrics_file_closed_when_a_step_raises(tmp_path, opened_writers):
+    path = tmp_path / "metrics.jsonl"
+    net = small_quad(seed=9)
+    calls = []
+
+    def failing_backward(cache, ys):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FloatingPointError("injected")
+        return QuadraticNet.backward(net, cache, ys)
+
+    net.backward = failing_backward
+    cfg = TrainConfig(steps=6, batch_size=4, seed=9, metric_every=2,
+                      metrics_path=str(path))
+    with pytest.raises(FloatingPointError, match="injected"):
+        train(net, cfg, SphereConfig(n=10, seed=9))
+    assert len(opened_writers) == 1 and opened_writers[0]._f.closed
+    records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert [r["step"] for r in records] == [0, 2]
+
+
 def test_mlp_trains_and_batch_size_validated():
     sphere = SphereConfig(n=6, seed=10)
     net = MlpNet.init_random(6, (8,), RngStream(10).child(3))
@@ -263,6 +311,59 @@ def test_error_rate_chunking_invariance():
         tr._EVAL_CHUNK = original
     assert (a.errors_inner, a.errors_outer) != (None, None)
     assert a.rate == pytest.approx(b.rate, abs=0.02)
+
+
+def test_error_rate_counts_equal_a_serial_loop_over_the_child_layout():
+    # 3 inner and 3 outer chunks of 4096, the last ones partial, and an odd
+    # total: the outer shell gets the extra sample.
+    samples = 2 * (2 * 4096 + 1000) + 1
+    net = small_quad(seed=17)
+    unit = RngStream(1).normal_matrix(999, 10)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    net.b = np.array(-1.3 * float(np.median(net.logits(unit) - net.b)))  # errs on both shells
+    sphere = SphereConfig(n=10)
+    stream = RngStream(17).child(5)
+    expected = []
+    for shell, total, radius in ((0, samples // 2, 1.0), (1, samples - samples // 2, sphere.R)):
+        errors = 0
+        for chunk, start in enumerate(range(0, total, 4096)):
+            count = min(4096, total - start)
+            z = stream.child(2 * chunk + shell).normals(count * sphere.n)
+            z = z.reshape(count, sphere.n)
+            z = radius * (z / np.sqrt((z * z).sum(axis=1))[:, None])
+            logits = net.logits(z)
+            errors += int((logits <= 0.0).sum() if shell else (logits > 0.0).sum())
+        expected.append(errors)
+    est = evaluate_error_rate(net, sphere, samples, stream)
+    assert 0 < expected[0] < samples // 2 and 0 < expected[1] < samples // 2
+    assert (est.errors_inner, est.errors_outer) == tuple(expected)
+    assert est.samples == samples
+
+
+def test_concurrent_error_rate_calls_share_the_pool_and_agree():
+    # More caller threads than cores feed one pool; a short switch interval
+    # makes their jobs interleave.
+    net = small_quad(seed=18)
+    sphere = SphereConfig(n=10)
+    expected = evaluate_error_rate(net, sphere, 20_001, RngStream(18))
+    results = [None] * 6
+
+    def run(k):
+        results[k] = evaluate_error_rate(net, sphere, 20_001, RngStream(18))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert expected.errors > 0
+    assert results == [expected] * len(results)
 
 
 def test_broken_net_rate_consistent_with_clt_estimate():
