@@ -19,6 +19,7 @@ import numpy as np
 
 from spherelab.rng import CHILD_DATASET, RngStream
 
+_SPHERE_BLOCK = 32768  # draws per row block of sphere_points: 256 KiB of float64
 _CACHE_MAGIC = b"SPHD"
 _CACHE_VERSION = 1
 
@@ -109,20 +110,39 @@ class FixedDataset:
         return cls(xs=xs, labels=labels, config=SphereConfig(n=n, R=radius, seed=seed))
 
 
+def _block_rows(n: int) -> int:
+    """Rows per block of :func:`sphere_points` in R^n: about 32768 draws, at least one row."""
+    return max(1, _SPHERE_BLOCK // n)
+
+
+def _normalize_rows(stream: RngStream, rows: np.ndarray) -> None:
+    """Scale each row of the 2-D ``rows`` to unit norm, in place.
+
+    A row whose norm underflows to zero is first redrawn from ``stream``.
+    """
+    norms = np.linalg.norm(rows, axis=1)
+    while (norms == 0.0).any():  # pragma: no cover - probability ~0
+        bad = np.flatnonzero(norms == 0.0)
+        rows[bad] = stream.normal_matrix(len(bad), rows.shape[1])
+        norms[bad] = np.linalg.norm(rows[bad], axis=1)
+    rows /= norms[:, None]
+
+
 def sphere_points(stream: RngStream, count: int, n: int) -> np.ndarray:
     """``count`` uniform points on the unit sphere in R^n, one per row.
 
-    Each row is ``n`` normal draws scaled to unit norm (``count * n``
-    draws in one call); a row whose norm underflows to zero is redrawn
-    from the same stream.
+    Each row is ``n`` normal draws scaled to unit norm. All ``count * n``
+    normals are drawn into the output in one call, which is then
+    normalised in place in row blocks of about 32768 draws (one row per
+    block when ``n`` is larger), so no full-size temporary is made. A
+    row's norm has the same bits for any block size. A row whose norm
+    underflows to zero is redrawn from the same stream when its block is
+    normalised.
     """
     z = stream.normal_matrix(count, n)
-    norms = np.linalg.norm(z, axis=1)
-    while (norms == 0.0).any():  # pragma: no cover - probability ~0
-        bad = np.flatnonzero(norms == 0.0)
-        z[bad] = stream.normal_matrix(len(bad), n)
-        norms[bad] = np.linalg.norm(z[bad], axis=1)
-    z /= norms[:, None]
+    step = _block_rows(n)
+    for start in range(0, count, step):
+        _normalize_rows(stream, z[start:start + step])
     return z
 
 

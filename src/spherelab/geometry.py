@@ -19,6 +19,14 @@ Two Monte Carlo cap-distance formulas ship side by side: the
 ``sqrt(2) * (t - x_1)`` form and the exact chord to the cap boundary
 circle. They disagree by up to a factor sqrt(2); curve outputs carry both
 columns and their ratio so the discrepancy stays visible.
+
+The Monte Carlo runs in keyed chunks of 16384 points on the process-wide
+pool of :func:`spherelab.rng._shard_map`. A chunk draws its points one
+row block of :func:`spherelab.dataset.sphere_points` at a time and keeps
+only x_1, so a job holds a few hundred KiB whatever ``n`` is.
+All chunks of a :func:`bound_curve` go to the pool in one map, and every
+estimate adds its chunk sums in chunk order, so no result depends on the
+pool size.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spherelab.attack import ErrorSetStats
-from spherelab.dataset import MnistSet
+from spherelab.dataset import MnistSet, _block_rows, _normalize_rows
 from spherelab.linalg import top_principal_components
 from spherelab.models import AlphaSpectrum
 from spherelab.rng import RngStream, _shard_map
@@ -103,30 +111,6 @@ def _chunks(samples: int) -> list[tuple[int, int]]:
             for i, done in enumerate(range(0, samples, _MC_CHUNK))]
 
 
-def mc_error_rate(spec: AlphaSpectrum, shell: str, samples: int,
-                  stream: RngStream) -> float:
-    """Sampling oracle for :func:`clt_error_rate` on uniform shell points.
-
-    Chunk ``i`` of 16384 samples draws from ``stream.child(i)``. The chunks
-    run on the process-wide pool of :func:`spherelab.rng._shard_map` (one
-    worker per CPU this process may use), and their integer hit counts add
-    up to the same total in any order.
-    """
-    if samples < 10**3:
-        raise ValueError("mc_error_rate needs at least 1e3 samples")
-    gamma = _gammas(spec, shell)
-    n = gamma.size
-
-    def hits(job: tuple[int, int]) -> int:
-        chunk_idx, count = job
-        u = stream.child(chunk_idx).normal_matrix(count, n)
-        u *= u
-        stat = u @ (gamma - 1.0)
-        return int((stat > 0.0).sum() if shell == "inner" else (stat < 0.0).sum())
-
-    return sum(_shard_map(hits, _chunks(samples))) / samples
-
-
 def theorem_bound(mu: float, n: int) -> float:
     """Distance bound Phi^-1(1 - mu)/sqrt(n) for error measure mu."""
     if not 0.0 < mu <= 0.5:
@@ -148,6 +132,47 @@ def _cap_distances(x1: np.ndarray, t: float, formula: str) -> np.ndarray:
     raise ValueError(f"formula must be 'paper' or 'exact_chord', got {formula!r}")
 
 
+def _cap_distance_sum(job: tuple[CapSpec, RngStream, str, int]) -> float:
+    """Summed cap distances of one chunk of ``count`` uniform sphere points.
+
+    The points are drawn and normalised one row block of
+    :func:`spherelab.dataset.sphere_points` at a time, in the same stream
+    order; only each row's x_1 is kept.
+    """
+    cap, stream, formula, count = job
+    step = _block_rows(cap.n)
+    x1 = np.empty(count)
+    for start in range(0, count, step):
+        rows = stream.normal_matrix(min(step, count - start), cap.n)
+        _normalize_rows(stream, rows)
+        x1[start:start + len(rows)] = rows[:, 0]
+    return float(_cap_distances(x1, cap.t, formula).sum())
+
+
+def _mc_cap_means(estimates: list[tuple[CapSpec, RngStream, str]],
+                  samples: int) -> list[float]:
+    """Mean cap distance of each ``(cap, stream, formula)`` estimate.
+
+    Chunk ``i`` of 16384 points of an estimate draws from its
+    ``stream.child(i)``. The chunks of all estimates run in one
+    :func:`spherelab.rng._shard_map` call, and each estimate adds its chunk
+    sums in chunk order.
+    """
+    if samples < 10**4:
+        raise ValueError("the cap-distance Monte Carlo needs at least 1e4 samples")
+    chunks = _chunks(samples)
+    sums = _shard_map(_cap_distance_sum, [(cap, stream.child(i), formula, count)
+                                          for cap, stream, formula in estimates
+                                          for i, count in chunks])
+    means = []
+    for k in range(len(estimates)):
+        total = 0.0  # a plain loop: sum() compensates float sums from Python 3.12
+        for part in sums[k * len(chunks):(k + 1) * len(chunks)]:
+            total += part
+        means.append(total / samples)
+    return means
+
+
 def mc_cap_distance(cap: CapSpec, samples: int, stream: RngStream,
                     formula: str = "paper") -> float:
     """Mean distance from uniform sphere points to the cap.
@@ -159,22 +184,11 @@ def mc_cap_distance(cap: CapSpec, samples: int, stream: RngStream,
     Chunk ``i`` of 16384 points draws from ``stream.child(i)``. The chunks
     run on the process-wide pool of :func:`spherelab.rng._shard_map` (one
     worker per CPU this process may use); their float sums are added in
-    chunk order, so the mean does not depend on the pool size.
+    chunk order, so the mean does not depend on the pool size. A chunk job
+    holds one row block of :func:`spherelab.dataset.sphere_points` and the
+    chunk's x_1 values, not the chunk's points.
     """
-    if samples < 10**4:
-        raise ValueError("mc_cap_distance needs at least 1e4 samples")
-    t = cap.t
-
-    def distance_sum(job: tuple[int, int]) -> float:
-        chunk_idx, count = job
-        u = stream.child(chunk_idx).normal_matrix(count, cap.n)
-        x1 = u[:, 0] / np.linalg.norm(u, axis=1)
-        return float(_cap_distances(x1, t, formula).sum())
-
-    total = 0.0  # a plain loop: sum() compensates float sums from Python 3.12
-    for part in _shard_map(distance_sum, _chunks(samples)):
-        total += part
-    return total / samples
+    return _mc_cap_means([(cap, stream, formula)], samples)[0]
 
 
 @dataclass
@@ -206,12 +220,21 @@ class BoundCurve:
 
 def bound_curve(n: int, mus: list[float], samples: int,
                 stream: RngStream) -> BoundCurve:
-    """Tabulate :func:`theorem_bound` and both cap-distance estimates."""
+    """Tabulate :func:`theorem_bound` and both cap-distance estimates.
+
+    Point ``i`` has the ``paper`` estimate of :func:`mc_cap_distance` on
+    ``stream.child(2 * i)`` and the ``exact_chord`` one on
+    ``stream.child(2 * i + 1)``, with the same bits. The chunks of all
+    ``2 * len(mus)`` estimates run in one pool map; each estimate adds its
+    chunk sums in chunk order, and each job holds one row block of points.
+    """
     curve = BoundCurve(n=n, samples=samples)
+    means = _mc_cap_means(
+        [(CapSpec(n=n, mu=mu), stream.child(2 * i + j), formula)
+         for i, mu in enumerate(mus)
+         for j, formula in enumerate(("paper", "exact_chord"))], samples)
     for i, mu in enumerate(mus):
-        cap = CapSpec(n=n, mu=mu)
-        d_paper = mc_cap_distance(cap, samples, stream.child(2 * i), "paper")
-        d_exact = mc_cap_distance(cap, samples, stream.child(2 * i + 1), "exact_chord")
+        d_paper, d_exact = means[2 * i], means[2 * i + 1]
         point = BoundCurvePoint(
             mu=mu, d_theory=theorem_bound(mu, n),
             d_mc_paper_formula=d_paper, d_mc_exact_chord=d_exact)

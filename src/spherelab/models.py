@@ -345,7 +345,8 @@ class MlpNet:
                 d_z = d_xhat * layer["inv_std"]
             grads[f"w{i}"] = d_z.T @ layer["input"]
             grads[f"b{i}"] = d_z.sum(axis=0)
-            d_act = d_z @ self.Ws[i]
+            if i:  # the input gradient of layer 0 is not a parameter gradient
+                d_act = d_z @ self.Ws[i]
         return grads
 
     def input_grad(self, X, labels) -> np.ndarray:

@@ -33,6 +33,7 @@ from spherelab.rng import (
 
 METRICS_SCHEMA = "spherelab-metrics/1"
 _EVAL_CHUNK = 4096
+_ADAM_BLOCK = 32768  # elements per block of adam_step: 256 KiB of float64
 
 
 @dataclass
@@ -46,7 +47,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    _scratch: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    _scratch: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], lr: float = 1e-4) -> "AdamState":
@@ -75,32 +76,45 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     size: roughly ``lr * (1 - beta1) / sqrt(1 - beta2)`` per coordinate
     when ``1 - beta1 > sqrt(1 - beta2)``, else roughly ``lr`` (Kingma & Ba,
     section 2.1).
+
+    The update runs over blocks of 32768 elements of each parameter's flat
+    view with one block-sized scratch, so its working set stays in cache.
+    Every element goes through the same ufunc sequence as in one
+    whole-array pass, so the bits do not depend on the block size. ``p``,
+    ``m`` and ``v`` must be C-contiguous, since they are updated through
+    flat views.
     """
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
+    if state._scratch is None:
+        state._scratch = np.empty(_ADAM_BLOCK)
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
-        scratch = state._scratch.get(name)
-        if scratch is None:
-            scratch = state._scratch[name] = np.empty_like(p)
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=scratch)
-        m += scratch
-        v *= state.beta2
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - state.beta2
-        v += scratch
-        np.divide(v, c2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += state.eps
-        np.divide(m, scratch, out=scratch)
-        scratch *= state.lr / c1
-        p -= scratch
+        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError(f"Adam updates {name!r} in place and needs it C-contiguous")
+        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for start in range(0, p.size, _ADAM_BLOCK):
+            end = start + _ADAM_BLOCK
+            pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
+            scratch = state._scratch[:pb.size]
+            mb *= state.beta1
+            np.multiply(gb, 1.0 - state.beta1, out=scratch)
+            mb += scratch
+            vb *= state.beta2
+            np.multiply(gb, gb, out=scratch)
+            scratch *= 1.0 - state.beta2
+            vb += scratch
+            np.divide(vb, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += state.eps
+            np.divide(mb, scratch, out=scratch)
+            scratch *= state.lr / c1
+            pb -= scratch
     return state
 
 

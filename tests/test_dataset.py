@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spherelab.dataset import (
+    _SPHERE_BLOCK,
     CacheTruncatedError,
     FixedDataset,
     IdxBadMagicError,
@@ -13,6 +14,7 @@ from spherelab.dataset import (
     make_training_set,
     sample_batch,
     sample_sphere,
+    sphere_points,
     write_idx_images,
     write_idx_labels,
 )
@@ -54,6 +56,28 @@ def test_inner_coordinate_variance_matches_one_over_n():
     inner = xs[labels == 0]
     var = inner.var(axis=0).mean()
     assert abs(var - 1.0 / cfg.n) < 0.05 / cfg.n
+
+
+def reference_sphere_points(stream: RngStream, count: int, n: int) -> np.ndarray:
+    """One whole-matrix pass: all normals first, then every row scaled at once."""
+    u = stream.normals(count * n).reshape(count, n)
+    return u / np.sqrt((u * u).sum(1))[:, None]
+
+
+@pytest.mark.parametrize("n,count", [
+    (n, count)
+    for n in (500, 3)
+    for rows in [_SPHERE_BLOCK // n]
+    for count in (rows - 1, rows, rows + 1, 3 * rows + 5)
+] + [(500, 0),
+     (_SPHERE_BLOCK + 7, 3)])  # n above the block: one row per block
+def test_blocked_sphere_points_equal_a_whole_matrix_reference(n, count):
+    s = RngStream(20180108, 11)
+    z = sphere_points(s, count, n)
+    assert z.dtype == np.float64 and z.shape == (count, n) and z.flags.c_contiguous
+    assert z.tobytes() == reference_sphere_points(RngStream(20180108, 11), count, n).tobytes()
+    # The call consumed exactly the 2 * count * n words of its normals.
+    assert (s.raw(3) == RngStream(20180108, 11).raw(2 * count * n + 3)[-3:]).all()
 
 
 def test_fixed_seed_reproduces_dataset():

@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.stats import norm
+from scipy.stats import f, norm
 
-from spherelab.geometry import CapSpec, clt_error_rate, mc_cap_distance, theorem_bound
+from spherelab.geometry import (
+    CapSpec,
+    bound_curve,
+    clt_error_rate,
+    mc_cap_distance,
+    theorem_bound,
+)
 from spherelab.models import AlphaSpectrum
 from spherelab.rng import RngStream
 
@@ -45,6 +52,41 @@ def test_clt_error_rate_tails_of_one_statistic_sum_to_one():
     assert 0.05 < inner < 0.95
     assert inner == pytest.approx(norm.cdf(clt_z(alphas)), rel=1e-12, abs=0.0)
     assert abs(inner + outer - 1.0) <= 1e-15
+
+
+def mc_error_rate(alphas, R, shell, samples, stream):
+    """Sampling oracle for shell error rates, serial.
+
+    A uniform shell point is u/|u| with u Gaussian, so the sign of
+    sum (gamma_i - 1) x_i^2 is the sign of sum (gamma_i - 1) u_i^2. Chunk i
+    of 16384 samples draws from ``stream.child(i)``.
+    """
+    gamma = np.asarray(alphas, dtype=np.float64) * (1.0 if shell == "inner" else R * R)
+    hits = 0
+    for chunk, start in enumerate(range(0, samples, 16384)):
+        count = min(16384, samples - start)
+        u = stream.child(chunk).normals(count * gamma.size).reshape(count, gamma.size)
+        stat = (u * u) @ (gamma - 1.0)
+        hits += int((stat > 0.0).sum() if shell == "inner" else (stat < 0.0).sum())
+    return hits / samples
+
+
+def test_two_valued_spectrum_inner_rate_is_an_f_tail():
+    # 50 coefficients of 1.6 and 450 of 0.9: an inner point errs when
+    # 0.6 * A > 0.1 * B with A ~ chi2(50), B ~ chi2(450), i.e. when
+    # (A / 50) / (B / 450) > 1.5, an F(50, 450) tail.
+    alphas = np.concatenate([np.full(50, 1.6), np.full(450, 0.9)])
+    exact = f.sf(1.5, 50, 450)
+    assert exact == pytest.approx(0.01863, abs=5e-6)
+    samples = 10**5
+    se = math.sqrt(exact * (1.0 - exact) / samples)
+    estimate = mc_error_rate(alphas, R, "inner", samples, RngStream(20180108).child(5))
+    assert abs(estimate - exact) <= 6.0 * se
+    # The paper's CLT estimate gives 0.01267 here, 32 % low: 14 SE of the
+    # oracle away from the exact tail.
+    clt = clt_error_rate(AlphaSpectrum(alphas, R), "inner")
+    assert clt == pytest.approx(0.01267, abs=5e-6)
+    assert 0.3 < 1.0 - clt / exact < 0.34
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +139,48 @@ def test_mc_cap_distance_exact_chord_matches_quadrature_at_n500():
     estimate = mc_cap_distance(cap, samples, RngStream(29), "exact_chord")
     assert abs(estimate - mean) <= 6.0 * se
     assert abs(mean - theorem_bound(mu, n)) < 0.01 * mean
+
+
+def test_mc_cap_distance_memory_stays_one_row_block_per_job():
+    # A whole 16384 x 500 chunk matrix is 65.5 MB; the streamed chunk job
+    # keeps one row block and the chunk's x_1 values.
+    stream = RngStream(20180108, 3)
+    mc_cap_distance(CapSpec(n=500, mu=1e-2), 20_000, stream)  # warm the pool
+    tracemalloc.start()
+    try:
+        mc_cap_distance(CapSpec(n=500, mu=1e-2), 20_000, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_bound_curve_columns_equal_separate_estimates(tmp_path):
+    n, mus, samples = 20, [0.3, 1e-2, 1e-4], 2 * 16384 + 11
+    stream = RngStream(41).child(2)
+    curve = bound_curve(n, mus, samples, stream)
+    assert (curve.n, curve.samples) == (n, samples)
+    assert [p.mu for p in curve.points] == mus
+    for i, (mu, p) in enumerate(zip(mus, curve.points)):
+        cap = CapSpec(n=n, mu=mu)
+        assert p.d_theory == theorem_bound(mu, n)
+        assert p.d_mc_paper_formula == mc_cap_distance(cap, samples, stream.child(2 * i), "paper")
+        assert p.d_mc_exact_chord == mc_cap_distance(cap, samples, stream.child(2 * i + 1),
+                                                     "exact_chord")
+    path = tmp_path / "curve.csv"
+    curve.to_csv(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "mu,d_theory,d_mc_paper_formula,d_mc_exact_chord,paper_over_exact"
+    assert len(lines) == 1 + len(mus)
+    for line, p in zip(lines[1:], curve.points):
+        row = [float(x) for x in line.split(",")]
+        assert row[:4] == [p.mu, p.d_theory, p.d_mc_paper_formula, p.d_mc_exact_chord]
+        assert row[4] == p.d_mc_paper_formula / p.d_mc_exact_chord
+
+
+def test_bound_curve_needs_enough_samples():
+    with pytest.raises(ValueError):
+        bound_curve(7, [1e-2], 10**4 - 1, RngStream(1))
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.3, 0.1, 1e-2, 1e-4, 1e-8])

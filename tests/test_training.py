@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spherelab import training
+from spherelab.training import _ADAM_BLOCK
 from spherelab.dataset import SphereConfig, make_training_set
 from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init
 from spherelab.rng import RngStream
@@ -78,6 +79,38 @@ def test_adam_quadratic_bowl_descends_monotonically_after_warmup():
     assert all(b < a for a, b in zip(peaks, peaks[1:]))
     assert all(p < abs(history[warmup]) for p in peaks)
     assert abs(history[-1]) < 0.2
+
+
+def reference_adam(p, m, v, g, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam's ufunc sequence over whole arrays, one temporary per operation."""
+    m[...] = m * beta1 + g * (1.0 - beta1)
+    v[...] = v * beta2 + (g * g) * (1.0 - beta2)
+    p[...] = p - (m / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)) * (lr / (1.0 - beta1 ** t))
+
+
+def test_blocked_adam_equals_a_whole_array_reference_byte_for_byte():
+    stream = RngStream(20180108, 21)
+    shapes = {"below": (_ADAM_BLOCK - 1,), "block": (_ADAM_BLOCK,), "above": (_ADAM_BLOCK + 1,),
+              "flat": (3 * _ADAM_BLOCK + 5,), "matrix": (5, 3 * _ADAM_BLOCK + 1), "scalar": ()}
+    params = {k: stream.normals(int(np.prod(s))).reshape(s) for k, s in shapes.items()}
+    ref = {k: [p.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
+    state = AdamState.for_params(params, lr=1e-3)
+    for t in range(1, 6):
+        grads = {k: stream.normals(int(np.prod(s))).reshape(s) for k, s in shapes.items()}
+        adam_step(params, grads, state)
+        for k, (p, m, v) in ref.items():
+            reference_adam(p, m, v, grads[k], t)
+    for k, (p, m, v) in ref.items():
+        assert params[k].tobytes() == p.tobytes(), k
+        assert state.m[k].tobytes() == m.tobytes(), k
+        assert state.v[k].tobytes() == v.tobytes(), k
+    assert state._scratch.size == _ADAM_BLOCK
+
+
+def test_adam_rejects_a_parameter_it_cannot_update_in_place():
+    params = {"p": np.zeros((4, 3)).T}
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(params, {"p": np.ones((3, 4))}, AdamState.for_params(params))
 
 
 def test_adam_shape_mismatch():
@@ -175,6 +208,22 @@ def test_alpha_cadence_and_early_stop():
     assert result.first_perfect_step == 1
     assert result.completed_steps == 1
     assert result.metrics[-1].alpha_violations == 0
+
+
+def test_perfect_init_stops_at_step_one_at_paper_scale():
+    net = quad_perfect_init(500, 1000)
+    cfg = TrainConfig(steps=50, seed=5, alpha_every=1, stop_on_perfect=True)
+    result = train(net, cfg, SphereConfig(n=500, seed=5))
+    assert result.first_perfect_step == 1
+    assert result.completed_steps == 1
+    assert [m.alpha_violations for m in result.metrics] == [0, 0]
+
+
+def test_alpha_cadence_every_other_step_at_paper_scale():
+    net = quad_perfect_init(500, 1000)
+    cfg = TrainConfig(steps=4, seed=6, alpha_every=2)
+    result = train(net, cfg, SphereConfig(n=500, seed=6))
+    assert [(m.step, m.alpha_violations) for m in result.metrics] == [(0, 0), (2, 0), (4, 0)]
 
 
 def test_stop_on_perfect_requires_alpha_cadence():
