@@ -16,7 +16,10 @@ failed, stationary attack rather than an error.
 
 In nearest mode the attack stops a start at its first misclassified
 iterate; in worst mode it runs the full budget and returns the highest
-loss iterate whether or not it is misclassified.
+loss iterate whether or not it is misclassified. Both modes keep the logit
+of the iterate they return, taken from the batch pass that evaluated it,
+and worst mode reports a start as found when that logit misclassifies it;
+no model pass is made after the loop.
 """
 
 from __future__ import annotations
@@ -126,129 +129,77 @@ def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
                stream: RngStream) -> list[AttackResult]:
     """Run PGD from every row of X0; results are keyed by row index.
 
-    Saddle jitter for row i draws from ``stream.child(i)``, so each start's
-    trajectory is independent of how the batch is assembled or sharded.
+    Each start keeps one iterate with its loss and logit: the first
+    misclassified one in nearest mode, the highest-loss one in worst mode
+    (the start until an iterate beats it). Rows still searching are
+    ``alive``; a step makes one ``input_grad`` and one ``logits`` call on
+    them. Saddle jitter for row i draws from ``stream.child(i)``, so each
+    start's trajectory is independent of how the batch is assembled or
+    sharded.
     """
     m, n = X0.shape
-    eta = cfg.eta
+    nearest = cfg.mode == "nearest"
     y = np.asarray(labels, dtype=np.float64)
     radii = np.linalg.norm(X0, axis=1)
-    X = X0.copy()
-
-    found = np.zeros(m, dtype=bool)
+    X, x_adv = X0.copy(), X0.copy()
+    best_logit = model.logits(X)
+    last_loss = sigmoid_ce_loss(best_logit, y)
+    best_loss = last_loss.copy()
+    found = _misclassified(best_logit, y) if nearest else np.zeros(m, dtype=bool)
     stationary = np.zeros(m, dtype=bool)
     steps_used = np.zeros(m, dtype=np.int64)
-    x_adv = [None] * m
-    final_loss = np.asarray(sigmoid_ce_loss(model.logits(X), y), dtype=np.float64).copy()
-    best_loss = final_loss.copy()  # worst mode
     drift = np.zeros(m)
-    jitter_streams: dict[int, RngStream] = {}
-
-    alive = np.arange(m)
-    if cfg.mode == "nearest":
-        mis0 = _misclassified(model.logits(X), labels)
-        for i in np.flatnonzero(mis0):
-            found[i] = True
-            x_adv[i] = X0[i].copy()
-        alive = alive[~mis0]
-    else:
-        for i in range(m):
-            x_adv[i] = X0[i].copy()
-
+    jitter: dict[int, RngStream] = {}  # a row jittered again continues its stream
+    alive = np.flatnonzero(~found)
     for step in range(1, cfg.steps + 1):
         if alive.size == 0:
             break
         Xa = X[alive]
-        ya = y[alive]
-        ra = radii[alive]
-        g = model.input_grad(Xa, ya)
-        unit = Xa / ra[:, None]
-        radial = np.einsum("ij,ij->i", g, unit)
-        g_tan = g - radial[:, None] * unit
+        g = model.input_grad(Xa, y[alive])
+        unit = Xa / radii[alive][:, None]
+        g_tan = g - np.einsum("ij,ij->i", g, unit)[:, None] * unit
         gnorm = np.linalg.norm(g_tan, axis=1)
-
-        weak = gnorm < _ZERO_GRAD
-        if weak.any():
-            gfull = np.linalg.norm(g[weak], axis=1)
-            weak_rows = alive[weak]
-            dead_rows = weak_rows[gfull < _ZERO_GRAD]
-            for i in dead_rows:
-                stationary[i] = True
-                steps_used[i] = step - 1
-            # True saddles: nonzero radial gradient but no tangent signal.
-            for i in weak_rows:
-                if i in dead_rows:
-                    continue
-                js = jitter_streams.setdefault(i, stream.child(i))
-                d = js.normals(n)
-                u = X[i] / radii[i]
-                d -= (d @ u) * u
-                dn = np.linalg.norm(d)
-                if dn < _ZERO_GRAD:  # pragma: no cover - probability ~0
-                    stationary[i] = True
-                    steps_used[i] = step - 1
-                    continue
-                row = np.flatnonzero(alive == i)[0]
-                g_tan[row] = d
-                gnorm[row] = dn
-            if stationary[alive].any():
-                keep = ~stationary[alive]
-                alive = alive[keep]
-                if alive.size == 0:
-                    break
-                Xa = X[alive]
-                ya = y[alive]
-                ra = radii[alive]
-                g_tan = g_tan[keep]
-                gnorm = gnorm[keep]
-
-        Xa = Xa + (eta / gnorm)[:, None] * g_tan
-        norms = np.linalg.norm(Xa, axis=1)
-        Xa *= (ra / norms)[:, None]
+        # No tangent signal: a true saddle (nonzero radial gradient) takes a
+        # random tangent step; a zero gradient leaves the row stationary.
+        for row in np.flatnonzero(gnorm < _ZERO_GRAD):
+            i = alive[row]
+            if np.linalg.norm(g[row]) >= _ZERO_GRAD:
+                d = jitter.setdefault(i, stream.child(i)).normals(n)
+                d -= (d @ unit[row]) * unit[row]
+                g_tan[row], gnorm[row] = d, np.linalg.norm(d)
+            if gnorm[row] < _ZERO_GRAD:
+                stationary[i], steps_used[i] = True, step - 1
+        keep = ~stationary[alive]
+        if not keep.all():
+            alive, Xa, g_tan, gnorm = alive[keep], Xa[keep], g_tan[keep], gnorm[keep]
+            if alive.size == 0:
+                break
+        ra = radii[alive]
+        Xa = Xa + (cfg.eta / gnorm)[:, None] * g_tan
+        Xa *= (ra / np.linalg.norm(Xa, axis=1))[:, None]
         X[alive] = Xa
-        post = np.linalg.norm(Xa, axis=1)
-        drift[alive] = np.maximum(drift[alive], np.abs(post - ra) / ra)
-
+        drift[alive] = np.maximum(drift[alive], np.abs(np.linalg.norm(Xa, axis=1) - ra) / ra)
         logits = model.logits(Xa)
-        losses = np.asarray(sigmoid_ce_loss(logits, ya), dtype=np.float64)
-        final_loss[alive] = losses
-        if cfg.mode == "nearest":
-            mis = _misclassified(logits, ya)
-            if mis.any():
-                for i in alive[mis]:
-                    found[i] = True
-                    x_adv[i] = X[i].copy()
-                    steps_used[i] = step
-                alive = alive[~mis]
-        else:
-            better = losses > best_loss[alive]
-            hit = alive[better]
-            best_loss[hit] = losses[better]
-            for i in hit:
-                x_adv[i] = X[i].copy()
-                steps_used[i] = step
-
-    results = []
-    for i in range(m):
-        if cfg.mode == "nearest":
-            dist = float(np.linalg.norm(x_adv[i] - X0[i])) if found[i] else None
-            if not found[i] and not stationary[i]:
-                steps_used[i] = cfg.steps
-            results.append(AttackResult(
-                found=bool(found[i]), x_start=X0[i].copy(), x_adv=x_adv[i],
-                distance=dist, steps_used=int(steps_used[i]),
-                final_loss=float(final_loss[i]), stationary=bool(stationary[i]),
-                norm_drift=float(drift[i])))
-        else:
-            adv = x_adv[i]
-            logits_adv = model.logits(adv[None, :])
-            is_err = bool(_misclassified(logits_adv, labels[i:i + 1])[0])
-            results.append(AttackResult(
-                found=is_err, x_start=X0[i].copy(), x_adv=adv,
-                distance=float(np.linalg.norm(adv - X0[i])),
-                steps_used=int(steps_used[i]), final_loss=float(best_loss[i]),
-                stationary=bool(stationary[i]), norm_drift=float(drift[i])))
-    return results
+        losses = sigmoid_ce_loss(logits, y[alive])
+        last_loss[alive] = losses
+        hit = _misclassified(logits, y[alive]) if nearest else losses > best_loss[alive]
+        rows = alive[hit]
+        x_adv[rows], best_logit[rows], best_loss[rows] = Xa[hit], logits[hit], losses[hit]
+        steps_used[rows] = step
+        if nearest:
+            found[rows] = True
+            alive = alive[~hit]
+    if nearest:
+        steps_used[~found & ~stationary] = cfg.steps
+    else:
+        found = _misclassified(best_logit, y)
+    kept = found if nearest else np.ones(m, dtype=bool)
+    final_loss = last_loss if nearest else best_loss
+    return [AttackResult(
+        found=bool(found[i]), x_start=X0[i].copy(), x_adv=x_adv[i] if kept[i] else None,
+        distance=float(np.linalg.norm(x_adv[i] - X0[i])) if kept[i] else None,
+        steps_used=int(steps_used[i]), final_loss=float(final_loss[i]),
+        stationary=bool(stationary[i]), norm_drift=float(drift[i])) for i in range(m)]
 
 
 def manifold_pgd(model, sample: Sample, cfg: AttackConfig, stream: RngStream) -> AttackResult:

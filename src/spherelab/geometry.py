@@ -18,7 +18,9 @@ Gaussian-approximation conventions used throughout:
 Two Monte Carlo cap-distance formulas ship side by side: the
 ``sqrt(2) * (t - x_1)`` form and the exact chord to the cap boundary
 circle. They disagree by up to a factor sqrt(2); curve outputs carry both
-columns and their ratio so the discrepancy stays visible.
+columns and their ratio so the discrepancy stays visible. The exact chord
+needs ``t <= 1``; at small n and small mu the Gaussian height exceeds 1,
+and such a cap is rejected with a ``ValueError`` before any chunk runs.
 
 The Monte Carlo runs in keyed chunks of 16384 points on the process-wide
 pool of :func:`spherelab.rng._shard_map`. A chunk draws its points one
@@ -112,10 +114,12 @@ def _chunks(samples: int) -> list[tuple[int, int]]:
 
 
 def theorem_bound(mu: float, n: int) -> float:
-    """Distance bound Phi^-1(1 - mu)/sqrt(n) for error measure mu."""
-    if not 0.0 < mu <= 0.5:
-        raise ValueError(f"error measure must be in (0, 0.5], got {mu}")
-    return normal_quantile(1.0 - mu) / math.sqrt(n)
+    """Distance bound Phi^-1(1 - mu)/sqrt(n) for error measure mu.
+
+    It is the height ``t`` of the cap of measure mu, so the same
+    :class:`CapSpec` checks apply: n >= 2 and mu in (0, 0.5].
+    """
+    return CapSpec(n=n, mu=mu).t
 
 
 def _cap_distances(x1: np.ndarray, t: float, formula: str) -> np.ndarray:
@@ -160,6 +164,11 @@ def _mc_cap_means(estimates: list[tuple[CapSpec, RngStream, str]],
     """
     if samples < 10**4:
         raise ValueError("the cap-distance Monte Carlo needs at least 1e4 samples")
+    for cap, _, formula in estimates:
+        if formula == "exact_chord" and cap.t > 1.0:
+            raise ValueError(
+                f"exact_chord needs a cap height t <= 1, but n = {cap.n} and "
+                f"mu = {cap.mu!r} give t = {cap.t:.4g}")
     chunks = _chunks(samples)
     sums = _shard_map(_cap_distance_sum, [(cap, stream.child(i), formula, count)
                                           for cap, stream, formula in estimates

@@ -125,16 +125,18 @@ class QuadraticNet:
         """Logit of a single point."""
         return float(self.logits(np.atleast_2d(x))[0])
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_dim(X)
+    def _pass(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hidden activations H = X W1^T, S = sum(H^2) per row, and the logits."""
         H = X @ self.W1.T
-        return float(self.w) * np.einsum("ij,ij->i", H, H) + float(self.b)
+        S = np.einsum("ij,ij->i", H, H)
+        return H, S, float(self.w) * S + float(self.b)
+
+    def logits(self, X: np.ndarray) -> np.ndarray:
+        return self._pass(self._check_dim(X))[2]
 
     def forward(self, X, mode: str = "train", update_stats: bool | None = None):
         X = self._check_dim(X)
-        H = X @ self.W1.T
-        S = np.einsum("ij,ij->i", H, H)
-        logits = float(self.w) * S + float(self.b)
+        H, S, logits = self._pass(X)
         cache = {"X": X, "H": H, "S": S, "logits": logits, "mode": mode}
         return logits, cache
 
@@ -154,8 +156,7 @@ class QuadraticNet:
         """Per-row gradient of the (unaveraged) loss w.r.t. the input."""
         X = self._check_dim(X)
         y = np.asarray(labels, dtype=np.float64)
-        H = X @ self.W1.T
-        logits = float(self.w) * np.einsum("ij,ij->i", H, H) + float(self.b)
+        H, _, logits = self._pass(X)
         dl = sigmoid(logits) - y
         return (2.0 * float(self.w)) * ((H * dl[:, None]) @ self.W1)
 

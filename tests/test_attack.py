@@ -82,6 +82,39 @@ def test_iterate_norms_preserved():
             <= 1e-9 * np.linalg.norm(r.x_start)
 
 
+@pytest.mark.parametrize("mode", ["nearest", "worst"])
+def test_zero_gradient_start_is_stationary_not_found(mode):
+    # w = 0: the logit is -1 everywhere, so inner starts are correct and
+    # the input gradient is exactly zero; no step is ever taken.
+    m = 12
+    net = QuadraticNet(np.eye(m), 0.0, -1.0)
+    cfg = AttackConfig(mode=mode, steps=50, starts=6)
+    for r in run_attack(net, SphereConfig(n=m), cfg, RngStream(31)):
+        assert r.stationary
+        assert not r.found
+        assert r.steps_used == 0
+        assert r.norm_drift == 0.0
+        if mode == "nearest":
+            assert r.x_adv is None and r.distance is None
+        else:
+            assert np.array_equal(r.x_adv, r.x_start) and r.distance == 0.0
+
+
+def test_worst_mode_found_is_the_sign_of_the_kept_iterates_logit():
+    net = spike_net(30)
+    cfg = AttackConfig(mode="worst", steps=150, step_size=0.01, starts=30)
+    results = run_attack(net, SphereConfig(n=30), cfg, RngStream(33), shell="both")
+    w, b = float(net.w), float(net.b)
+    outcomes = set()
+    for r in results:
+        label = int(np.linalg.norm(r.x_start) > 1.0 + 1e-9)
+        hidden = net.W1 @ r.x_adv
+        logit = w * float(hidden @ hidden) + b
+        assert r.found == (int(logit > 0.0) != label)
+        outcomes.add(r.found)
+    assert outcomes == {True, False}
+
+
 def test_on_manifold_precondition():
     net = spike_net(5)
     with pytest.raises(ValueError):

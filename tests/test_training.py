@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from spherelab import training
+from spherelab.attack import AttackConfig, estimate_mean_distance
 from spherelab.training import _ADAM_BLOCK
 from spherelab.dataset import SphereConfig, make_training_set
 from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init
-from spherelab.rng import RngStream
+from spherelab.rng import CHILD_PROBE, RngStream
 from spherelab.training import (
     AdamState,
     MetricsWriter,
@@ -243,6 +244,40 @@ def test_probe_cadence_and_worst_loss_metric():
         assert m.worst_loss > 0
 
 
+def test_nearest_probe_dmean_is_the_mean_distance_on_its_keyed_stream():
+    sphere = SphereConfig(n=10, seed=8)
+    probe = ProbeConfig(every=10, starts=6, steps=20, step_size=0.01, nearest=True,
+                        nearest_steps=400, nearest_step_size=0.01)
+    cfg = TrainConfig(steps=20, batch_size=4, seed=8, metric_every=10, probe=probe)
+    result = train(small_quad(seed=8), cfg, sphere)
+    probed = [m for m in result.metrics if m.worst_loss is not None]
+    assert [m.step for m in probed] == [0, 10, 20]
+    attack_cfg = AttackConfig(mode="nearest", steps=400, step_size=0.01, starts=6)
+    probe_stream = RngStream(8).child(CHILD_PROBE)
+    for event, record in enumerate(probed):
+        # The model as it was at the probe: the same run stopped at that step.
+        net = small_quad(seed=8)
+        train(net, TrainConfig(steps=record.step, batch_size=4, seed=8), sphere)
+        stats = estimate_mean_distance(net, sphere, attack_cfg,
+                                       probe_stream.child(30000 + event))
+        assert stats.successes > 0
+        assert record.attack_dmean == stats.dmean
+
+
+def test_nearest_probe_omits_dmean_when_every_start_fails():
+    probe = ProbeConfig(every=2, starts=6, steps=10, nearest=True, nearest_steps=100,
+                        nearest_step_size=0.01)
+    cfg = TrainConfig(steps=4, batch_size=4, seed=3, metric_every=2, alpha_every=2,
+                      probe=probe)
+    result = train(quad_perfect_init(10, 12), cfg, SphereConfig(n=10, seed=3))
+    probed = [m for m in result.metrics if m.worst_loss is not None]
+    assert [m.step for m in probed] == [0, 2, 4]
+    for m in probed:
+        assert m.attack_dmean is None
+        assert "attack_dmean" not in m.to_dict()
+    assert all(m.alpha_violations == 0 for m in result.metrics)
+
+
 def test_metrics_file_schema_and_records(tmp_path):
     path = tmp_path / "metrics.jsonl"
     net = small_quad(seed=9)
@@ -415,6 +450,7 @@ def test_concurrent_error_rate_calls_share_the_pool_and_agree():
     assert results == [expected] * len(results)
 
 
+@pytest.mark.slow
 def test_broken_net_rate_consistent_with_clt_estimate():
     # One inflated coefficient at n=500: the CLT estimate is astronomically
     # small, and indeed a million samples see no errors.
