@@ -1,11 +1,15 @@
 """Versioned structured-text checkpoints for both model families.
 
 A checkpoint is a JSON document (gzip-compressed when the path ends in
-``.gz``) with a schema tag, the model family, array dimensions, row-major
-parameter arrays, batch-norm running statistics and constants, and the
-free-form ``created`` block describing the run that produced it (seed,
-radius, dimension, and so on). JSON floats round-trip float64 exactly, so
-loading reproduces the parameters bit-for-bit.
+``.gz``) with a schema tag, the model family, its dimensions, the MLP's
+batch-norm constants, the free-form ``created`` block describing the run
+(seed, radius, and so on), and a ``state`` map from each name of the
+model's ``state()`` to its row-major values. JSON floats round-trip
+float64 exactly, so loading reproduces the state bit-for-bit. Loading
+builds an empty model from the dimensions and copies each named array in;
+a missing or extra name, a wrong number of values or a non-finite value
+raises :class:`CheckpointError`, and saving refuses a non-finite value.
+Any other schema (``/1`` included) is rejected.
 """
 
 from __future__ import annotations
@@ -17,7 +21,12 @@ import numpy as np
 
 from spherelab.models import BN_EPSILON, BN_MOMENTUM, MlpNet, QuadraticNet
 
-SCHEMA = "spherelab-checkpoint/1"
+SCHEMA = "spherelab-checkpoint/2"
+_BATCH_NORM = {"epsilon": BN_EPSILON, "momentum": BN_MOMENTUM}
+
+
+class CheckpointError(ValueError):
+    """A state map that does not fit its model's dimensions or is not finite."""
 
 
 def _open(path, mode: str):
@@ -26,33 +35,21 @@ def _open(path, mode: str):
     return open(path, mode, encoding="utf-8")
 
 
-def _flat(a: np.ndarray) -> list[float]:
-    return np.asarray(a, dtype=np.float64).reshape(-1).tolist()
-
-
 def save_checkpoint(path, model, created: dict | None = None) -> None:
-    if not isinstance(model, (QuadraticNet, MlpNet)):
-        raise TypeError(f"cannot checkpoint a {type(model).__name__}")
-    doc: dict = {"schema": SCHEMA, "family": model.family, "created": created or {}}
+    """Write ``model``'s state; a non-finite value raises CheckpointError and writes nothing."""
     if isinstance(model, QuadraticNet):
-        doc["dims"] = {"n": model.n, "h": model.h}
-        doc["params"] = {"W1": _flat(model.W1), "w": float(model.w), "b": float(model.b)}
+        header: dict = {"dims": {"n": model.n, "h": model.h}}
+    elif isinstance(model, MlpNet):
+        header = {"dims": {"n": model.n, "hidden": list(model.hidden)},
+                  "batch_norm": _BATCH_NORM}
     else:
-        doc["dims"] = {"n": model.n, "hidden": list(model.hidden)}
-        doc["batch_norm"] = {
-            "epsilon": BN_EPSILON,
-            "momentum": BN_MOMENTUM,
-            "running_means": [_flat(m) for m in model.run_means],
-            "running_vars": [_flat(v) for v in model.run_vars],
-        }
-        doc["params"] = {
-            "Ws": [_flat(w) for w in model.Ws],
-            "bs": [_flat(b) for b in model.bs],
-            "gammas": [_flat(g) for g in model.gammas],
-            "betas": [_flat(b) for b in model.betas],
-            "w_out": _flat(model.w_out),
-            "b_out": float(model.b_out),
-        }
+        raise TypeError(f"cannot checkpoint a {type(model).__name__}")
+    state = model.state()
+    bad = [name for name, a in state.items() if not np.isfinite(a).all()]
+    if bad:
+        raise CheckpointError(f"cannot save non-finite values of {bad}")
+    doc = {"schema": SCHEMA, "family": model.family, "created": created or {}, **header,
+           "state": {name: a.reshape(-1).tolist() for name, a in state.items()}}
     with _open(path, "w") as f:
         json.dump(doc, f)
 
@@ -63,28 +60,28 @@ def load_checkpoint(path):
         doc = json.load(f)
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unsupported checkpoint schema {doc.get('schema')!r}")
-    family = doc["family"]
-    params = doc["params"]
+    family, dims = doc["family"], doc["dims"]
     if family == "quadratic":
-        n, h = doc["dims"]["n"], doc["dims"]["h"]
-        model = QuadraticNet(
-            np.array(params["W1"]).reshape(h, n), params["w"], params["b"])
+        model = QuadraticNet(np.zeros((dims["h"], dims["n"])), 0.0, 0.0)
     elif family == "mlp":
-        n = doc["dims"]["n"]
-        hidden = tuple(doc["dims"]["hidden"])
-        model = MlpNet(n, hidden)
-        fan = n
-        for i, width in enumerate(hidden):
-            model.Ws[i] = np.array(params["Ws"][i]).reshape(width, fan)
-            model.bs[i] = np.array(params["bs"][i])
-            model.gammas[i] = np.array(params["gammas"][i])
-            model.betas[i] = np.array(params["betas"][i])
-            model.run_means[i] = np.array(doc["batch_norm"]["running_means"][i])
-            model.run_vars[i] = np.array(doc["batch_norm"]["running_vars"][i])
-            fan = width
-        model.w_out = np.array(params["w_out"])
-        model.b_out = np.array(float(params["b_out"]))
+        if doc.get("batch_norm") != _BATCH_NORM:
+            raise CheckpointError(f"batch-norm constants {doc.get('batch_norm')} "
+                                  f"differ from this library's {_BATCH_NORM}")
+        model = MlpNet(dims["n"], tuple(dims["hidden"]))
     else:
         raise ValueError(f"unknown model family {family!r}")
-    meta = {"created": doc.get("created", {}), "family": family, "dims": doc["dims"]}
+    state, saved = model.state(), doc.get("state", {})
+    if state.keys() != saved.keys():
+        raise CheckpointError(
+            f"state names do not fit a {family} net of dims {dims}: missing "
+            f"{sorted(state.keys() - saved.keys())}, extra {sorted(saved.keys() - state.keys())}")
+    for name, a in state.items():
+        values = np.array(saved[name], dtype=np.float64)
+        if values.shape != (a.size,):
+            raise CheckpointError(f"{name!r} is not a flat list of the {a.size} values "
+                                  f"that dims {dims} need")
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{name!r} holds non-finite values")
+        np.copyto(a, values.reshape(a.shape))
+    meta = {"created": doc.get("created", {}), "family": family, "dims": dims}
     return model, meta

@@ -74,7 +74,7 @@ class CapSpec:
     @property
     def alpha(self) -> float:
         """Gaussian height multiplier solving P[N(0,1) > alpha] = mu."""
-        return normal_quantile(1.0 - self.mu)
+        return 0.0 - normal_quantile(self.mu)  # 0.0 - q keeps mu = 0.5 at +0.0, not -0.0
 
     @property
     def t(self) -> float:

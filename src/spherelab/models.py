@@ -19,7 +19,11 @@ start at w=1, b=-1. All arithmetic is float64.
 Both families expose the same training surface: ``forward`` returning
 (logits, cache), ``backward`` producing mean-loss gradients for every
 parameter, ``input_grad`` for attack search, and ``params`` as a flat
-name-to-array dict (scalars are 0-d arrays updated in place).
+name-to-array dict (scalars are 0-d arrays updated in place). ``state``
+extends ``params`` with every other array that defines the net (the MLP's
+batch-norm running statistics ``run_mean{i}`` and ``run_var{i}``); it is
+what training snapshots and checkpoints save and restore. Both dicts hold
+the model's own arrays, built anew on each call.
 """
 
 from __future__ import annotations
@@ -114,6 +118,8 @@ class QuadraticNet:
 
     def params(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "w": self.w, "b": self.b}
+
+    state = params  # the parameters are the quadratic net's whole state
 
     def _check_dim(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -268,6 +274,13 @@ class MlpNet:
             out[f"beta{i}"] = self.betas[i]
         out["w_out"] = self.w_out
         out["b_out"] = self.b_out
+        return out
+
+    def state(self) -> dict[str, np.ndarray]:
+        out = self.params()
+        for i in range(len(self.hidden)):
+            out[f"run_mean{i}"] = self.run_means[i]
+            out[f"run_var{i}"] = self.run_vars[i]
         return out
 
     def _check_dim(self, X: np.ndarray) -> np.ndarray:

@@ -31,7 +31,8 @@ child  purpose
 4      fresh evaluation samples
 5      error-rate Monte Carlo
 6      attack starts and saddle jitter
-7      in-training attack probes
+7      in-training probe starts (child 0) and worst-mode probes
+8      in-training nearest-mode probes
 ====== =================================
 """
 
@@ -57,6 +58,7 @@ CHILD_EVAL = 4
 CHILD_ERROR_MC = 5
 CHILD_ATTACK = 6
 CHILD_PROBE = 7
+CHILD_NEAREST_PROBE = 8
 
 
 class RngStream:

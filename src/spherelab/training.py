@@ -4,8 +4,12 @@ The loop is deterministic per seed: minibatches, fresh evaluation samples,
 error-rate Monte Carlo, and attack probes all draw from fixed substreams
 of the run seed (see the registry in :mod:`spherelab.rng`). Metrics are
 emitted at a configured cadence as step-keyed records; a metrics file is
-JSON lines with a schema header. A non-finite training loss aborts the
-run, restoring the last parameters snapshotted at a metric point.
+JSON lines with a schema header. Record k (from 0) takes ``child(k)`` of
+the eval and error-MC streams; probe event k takes ``child(1 + k)`` of the
+probe stream (worst mode) and ``child(k)`` of the nearest-probe stream. A
+schedule that would pass the last child index is rejected up front. A
+non-finite training loss aborts the run, restoring the model's whole
+``state()`` (batch-norm statistics too) from the last metric point.
 
 Quadratic nets additionally report their ellipsoid-coefficient violation
 count at a separate (coarser) cadence, since each check costs an SVD of
@@ -15,7 +19,9 @@ the h x n first-layer weights.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -26,8 +32,10 @@ from spherelab.rng import (
     CHILD_ERROR_MC,
     CHILD_EVAL,
     CHILD_MINIBATCH,
+    CHILD_NEAREST_PROBE,
     CHILD_PROBE,
     RngStream,
+    _CHILD_BASE,
     _shard_map,
 )
 
@@ -130,6 +138,10 @@ class ProbeConfig:
     nearest_steps: int = 1000
     nearest_step_size: float = 0.001
 
+    def __post_init__(self) -> None:
+        if self.every < 1:
+            raise ValueError("probe every must be >= 1")
+
 
 @dataclass
 class TrainConfig:
@@ -153,6 +165,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.metric_every < 1:
+            raise ValueError("metric_every must be >= 1")
         if self.stop_on_perfect and self.alpha_every <= 0:
             raise ValueError("stop_on_perfect needs alpha_every > 0")
 
@@ -177,14 +191,10 @@ class MetricsWriter:
 
     def __init__(self, path, header: dict | None = None) -> None:
         self._f = open(path, "w", encoding="utf-8")
-        head = {"schema": METRICS_SCHEMA}
-        head.update(header or {})
-        self._f.write(json.dumps(head) + "\n")
-        self._f.flush()
+        self.write_event({"schema": METRICS_SCHEMA, **(header or {})})
 
     def write(self, record: MetricsRecord) -> None:
-        self._f.write(json.dumps(record.to_dict()) + "\n")
-        self._f.flush()
+        self.write_event(record.to_dict())
 
     def write_event(self, event: dict) -> None:
         self._f.write(json.dumps(event) + "\n")
@@ -278,6 +288,27 @@ def _alpha_violations(model, sphere: SphereConfig) -> int | None:
     return violations
 
 
+def _emit_count(steps: int, cadences: list[int]) -> int:
+    """Emits of a schedule: step 0, each multiple of a cadence up to ``steps``, the last step."""
+    hits = sum((-1) ** (r + 1) * (steps // math.lcm(*combo))
+               for r in range(1, len(cadences) + 1) for combo in combinations(cadences, r))
+    return 1 + hits + (steps > 0 and all(steps % c for c in cadences))
+
+
+def _check_schedule(cfg: TrainConfig) -> None:
+    """Reject a schedule whose record or probe-event keys pass the last child index."""
+    probe = [cfg.probe.every] if cfg.probe is not None else []
+    alpha = [cfg.alpha_every] if cfg.alpha_every > 0 else []
+    records = _emit_count(cfg.steps, [cfg.metric_every, *alpha, *probe])
+    probes = _emit_count(cfg.steps, probe) if probe else 0
+    if max(records - 1, probes) > _CHILD_BASE - 2:
+        raise ValueError(
+            f"{cfg.steps} steps at metric_every={cfg.metric_every}, alpha_every="
+            f"{cfg.alpha_every}, probe every={probe[0] if probe else None} key up to "
+            f"{records} records by child(k) and {probes} probes by child(1 + k), past the "
+            f"last child index {_CHILD_BASE - 2}")
+
+
 def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     """Run the optimization loop; see module docstring for determinism."""
     if getattr(model, "n", None) != sphere.n:
@@ -287,30 +318,25 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     fixed = cfg.dataset
     if fixed is not None and fixed.config.n != sphere.n:
         raise ValueError("fixed dataset dimension does not match the sphere config")
+    _check_schedule(cfg)
 
     root = RngStream(cfg.seed)
     data_stream = root.child(CHILD_MINIBATCH)
     eval_stream = root.child(CHILD_EVAL)
     errmc_stream = root.child(CHILD_ERROR_MC)
     probe_stream = root.child(CHILD_PROBE)
+    nearest_stream = root.child(CHILD_NEAREST_PROBE)
 
     params = model.params()
-    state = AdamState.for_params(params, lr=cfg.lr)
+    state = model.state()
+    snapshot = {k: np.empty_like(v) for k, v in state.items()}  # filled at each record
+    adam = AdamState.for_params(params, lr=cfg.lr)
     metrics: list[MetricsRecord] = []
     probe_batch = None
-    eval_events = 0
     probe_events = 0
-    errmc_events = 0
 
     if cfg.probe is not None:
         probe_batch = sample_batch(sphere, probe_stream.child(0), cfg.probe.starts)
-
-    def eval_loss_now() -> float:
-        nonlocal eval_events
-        xs, ys = sample_batch(sphere, eval_stream.child(eval_events), cfg.eval_batch)
-        eval_events += 1
-        logits = model.logits(xs)
-        return float(np.mean(sigmoid_ce_loss(logits, ys)))
 
     def probe_now() -> tuple[float | None, float | None]:
         nonlocal probe_events
@@ -329,32 +355,30 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
                 attack_mod.AttackConfig(mode="nearest", steps=cfg.probe.nearest_steps,
                                         step_size=cfg.probe.nearest_step_size,
                                         starts=cfg.probe.starts),
-                probe_stream.child(30000 + event))
+                nearest_stream.child(event))
             dmean = None if stats.all_failed else stats.dmean
         return wl, dmean
 
-    def error_estimate_now() -> tuple[float | None, float | None]:
-        nonlocal errmc_events
-        if cfg.error_eval_samples <= 0:
-            return None, None
-        est = evaluate_error_rate(model, sphere, cfg.error_eval_samples,
-                                  errmc_stream.child(errmc_events))
-        errmc_events += 1
-        return est.rate, est.upper95
-
     def emit(step: int, train_loss: float | None, alpha: int | None,
-             do_probe: bool) -> MetricsRecord:
+             do_probe: bool) -> None:
         wl, dmean = probe_now() if do_probe else (None, None)
-        rate, upper = error_estimate_now()
+        record = len(metrics)
+        rate = upper = None
+        if cfg.error_eval_samples > 0:
+            est = evaluate_error_rate(model, sphere, cfg.error_eval_samples,
+                                      errmc_stream.child(record))
+            rate, upper = est.rate, est.upper95
+        xs, ys = sample_batch(sphere, eval_stream.child(record), cfg.eval_batch)
         rec = MetricsRecord(step=step, train_loss=train_loss,
-                            eval_loss=eval_loss_now(),
+                            eval_loss=float(np.mean(sigmoid_ce_loss(model.logits(xs), ys))),
                             error_rate=rate, error_upper95=upper,
                             attack_dmean=dmean, worst_loss=wl,
                             alpha_violations=alpha)
         metrics.append(rec)
         if writer:
             writer.write(rec)
-        return rec
+        for k, v in state.items():
+            np.copyto(snapshot[k], v)
 
     first_perfect: int | None = None
     loss_sum = 0.0
@@ -367,7 +391,6 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     try:
         alpha0 = _alpha_violations(model, sphere) if cfg.alpha_every > 0 else None
         emit(0, None, alpha0, do_probe=cfg.probe is not None)
-        snapshot = {k: v.copy() for k, v in params.items()}
 
         for step in range(1, cfg.steps + 1):
             if fixed is None:
@@ -378,7 +401,7 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
             logits, cache = model.forward(xs, mode="train")
             batch_loss = float(np.mean(sigmoid_ce_loss(logits, ys)))
             if not np.isfinite(batch_loss):
-                for k, v in params.items():
+                for k, v in state.items():
                     np.copyto(v, snapshot[k])
                 aborted = True
                 abort_reason = f"non-finite training loss at step {step}"
@@ -389,7 +412,7 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
             loss_sum += batch_loss
             loss_count += 1
             grads = model.backward(cache, ys)
-            adam_step(params, grads, state)
+            adam_step(params, grads, adam)
             completed = step
 
             alpha = None
@@ -405,7 +428,6 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
                 emit(step, mean_loss, alpha, do_probe)
                 loss_sum = 0.0
                 loss_count = 0
-                snapshot = {k: v.copy() for k, v in params.items()}
             if stopping:
                 break
     finally:

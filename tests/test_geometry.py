@@ -187,12 +187,13 @@ def test_bound_curve_needs_enough_samples():
         bound_curve(7, [1e-2], 10**4 - 1, RngStream(1))
 
 
-@pytest.mark.parametrize("mu", [0.5, 0.3, 0.1, 1e-2, 1e-4, 1e-8])
+@pytest.mark.parametrize("mu", [0.5, 0.3, 0.1, 1e-2, 1e-4, 1e-8, 1e-12, 1e-16, 2.24e-25,
+                                1e-100, 1e-300])
 @pytest.mark.parametrize("n", [2, 500, 10_000])
 def test_theorem_bound_is_the_gaussian_quantile_over_sqrt_n(mu, n):
     expected = norm.isf(mu) / math.sqrt(n)
-    assert theorem_bound(mu, n) == pytest.approx(expected, rel=1e-9, abs=1e-15)
-    assert CapSpec(n=n, mu=mu).t == pytest.approx(expected, rel=1e-9, abs=1e-15)
+    assert theorem_bound(mu, n) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert CapSpec(n=n, mu=mu).t == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("mu", [0.0, -1e-3, 0.5000001, 1.0, float("nan")])

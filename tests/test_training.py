@@ -11,7 +11,7 @@ from spherelab.attack import AttackConfig, estimate_mean_distance
 from spherelab.training import _ADAM_BLOCK
 from spherelab.dataset import SphereConfig, make_training_set
 from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init
-from spherelab.rng import CHILD_PROBE, RngStream
+from spherelab.rng import CHILD_NEAREST_PROBE, RngStream
 from spherelab.training import (
     AdamState,
     MetricsWriter,
@@ -195,10 +195,30 @@ def test_abort_on_nonfinite_loss_restores_snapshot():
     net.W1 *= 1e200  # first forward overflows
     w1 = net.W1.copy()
     cfg = TrainConfig(steps=10, batch_size=4, seed=6)
-    result = train(net, cfg, SphereConfig(n=10, seed=6))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        result = train(net, cfg, SphereConfig(n=10, seed=6))
     assert result.aborted
     assert "step 1" in result.abort_reason
     assert (net.W1 == w1).all()
+
+
+def test_mlp_abort_restores_batch_norm_statistics_with_the_parameters():
+    # Step 1 moves every parameter by about lr, so the train-mode forward of
+    # step 2 overflows and writes NaN into the running statistics before
+    # its loss is seen to be non-finite.
+    net = MlpNet.init_random(6, (8, 5), RngStream(11).child(3))
+    cfg = TrainConfig(steps=10, batch_size=4, seed=11, lr=1e305)
+    # With metric_every at its default, the last snapshot is the step-0 state.
+    snapshot = {k: v.copy() for k, v in net.state().items()}
+    with pytest.warns(RuntimeWarning) as caught:
+        result = train(net, cfg, SphereConfig(n=6, seed=11))
+    assert any("overflow" in str(w.message) for w in caught)
+    assert result.aborted and result.completed_steps == 1
+    assert "step 2" in result.abort_reason
+    state = net.state()
+    assert state.keys() == snapshot.keys()
+    assert all(state[k].tobytes() == snapshot[k].tobytes() for k in state)
+    assert np.isfinite(net.logits(RngStream(12).normal_matrix(5, 6))).all()
 
 
 def test_alpha_cadence_and_early_stop():
@@ -232,6 +252,13 @@ def test_stop_on_perfect_requires_alpha_cadence():
         TrainConfig(steps=10, stop_on_perfect=True)
 
 
+def test_metric_and_probe_cadences_must_be_positive():
+    with pytest.raises(ValueError, match="metric_every"):
+        TrainConfig(steps=10, metric_every=0)
+    with pytest.raises(ValueError, match="probe every"):
+        ProbeConfig(every=0)
+
+
 def test_probe_cadence_and_worst_loss_metric():
     net = small_quad(seed=8)
     cfg = TrainConfig(steps=20, batch_size=4, seed=8, metric_every=10,
@@ -253,13 +280,12 @@ def test_nearest_probe_dmean_is_the_mean_distance_on_its_keyed_stream():
     probed = [m for m in result.metrics if m.worst_loss is not None]
     assert [m.step for m in probed] == [0, 10, 20]
     attack_cfg = AttackConfig(mode="nearest", steps=400, step_size=0.01, starts=6)
-    probe_stream = RngStream(8).child(CHILD_PROBE)
+    nearest_stream = RngStream(8).child(CHILD_NEAREST_PROBE)
     for event, record in enumerate(probed):
         # The model as it was at the probe: the same run stopped at that step.
         net = small_quad(seed=8)
         train(net, TrainConfig(steps=record.step, batch_size=4, seed=8), sphere)
-        stats = estimate_mean_distance(net, sphere, attack_cfg,
-                                       probe_stream.child(30000 + event))
+        stats = estimate_mean_distance(net, sphere, attack_cfg, nearest_stream.child(event))
         assert stats.successes > 0
         assert record.attack_dmean == stats.dmean
 
@@ -276,6 +302,38 @@ def test_nearest_probe_omits_dmean_when_every_start_fails():
         assert m.attack_dmean is None
         assert "attack_dmean" not in m.to_dict()
     assert all(m.alpha_violations == 0 for m in result.metrics)
+
+
+def test_schedule_past_the_last_child_index_is_rejected_before_the_metrics_file_opens(
+        tmp_path):
+    # A paper-length run probed every 10 steps needs 100001 keyed probe streams.
+    path = tmp_path / "metrics.jsonl"
+    cfg = TrainConfig(steps=1_000_000, seed=1, probe=ProbeConfig(every=10),
+                      metrics_path=str(path))
+    with pytest.raises(ValueError, match="probe every=10"):
+        train(small_quad(), cfg, SphereConfig(n=10, seed=1))
+    assert not path.exists()
+    last = 65534  # the last child index of RngStream.child
+    training._check_schedule(TrainConfig(steps=last, metric_every=1))
+    with pytest.raises(ValueError, match="metric_every=1"):
+        training._check_schedule(TrainConfig(steps=last + 1, metric_every=1))
+    # Cadences that coincide emit one record, not one each.
+    training._check_schedule(TrainConfig(steps=2 * last, metric_every=2, alpha_every=2,
+                                         probe=ProbeConfig(every=4)))
+    # Probe event k draws from child(1 + k), so probes run out one event early.
+    with pytest.raises(ValueError, match="probe every=1"):
+        training._check_schedule(TrainConfig(steps=last, metric_every=last,
+                                             probe=ProbeConfig(every=1)))
+
+
+def test_schedule_count_is_the_number_of_records_and_probe_events():
+    cfg = TrainConfig(steps=17, batch_size=4, seed=2, metric_every=3, alpha_every=4,
+                      probe=ProbeConfig(every=5, starts=2, steps=2))
+    result = train(small_quad(seed=2), cfg, SphereConfig(n=10, seed=2))
+    probed = [m.step for m in result.metrics if m.worst_loss is not None]
+    assert probed == [0, 5, 10, 15, 17]
+    assert len(probed) == training._emit_count(17, [5])
+    assert len(result.metrics) == training._emit_count(17, [3, 4, 5]) == 12
 
 
 def test_metrics_file_schema_and_records(tmp_path):
