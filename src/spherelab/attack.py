@@ -19,7 +19,10 @@ iterate; in worst mode it runs the full budget and returns the highest
 loss iterate whether or not it is misclassified. Both modes keep the logit
 of the iterate they return, taken from the batch pass that evaluated it,
 and worst mode reports a start as found when that logit misclassifies it;
-no model pass is made after the loop.
+no model pass is made after the loop. Misclassified means
+:func:`spherelab.models.classify` of the logit differs from the start's
+label (a logit of exactly zero is inner). Starts come from
+:func:`spherelab.dataset.sample_batch` on the chosen shell.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spherelab.dataset import SphereConfig, Sample, sphere_points
-from spherelab.models import sigmoid_ce_loss
+from spherelab.dataset import SphereConfig, Sample, sample_batch
+from spherelab.models import classify, sigmoid_ce_loss
 from spherelab.rng import RngStream
 
 _ZERO_GRAD = 1e-300
@@ -120,11 +123,6 @@ class DistanceHistogram:
                 f.write(f"{lo!r},{hi!r},{int(c)}\n")
 
 
-def _misclassified(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    # Ties (logit exactly 0) classify as inner.
-    return (logits > 0.0).astype(np.uint8) != labels.astype(np.uint8)
-
-
 def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
                stream: RngStream) -> list[AttackResult]:
     """Run PGD from every row of X0; results are keyed by row index.
@@ -145,7 +143,7 @@ def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
     best_logit = model.logits(X)
     last_loss = sigmoid_ce_loss(best_logit, y)
     best_loss = last_loss.copy()
-    found = _misclassified(best_logit, y) if nearest else np.zeros(m, dtype=bool)
+    found = classify(best_logit) != y if nearest else np.zeros(m, dtype=bool)
     stationary = np.zeros(m, dtype=bool)
     steps_used = np.zeros(m, dtype=np.int64)
     drift = np.zeros(m)
@@ -182,7 +180,7 @@ def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
         logits = model.logits(Xa)
         losses = sigmoid_ce_loss(logits, y[alive])
         last_loss[alive] = losses
-        hit = _misclassified(logits, y[alive]) if nearest else losses > best_loss[alive]
+        hit = classify(logits) != y[alive] if nearest else losses > best_loss[alive]
         rows = alive[hit]
         x_adv[rows], best_logit[rows], best_loss[rows] = Xa[hit], logits[hit], losses[hit]
         steps_used[rows] = step
@@ -192,7 +190,7 @@ def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
     if nearest:
         steps_used[~found & ~stationary] = cfg.steps
     else:
-        found = _misclassified(best_logit, y)
+        found = classify(best_logit) != y
     kept = found if nearest else np.ones(m, dtype=bool)
     final_loss = last_loss if nearest else best_loss
     return [AttackResult(
@@ -213,23 +211,10 @@ def manifold_pgd(model, sample: Sample, cfg: AttackConfig, stream: RngStream) ->
     return _pgd_batch(model, x[None, :], np.array([sample.label]), cfg, stream)[0]
 
 
-def _starts_on_shell(sphere: SphereConfig, shell: str, count: int,
-                     stream: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    if shell not in ("inner", "outer", "both"):
-        raise ValueError(f"shell must be inner/outer/both, got {shell!r}")
-    if shell == "both":
-        labels = stream.coins(count).astype(np.uint8)
-    else:
-        labels = np.full(count, 0 if shell == "inner" else 1, dtype=np.uint8)
-    xs = sphere_points(stream, count, sphere.n)
-    xs[labels == 1] *= sphere.R
-    return xs, labels
-
-
 def run_attack(model, sphere: SphereConfig, cfg: AttackConfig, stream: RngStream,
                shell: str = "inner") -> list[AttackResult]:
-    """PGD from ``cfg.starts`` random points on the chosen shell."""
-    xs, labels = _starts_on_shell(sphere, shell, cfg.starts, stream.child(0))
+    """PGD from ``cfg.starts`` points that ``sample_batch`` draws on ``shell``."""
+    xs, labels = sample_batch(sphere, stream.child(0), cfg.starts, shell)
     return _pgd_batch(model, xs, labels, cfg, stream.child(1))
 
 
@@ -341,6 +326,6 @@ def slice_grid(model, center: np.ndarray, u: np.ndarray, v: np.ndarray,
               + coords[None, :, None] * v_hat[None, None, :])
     flat = points.reshape(-1, center.size)
     logits = model.logits(flat).reshape(resolution, resolution)
-    classes = (logits > 0.0).astype(np.uint8)
+    classes = classify(logits)
     return SliceGrid(a=coords, b=coords.copy(), classes=classes, logits=logits,
                      basis_u=u_hat, basis_v=v_hat, center=center, radii=radii)

@@ -5,15 +5,18 @@ A sample is a point on one of two origin-centered shells in R^n: radius 1
 coin. Points are drawn by normalizing standard normal vectors, which is
 exact for the uniform distribution on the shell.
 
-Draw layout per sample: one word for the label coin, then 2n words for the
-point's normals. Batched generation draws all coins first, then all
-normals, so a fixed seed always materializes the same dataset.
+Every labelled draw goes through :func:`sample_batch`. With both shells
+in play a batch of ``count`` draws ``count`` label coins (one word each)
+first, then ``2n`` words of normals per point, so a fixed seed always
+materializes the same dataset. A fixed shell (``"inner"`` or ``"outer"``)
+draws no coin: its words are the normals alone, exactly those of
+:func:`sphere_points`, and outer points are those points times R.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,24 +113,6 @@ class FixedDataset:
         return cls(xs=xs, labels=labels, config=SphereConfig(n=n, R=radius, seed=seed))
 
 
-def _block_rows(n: int) -> int:
-    """Rows per block of :func:`sphere_points` in R^n: about 32768 draws, at least one row."""
-    return max(1, _SPHERE_BLOCK // n)
-
-
-def _normalize_rows(stream: RngStream, rows: np.ndarray) -> None:
-    """Scale each row of the 2-D ``rows`` to unit norm, in place.
-
-    A row whose norm underflows to zero is first redrawn from ``stream``.
-    """
-    norms = np.linalg.norm(rows, axis=1)
-    while (norms == 0.0).any():  # pragma: no cover - probability ~0
-        bad = np.flatnonzero(norms == 0.0)
-        rows[bad] = stream.normal_matrix(len(bad), rows.shape[1])
-        norms[bad] = np.linalg.norm(rows[bad], axis=1)
-    rows /= norms[:, None]
-
-
 def sphere_points(stream: RngStream, count: int, n: int) -> np.ndarray:
     """``count`` uniform points on the unit sphere in R^n, one per row.
 
@@ -140,29 +125,45 @@ def sphere_points(stream: RngStream, count: int, n: int) -> np.ndarray:
     normalised.
     """
     z = stream.normal_matrix(count, n)
-    step = _block_rows(n)
+    step = max(1, _SPHERE_BLOCK // n)
     for start in range(0, count, step):
-        _normalize_rows(stream, z[start:start + step])
+        rows = z[start:start + step]
+        norms = np.linalg.norm(rows, axis=1)
+        while (norms == 0.0).any():  # pragma: no cover - probability ~0
+            bad = np.flatnonzero(norms == 0.0)
+            rows[bad] = stream.normal_matrix(len(bad), n)
+            norms[bad] = np.linalg.norm(rows[bad], axis=1)
+        rows /= norms[:, None]
     return z
 
 
-def sample_batch(config: SphereConfig, stream: RngStream, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` samples; returns (points (count, n), labels (count,))."""
+def sample_batch(config: SphereConfig, stream: RngStream, count: int,
+                 shell: str = "both") -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` samples; returns (points (count, n), labels (count,) uint8).
+
+    ``shell`` is ``"both"`` (a fair label coin per sample, drawn before
+    the points), ``"inner"`` or ``"outer"`` (no coin, constant labels).
+    """
+    if shell not in ("inner", "outer", "both"):
+        raise ValueError(f"shell must be inner/outer/both, got {shell!r}")
     if count < 1:
         raise ValueError("count must be positive")
-    labels = stream.coins(count).astype(np.uint8)  # True -> outer
+    if shell == "both":
+        labels = stream.coins(count).astype(np.uint8)  # True -> outer
+    else:
+        labels = np.full(count, shell == "outer", dtype=np.uint8)
     xs = sphere_points(stream, count, config.n)
-    xs[labels == 1] *= config.R
+    if shell == "outer":
+        xs *= config.R
+    elif shell == "both":
+        xs[labels == 1] *= config.R
     return xs, labels
 
 
 def sample_sphere(config: SphereConfig, stream: RngStream) -> Sample:
-    """Draw one sample: label coin first, then the point's normals."""
-    label = int(stream.coins(1)[0])
-    x = sphere_points(stream, 1, config.n)[0]
-    if label == 1:
-        x = x * config.R
-    return Sample(x, label)
+    """Draw one sample: row 0 of a one-sample :func:`sample_batch`."""
+    xs, labels = sample_batch(config, stream, 1)
+    return Sample(xs[0], int(labels[0]))
 
 
 def make_training_set(config: SphereConfig, N: int) -> FixedDataset:

@@ -23,9 +23,10 @@ needs ``t <= 1``; at small n and small mu the Gaussian height exceeds 1,
 and such a cap is rejected with a ``ValueError`` before any chunk runs.
 
 The Monte Carlo runs in keyed chunks of 16384 points on the process-wide
-pool of :func:`spherelab.rng._shard_map`. A chunk draws its points one
-row block of :func:`spherelab.dataset.sphere_points` at a time and keeps
-only x_1, so a job holds a few hundred KiB whatever ``n`` is.
+pool of :func:`spherelab.rng._shard_map`. A chunk draws its points with
+:func:`spherelab.dataset.sphere_points`, a block of about 32768 normals
+at a time, and keeps only x_1, so a job holds a few hundred KiB whatever
+``n`` is.
 All chunks of a :func:`bound_curve` go to the pool in one map, and every
 estimate adds its chunk sums in chunk order, so no result depends on the
 pool size.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spherelab.attack import ErrorSetStats
-from spherelab.dataset import MnistSet, _block_rows, _normalize_rows
+from spherelab.dataset import MnistSet, sphere_points
 from spherelab.linalg import top_principal_components
 from spherelab.models import AlphaSpectrum
 from spherelab.rng import RngStream, _shard_map
@@ -50,6 +51,7 @@ from spherelab.special import normal_cdf, normal_quantile
 log = logging.getLogger(__name__)
 
 _MC_CHUNK = 16384
+_MC_BLOCK = 32768  # normals per sphere_points call of a chunk: 256 KiB
 _CLT_MIN_DIM = 30
 _SUBSPACE_BISECT_ITERS = 60
 
@@ -139,17 +141,16 @@ def _cap_distances(x1: np.ndarray, t: float, formula: str) -> np.ndarray:
 def _cap_distance_sum(job: tuple[CapSpec, RngStream, str, int]) -> float:
     """Summed cap distances of one chunk of ``count`` uniform sphere points.
 
-    The points are drawn and normalised one row block of
-    :func:`spherelab.dataset.sphere_points` at a time, in the same stream
-    order; only each row's x_1 is kept.
+    The points come from successive :func:`spherelab.dataset.sphere_points`
+    calls on ``stream`` of about 32768 normals each; only each row's x_1 is
+    kept. Normals are chunk-invariant and each row is normalised by its own
+    norm, so (a zero-norm redraw aside) the bits do not depend on the block.
     """
     cap, stream, formula, count = job
-    step = _block_rows(cap.n)
+    step = max(1, _MC_BLOCK // cap.n)
     x1 = np.empty(count)
     for start in range(0, count, step):
-        rows = stream.normal_matrix(min(step, count - start), cap.n)
-        _normalize_rows(stream, rows)
-        x1[start:start + len(rows)] = rows[:, 0]
+        x1[start:start + step] = sphere_points(stream, min(step, count - start), cap.n)[:, 0]
     return float(_cap_distances(x1, cap.t, formula).sum())
 
 
@@ -194,8 +195,8 @@ def mc_cap_distance(cap: CapSpec, samples: int, stream: RngStream,
     run on the process-wide pool of :func:`spherelab.rng._shard_map` (one
     worker per CPU this process may use); their float sums are added in
     chunk order, so the mean does not depend on the pool size. A chunk job
-    holds one row block of :func:`spherelab.dataset.sphere_points` and the
-    chunk's x_1 values, not the chunk's points.
+    holds one block of about 32768 normals and the chunk's x_1 values, not
+    the chunk's points.
     """
     return _mc_cap_means([(cap, stream, formula)], samples)[0]
 

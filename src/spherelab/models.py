@@ -69,6 +69,14 @@ def sigmoid_ce_loss(logit, label):
     return out if out.ndim else float(out)
 
 
+def classify(logits) -> np.ndarray:
+    """Predicted labels (uint8): 1 (outer) where the logit is positive.
+
+    Every other logit, an exact zero of either sign included, is 0 (inner).
+    """
+    return (np.asarray(logits) > 0.0).astype(np.uint8)
+
+
 @dataclass
 class AlphaSpectrum:
     """Ellipsoid coefficients of a quadratic net, judged against radius R."""
@@ -402,24 +410,15 @@ def gradient_check(model, X, labels, eps: float = 1e-5, mode: str = "train") -> 
     analytic = model.backward(cache, labels)
     worst = 0.0
     for name, param in model.params().items():
-        grad = np.atleast_1d(np.asarray(analytic[name], dtype=np.float64))
-        flat = param.reshape(-1) if param.ndim else param
-        gflat = grad.reshape(-1)
+        flat = param.reshape(-1)  # a writable view, for 0-d parameters too
+        gflat = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
         for idx in range(gflat.size):
-            if param.ndim:
-                original = flat[idx]
-                flat[idx] = original + eps
-                up = mean_loss(model, X, labels, mode)
-                flat[idx] = original - eps
-                down = mean_loss(model, X, labels, mode)
-                flat[idx] = original
-            else:
-                original = float(param)
-                param.fill(original + eps)
-                up = mean_loss(model, X, labels, mode)
-                param.fill(original - eps)
-                down = mean_loss(model, X, labels, mode)
-                param.fill(original)
+            original = flat[idx]
+            flat[idx] = original + eps
+            up = mean_loss(model, X, labels, mode)
+            flat[idx] = original - eps
+            down = mean_loss(model, X, labels, mode)
+            flat[idx] = original
             numeric = (up - down) / (2.0 * eps)
             denom = max(abs(numeric), abs(gflat[idx]), 1e-6)
             worst = max(worst, abs(numeric - gflat[idx]) / denom)

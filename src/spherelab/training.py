@@ -26,8 +26,9 @@ from itertools import combinations
 import numpy as np
 
 from spherelab import attack as attack_mod
-from spherelab.dataset import FixedDataset, SphereConfig, sample_batch, sphere_points
-from spherelab.models import MlpNet, QuadraticNet, alpha_spectrum, is_perfect, sigmoid_ce_loss
+from spherelab.dataset import FixedDataset, SphereConfig, sample_batch
+from spherelab.models import (
+    MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, sigmoid_ce_loss)
 from spherelab.rng import (
     CHILD_ERROR_MC,
     CHILD_EVAL,
@@ -139,8 +140,12 @@ class ProbeConfig:
     nearest_step_size: float = 0.001
 
     def __post_init__(self) -> None:
-        if self.every < 1:
-            raise ValueError("probe every must be >= 1")
+        for name in ("every", "starts", "steps", "nearest_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"probe {name} must be >= 1, got {getattr(self, name)}")
+        for name in ("step_size", "nearest_step_size"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"probe {name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -167,6 +172,12 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.metric_every < 1:
             raise ValueError("metric_every must be >= 1")
+        if self.eval_batch < 1:
+            raise ValueError("eval_batch must be >= 1")
+        if self.error_eval_samples < 0:
+            raise ValueError("error_eval_samples must be >= 0 (0 skips the estimate)")
+        if self.alpha_every < 0:
+            raise ValueError("alpha_every must be >= 0 (0 skips the checks)")
         if self.stop_on_perfect and self.alpha_every <= 0:
             raise ValueError("stop_on_perfect needs alpha_every > 0")
 
@@ -237,15 +248,16 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
                         stream: RngStream) -> ErrorRateEstimate:
     """Misclassification counts over half-inner half-outer shell samples.
 
-    Points are generated in chunks of 4096 keyed by
-    ``stream.child(2 * chunk + shell)`` (shell 0 inner, 1 outer). The
+    Each chunk of 4096 points is one :func:`spherelab.dataset.sample_batch`
+    on a fixed shell, keyed by ``stream.child(2 * chunk + shell)`` (shell 0
+    inner, 1 outer); it counts the points whose
+    :func:`spherelab.models.classify` label differs from their shell. The
     chunks run on the process-wide pool of :func:`spherelab.rng._shard_map`,
     one worker per CPU this process may use; the integer counts add up to
     the same totals in any order, so the result does not depend on the
     pool size. Jobs call ``model.logits`` concurrently, so it must not
     mutate the model (it does not for either family: ``MlpNet.logits``
-    uses the running statistics without updating them). A logit of
-    exactly zero classifies as inner.
+    uses the running statistics without updating them).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -256,11 +268,9 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
 
     def errors(job: tuple[int, int]) -> int:
         child, count = job
-        z = sphere_points(stream.child(child), count, sphere.n)
-        if child % 2:
-            z *= sphere.R
-            return int((model.logits(z) <= 0.0).sum())
-        return int((model.logits(z) > 0.0).sum())
+        xs, labels = sample_batch(sphere, stream.child(child), count,
+                                  ("inner", "outer")[child % 2])
+        return int((classify(model.logits(xs)) != labels).sum())
 
     counts = _shard_map(errors, jobs)
     return ErrorRateEstimate(

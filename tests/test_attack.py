@@ -171,6 +171,22 @@ def test_inflating_an_alpha_grows_the_error_set_and_shrinks_dmean():
     assert d_big.dmean <= d_small.dmean + 0.01
 
 
+@pytest.mark.parametrize("shell", ["inner", "outer", "both"])
+def test_run_attack_starts_are_a_hand_built_shell_draw(shell):
+    n, starts = 6, 40
+    sphere = SphereConfig(n=n)
+    cfg = AttackConfig(mode="worst", steps=1, starts=starts)
+    results = run_attack(quad_perfect_init(n, n), sphere, cfg, RngStream(8).child(6), shell)
+    s = RngStream(8).child(6).child(0)
+    outer = s.coins(starts) if shell == "both" else np.full(starts, shell == "outer")
+    u = s.normals(starts * n).reshape(starts, n)
+    ref = u / np.sqrt((u * u).sum(axis=1))[:, None]
+    ref[outer] *= R
+    if shell == "both":
+        assert 0 < outer.sum() < starts
+    assert np.stack([r.x_start for r in results]).tobytes() == ref.tobytes()
+
+
 def test_estimate_requires_nearest_mode():
     with pytest.raises(ValueError):
         estimate_mean_distance(spike_net(5), SphereConfig(n=5),

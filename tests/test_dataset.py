@@ -80,6 +80,37 @@ def test_blocked_sphere_points_equal_a_whole_matrix_reference(n, count):
     assert (s.raw(3) == RngStream(20180108, 11).raw(2 * count * n + 3)[-3:]).all()
 
 
+@pytest.mark.parametrize("shell", ["inner", "outer"])
+def test_fixed_shell_batch_is_sphere_points_and_draws_no_coin(shell):
+    cfg = SphereConfig(n=7, seed=4)
+    s = RngStream(20180108, 12)
+    xs, labels = sample_batch(cfg, s, 300, shell)
+    ref_stream = RngStream(20180108, 12)
+    ref = sphere_points(ref_stream, 300, cfg.n)
+    if shell == "outer":
+        ref *= cfg.R
+    assert xs.tobytes() == ref.tobytes()
+    assert labels.dtype == np.uint8 and (labels == (shell == "outer")).all()
+    assert (s.raw(3) == ref_stream.raw(3)).all()  # no coin words were taken
+
+
+def test_sample_sphere_is_row_zero_of_a_one_sample_batch():
+    cfg = SphereConfig(n=9, seed=6)
+    a, b = RngStream(31), RngStream(31)
+    for _ in range(20):
+        s = sample_sphere(cfg, a)
+        xs, labels = sample_batch(cfg, b, 1)
+        assert s.x.tobytes() == xs[0].tobytes() and s.label == int(labels[0])
+
+
+def test_sample_batch_rejects_an_unknown_shell_or_count():
+    cfg = SphereConfig(n=4)
+    with pytest.raises(ValueError, match="shell must be"):
+        sample_batch(cfg, RngStream(1), 5, "middle")
+    with pytest.raises(ValueError, match="count"):
+        sample_batch(cfg, RngStream(1), 0, "inner")
+
+
 def test_fixed_seed_reproduces_dataset():
     cfg = SphereConfig(n=10, seed=123)
     a = make_training_set(cfg, 500)

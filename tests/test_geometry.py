@@ -4,16 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.stats import f, norm
 
 from spherelab import geometry
 from spherelab.dataset import MnistSet, load_idx, write_idx_images, write_idx_labels
 from spherelab.geometry import (
     CapSpec,
+    InfeasibleTargetError,
     bound_curve,
     clt_error_rate,
     halfspace_stats,
     mc_cap_distance,
+    minimal_subspace_fraction,
     pca_halfspace,
     theorem_bound,
 )
@@ -91,6 +94,48 @@ def test_two_valued_spectrum_inner_rate_is_an_f_tail():
     clt = clt_error_rate(AlphaSpectrum(alphas, R), "inner")
     assert clt == pytest.approx(0.01267, abs=5e-6)
     assert 0.3 < 1.0 - clt / exact < 0.34
+
+
+# ---------------------------------------------------------------------------
+# Minimal subspace fraction
+
+
+def equalized_truncated_rate(n: int, k: int, R: float) -> tuple[float, float]:
+    """(b, rate) where the CLT rates of thresholding the first k of n squared
+    coordinates at b are equal on both shells, by a scipy root find."""
+    def z(b, gamma):  # mu_hat / sigma_hat for k coefficients gamma / b, n - k zeros
+        c = gamma / b - 1.0
+        return (k * c - (n - k)) / math.sqrt(2.0 * (k * c * c + (n - k)))
+
+    def gap(b):
+        return norm.logcdf(z(b, 1.0)) - norm.logcdf(-z(b, R * R))
+
+    b = brentq(gap, 0.999 * k / n, 1.001 * R * R * k / n, xtol=1e-15, rtol=1e-15)
+    return b, float(norm.cdf(z(b, 1.0)))
+
+
+@pytest.mark.parametrize("target,k", [(1e-2, 126), (1e-4, 236), (1e-8, 344),
+                                      (1e-12, 395), (1e-20, 445), (1e-40, 487)])
+def test_minimal_subspace_fraction_is_the_smallest_k_meeting_the_target(target, k):
+    # The CLT k column of the ROADMAP's minimal-subspace table, n = 500, R = 1.3.
+    result = minimal_subspace_fraction(500, target, R)
+    assert result.k == k and result.fraction == k / 500
+    b, rate = equalized_truncated_rate(500, k, R)
+    assert rate <= target < equalized_truncated_rate(500, k - 1, R)[1]
+    assert result.b == pytest.approx(b, rel=1e-12)
+    assert result.achieved_rate == pytest.approx(rate, rel=1e-9)
+
+
+def test_minimal_subspace_fraction_rejects_unreachable_and_invalid_targets():
+    # k = n reaches only about 1.3e-56 at n = 500.
+    assert equalized_truncated_rate(500, 500, R)[1] == pytest.approx(1.3e-56, rel=0.05)
+    with pytest.raises(InfeasibleTargetError, match="k=n=500"):
+        minimal_subspace_fraction(500, 1e-300, R)
+    for target in (0.0, -1e-3, 0.5, 0.7):
+        with pytest.raises(ValueError, match="target error"):
+            minimal_subspace_fraction(500, target, R)
+    with pytest.raises(ValueError, match="n >= 30"):
+        minimal_subspace_fraction(29, 1e-2, R)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,64 @@
+"""Static checks of the package layout, read from the source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spherelab"
+TESTS = Path(__file__).resolve().parent
+# Private names one module may take from another: the shared thread pool and
+# the child-index base that schedules are checked against.
+ALLOWED_PRIVATE = {("spherelab.rng", "_shard_map"), ("spherelab.rng", "_CHILD_BASE")}
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def called_names() -> set[str]:
+    """Every name a test file calls, as ``f(...)`` or ``obj.f(...)``."""
+    names = set()
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                names.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", ""))
+    return names
+
+
+@pytest.mark.parametrize("module", ["geometry", "checkpoint"])
+def test_every_public_function_is_called_by_a_test(module):
+    public = [node.name for node in parse(SRC / f"{module}.py").body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert public
+    assert sorted(set(public) - called_names()) == []
+
+
+def private_imports(path: Path) -> set[tuple[str, str]]:
+    """``(module, name)`` of each ``_`` name ``path`` takes from another spherelab module."""
+    found = set()
+    aliases = {}  # local name -> spherelab module it binds
+    tree = parse(path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spherelab"):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.add((node.module, alias.name))
+                elif node.module == "spherelab":
+                    aliases[alias.asname or alias.name] = f"spherelab.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("spherelab.") and alias.asname:
+                    aliases[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")):
+            found.add((aliases[node.value.id], node.attr))
+    return found
+
+
+def test_modules_share_only_the_allowed_private_names():
+    extra = {path.name: sorted(private_imports(path) - ALLOWED_PRIVATE)
+             for path in SRC.glob("*.py")}
+    assert {name: found for name, found in extra.items() if found} == {}

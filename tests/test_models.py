@@ -9,6 +9,7 @@ from spherelab.models import (
     QuadraticNet,
     UnsupportedRegimeError,
     alpha_spectrum,
+    classify,
     gradient_check,
     is_perfect,
     quad_perfect_init,
@@ -208,6 +209,14 @@ def test_perfect_init_validation():
 
 # ---------------------------------------------------------------------------
 # sigmoid_ce_loss
+
+
+def test_classify_sends_zero_of_either_sign_to_inner():
+    logits = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf])
+    labels = classify(logits)
+    assert labels.dtype == np.uint8
+    assert labels.tolist() == [0, 0, 1, 0, 1, 0, 1, 0]
+    assert classify(-0.0) == 0 and classify(5e-324) == 1
 
 
 def test_loss_at_zero_logit():

@@ -259,6 +259,23 @@ def test_metric_and_probe_cadences_must_be_positive():
         ProbeConfig(every=0)
 
 
+@pytest.mark.parametrize("name,value,in_probe", [
+    ("eval_batch", 0, False), ("error_eval_samples", -5, False), ("alpha_every", -3, False),
+    ("steps", 0, True), ("starts", 0, True), ("nearest_steps", 0, True),
+    ("step_size", -1.0, True), ("step_size", 0.0, True),
+    ("nearest_step_size", 0.0, True), ("nearest_step_size", float("nan"), True),
+])
+def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
+        name, value, in_probe, tmp_path, opened_writers):
+    path = tmp_path / "metrics.jsonl"
+    with pytest.raises(ValueError, match=name):
+        kwargs = {"probe": ProbeConfig(**{name: value})} if in_probe else {name: value}
+        cfg = TrainConfig(steps=5, batch_size=4, metrics_path=str(path), **kwargs)
+        train(small_quad(), cfg, SphereConfig(n=10))
+    assert opened_writers == []
+    assert not path.exists()
+
+
 def test_probe_cadence_and_worst_loss_metric():
     net = small_quad(seed=8)
     cfg = TrainConfig(steps=20, batch_size=4, seed=8, metric_every=10,
