@@ -1,38 +1,49 @@
-"""Versioned structured-text checkpoints for both model families.
+"""Versioned binary checkpoints for both model families.
 
-A checkpoint is a JSON document (gzip-compressed when the path ends in
-``.gz``) with a schema tag, the model family, its dimensions, the MLP's
-batch-norm constants, the free-form ``created`` block describing the run
-(seed, radius, and so on), and a ``state`` map from each name of the
-model's ``state()`` to its row-major values. JSON floats round-trip
-float64 exactly, so loading reproduces the state bit-for-bit. Loading
-builds an empty model from the dimensions and copies each named array in;
-a missing or extra name, a wrong number of values or a non-finite value
-raises :class:`CheckpointError`, and saving refuses a non-finite value.
-Any other schema (``/1`` included) is rejected.
+A checkpoint (schema ``spherelab-checkpoint/3``) is an ``.npz`` archive,
+written with ``np.savez`` to exactly the path given (no ``.npz`` suffix is
+appended). It holds one member per name of the model's ``state()``: the
+array's row-major values as a flat little-endian float64 (``<f8``) array,
+so loading reproduces the state bit-for-bit. A ``header`` member holds
+UTF-8 JSON bytes (uint8) with the schema tag, the model family, its
+dimensions, the MLP's batch-norm constants (``batch_norm``) and the
+free-form ``created`` block describing the run (seed, radius, and so on).
+A path ending in ``.gz`` holds the same archive gzip-compressed; it is
+built in memory first, since ``np.savez`` seeks and a gzip stream cannot.
+
+Loading builds an empty model from the header's dimensions and copies
+each member in. A file that is not a zip archive (a JSON checkpoint of an
+earlier schema included) or a header with another schema raises
+``ValueError``. :class:`CheckpointError` is raised for a truncated or
+corrupt archive, a missing header, a missing or extra member, a member
+that is not a flat ``<f8`` array of the size the dimensions need, and a
+non-finite value; saving refuses a non-finite value and writes nothing.
+Members are read with ``allow_pickle=False``, so object arrays are never
+unpickled.
 """
 
 from __future__ import annotations
 
 import gzip
+import io
 import json
+import zipfile
+import zlib
 
 import numpy as np
 
 from spherelab.models import BN_EPSILON, BN_MOMENTUM, MlpNet, QuadraticNet
 
-SCHEMA = "spherelab-checkpoint/2"
+SCHEMA = "spherelab-checkpoint/3"
 _BATCH_NORM = {"epsilon": BN_EPSILON, "momentum": BN_MOMENTUM}
+_HEADER = "header"
+_ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
+# What a damaged archive, gzip stream or npy member raises while it is read.
+_READ_ERRORS = (zipfile.BadZipFile, EOFError, OSError, ValueError, zlib.error)
 
 
 class CheckpointError(ValueError):
-    """A state map that does not fit its model's dimensions or is not finite."""
-
-
-def _open(path, mode: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+    """A checkpoint that is damaged, does not fit its model's dimensions or is not finite."""
 
 
 def save_checkpoint(path, model, created: dict | None = None) -> None:
@@ -48,40 +59,100 @@ def save_checkpoint(path, model, created: dict | None = None) -> None:
     bad = [name for name, a in state.items() if not np.isfinite(a).all()]
     if bad:
         raise CheckpointError(f"cannot save non-finite values of {bad}")
-    doc = {"schema": SCHEMA, "family": model.family, "created": created or {}, **header,
-           "state": {name: a.reshape(-1).tolist() for name, a in state.items()}}
-    with _open(path, "w") as f:
-        json.dump(doc, f)
+    header = {"schema": SCHEMA, "family": model.family, "created": created or {}, **header}
+    members = {_HEADER: np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+               **{name: a.reshape(-1).astype("<f8", copy=False) for name, a in state.items()}}
+    if str(path).endswith(".gz"):
+        buffer = io.BytesIO()
+        np.savez(buffer, allow_pickle=False, **members)
+        with gzip.open(path, "wb") as f:
+            f.write(buffer.getbuffer())
+    else:
+        with open(path, "wb") as f:
+            np.savez(f, allow_pickle=False, **members)
+
+
+def _member(npz, name: str) -> np.ndarray:
+    try:
+        value = npz[name]
+    except _READ_ERRORS as exc:
+        raise CheckpointError(f"member {name!r} cannot be read: {exc}") from exc
+    if not isinstance(value, np.ndarray):
+        raise CheckpointError(f"member {name!r} is not an npy array")
+    return value
+
+
+def _read_header(npz) -> dict:
+    if _HEADER not in npz.files:
+        raise CheckpointError(f"no {_HEADER!r} member")
+    raw = _member(npz, _HEADER)
+    if raw.dtype != np.uint8 or raw.ndim != 1:
+        raise CheckpointError(f"{_HEADER!r} is not a flat uint8 array of JSON bytes")
+    try:
+        header = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{_HEADER!r} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{_HEADER!r} is not a JSON object")
+    return header
+
+
+def _empty_model(header: dict):
+    family, dims = header.get("family"), header.get("dims")
+    if family not in ("quadratic", "mlp"):
+        raise ValueError(f"unknown model family {family!r}")
+    if family == "mlp" and header.get("batch_norm") != _BATCH_NORM:
+        raise CheckpointError(f"batch-norm constants {header.get('batch_norm')} "
+                              f"differ from this library's {_BATCH_NORM}")
+    try:
+        if family == "quadratic":
+            return QuadraticNet(np.zeros((dims["h"], dims["n"])), 0.0, 0.0)
+        return MlpNet(dims["n"], tuple(dims["hidden"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"dims {dims!r} do not describe a {family} net") from exc
 
 
 def load_checkpoint(path):
     """Load a checkpoint; returns (model, metadata dict)."""
-    with _open(path, "r") as f:
-        doc = json.load(f)
-    if doc.get("schema") != SCHEMA:
-        raise ValueError(f"unsupported checkpoint schema {doc.get('schema')!r}")
-    family, dims = doc["family"], doc["dims"]
-    if family == "quadratic":
-        model = QuadraticNet(np.zeros((dims["h"], dims["n"])), 0.0, 0.0)
-    elif family == "mlp":
-        if doc.get("batch_norm") != _BATCH_NORM:
-            raise CheckpointError(f"batch-norm constants {doc.get('batch_norm')} "
-                                  f"differ from this library's {_BATCH_NORM}")
-        model = MlpNet(dims["n"], tuple(dims["hidden"]))
-    else:
-        raise ValueError(f"unknown model family {family!r}")
-    state, saved = model.state(), doc.get("state", {})
-    if state.keys() != saved.keys():
-        raise CheckpointError(
-            f"state names do not fit a {family} net of dims {dims}: missing "
-            f"{sorted(state.keys() - saved.keys())}, extra {sorted(saved.keys() - state.keys())}")
-    for name, a in state.items():
-        values = np.array(saved[name], dtype=np.float64)
-        if values.shape != (a.size,):
-            raise CheckpointError(f"{name!r} is not a flat list of the {a.size} values "
-                                  f"that dims {dims} need")
-        if not np.isfinite(values).all():
-            raise CheckpointError(f"{name!r} holds non-finite values")
-        np.copyto(a, values.reshape(a.shape))
-    meta = {"created": doc.get("created", {}), "family": family, "dims": dims}
+    with open(path, "rb") as f:
+        if not str(path).endswith(".gz"):
+            return _load(f, path)
+        try:
+            with gzip.GzipFile(fileobj=f) as packed:
+                payload = packed.read()
+        except _READ_ERRORS as exc:
+            raise CheckpointError(f"{path} is not a readable gzip file: {exc}") from exc
+    return _load(io.BytesIO(payload), path)
+
+
+def _load(f, path):
+    if f.read(4) not in _ZIP_MAGIC:
+        raise ValueError(f"unsupported checkpoint schema: {path} is not a {SCHEMA} npz archive")
+    f.seek(0)
+    try:
+        npz = np.load(f, allow_pickle=False)
+    except _READ_ERRORS as exc:
+        raise CheckpointError(f"{path} is not a readable npz archive: {exc}") from exc
+    with npz:
+        header = _read_header(npz)
+        if header.get("schema") != SCHEMA:
+            raise ValueError(f"unsupported checkpoint schema {header.get('schema')!r}")
+        model = _empty_model(header)
+        family, dims = header["family"], header["dims"]
+        state, saved = model.state(), set(npz.files) - {_HEADER}
+        if state.keys() != saved:
+            raise CheckpointError(
+                f"state names do not fit a {family} net of dims {dims}: missing "
+                f"{sorted(state.keys() - saved)}, extra {sorted(saved - state.keys())}")
+        for name, a in state.items():
+            values = _member(npz, name)
+            if values.dtype != np.dtype("<f8"):
+                raise CheckpointError(f"{name!r} holds {values.dtype}, not float64 (<f8)")
+            if values.shape != (a.size,):
+                raise CheckpointError(f"{name!r} is not a flat array of the {a.size} "
+                                      f"values that dims {dims} need")
+            if not np.isfinite(values).all():
+                raise CheckpointError(f"{name!r} holds non-finite values")
+            np.copyto(a, values.reshape(a.shape))
+    meta = {"created": header.get("created", {}), "family": family, "dims": dims}
     return model, meta

@@ -15,6 +15,7 @@ draws no coin: its words are the normals alone, exactly those of
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -64,10 +65,15 @@ class CacheTruncatedError(ValueError):
 
 
 def _read_exact(f, size: int, section: str) -> bytes:
-    data = f.read(size)
-    if len(data) != size:
-        raise CacheTruncatedError(section, size, len(data))
-    return data
+    """The next ``size`` bytes of ``f``, checked against the bytes left before reading.
+
+    A header that promises more than the file holds raises
+    :class:`CacheTruncatedError` without allocating the promised size.
+    """
+    left = max(os.fstat(f.fileno()).st_size - f.tell(), 0)
+    if left < size:
+        raise CacheTruncatedError(section, size, left)
+    return f.read(size)
 
 
 @dataclass

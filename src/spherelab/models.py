@@ -24,6 +24,13 @@ extends ``params`` with every other array that defines the net (the MLP's
 batch-norm running statistics ``run_mean{i}`` and ``run_var{i}``); it is
 what training snapshots and checkpoints save and restore. Both dicts hold
 the model's own arrays, built anew on each call.
+
+``logits`` is the inference pass and keeps no cache. For the MLP it runs
+each layer in place on its GEMM output with the ufunc sequence of
+``forward``, so its bits equal ``forward(X, mode="eval")[0]`` while at
+most the input and two layer activations are alive. Eval-mode ``forward``
+still keeps a cache (each layer's input, ``xhat``, ``inv_std`` and ReLU
+output), which ``input_grad`` and ``gradient_check`` read.
 """
 
 from __future__ import annotations
@@ -297,12 +304,42 @@ class MlpNet:
             raise ValueError(f"input dim {X.shape[1]} != model dim {self.n}")
         return X
 
+    def _layer(self, i: int, act: np.ndarray, mode: str, update_stats: bool,
+               keep_xhat: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hidden layer ``i``: affine -> batch norm -> ReLU, in place on the GEMM output.
+
+        Returns (output, xhat, inv_std). With ``keep_xhat`` False the
+        normalized pre-activations are overwritten by the output, and the
+        returned ``xhat`` is the output array itself.
+        """
+        z = act @ self.Ws[i].T
+        z += self.bs[i]
+        if mode == "train":
+            mean = z.mean(axis=0)
+            var = z.var(axis=0)
+            if update_stats:
+                self.run_means[i] *= BN_MOMENTUM
+                self.run_means[i] += (1.0 - BN_MOMENTUM) * mean
+                self.run_vars[i] *= BN_MOMENTUM
+                self.run_vars[i] += (1.0 - BN_MOMENTUM) * var
+        else:
+            mean = self.run_means[i]
+            var = self.run_vars[i]
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
+        z -= mean
+        z *= inv_std
+        out = self.gammas[i] * z if keep_xhat else np.multiply(z, self.gammas[i], out=z)
+        out += self.betas[i]
+        np.maximum(out, 0.0, out=out)
+        return out, z, inv_std
+
     def forward(self, X, mode: str = "train", update_stats: bool | None = None):
         """Run the net; in train mode normalization uses batch statistics.
 
         ``update_stats`` defaults to True in train mode; pass False to
         probe the train-mode function without touching running stats
-        (finite differencing relies on this).
+        (finite differencing relies on this). The cache keeps, per hidden
+        layer, its input, ``xhat``, ``inv_std`` and its ReLU output.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -315,24 +352,9 @@ class MlpNet:
         act = X
         layers = []
         for i in range(len(self.hidden)):
-            z = act @ self.Ws[i].T + self.bs[i]
-            if mode == "train":
-                mean = z.mean(axis=0)
-                var = z.var(axis=0)
-                if update_stats:
-                    self.run_means[i] *= BN_MOMENTUM
-                    self.run_means[i] += (1.0 - BN_MOMENTUM) * mean
-                    self.run_vars[i] *= BN_MOMENTUM
-                    self.run_vars[i] += (1.0 - BN_MOMENTUM) * var
-            else:
-                mean = self.run_means[i]
-                var = self.run_vars[i]
-            inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
-            xhat = (z - mean) * inv_std
-            pre = self.gammas[i] * xhat + self.betas[i]
-            new_act = np.maximum(pre, 0.0)
-            layers.append({"input": act, "xhat": xhat, "inv_std": inv_std, "pre": pre})
-            act = new_act
+            out, xhat, inv_std = self._layer(i, act, mode, update_stats, keep_xhat=True)
+            layers.append({"input": act, "xhat": xhat, "inv_std": inv_std, "out": out})
+            act = out
         logits = act @ self.w_out + float(self.b_out)
         cache = {"layers": layers, "top": act, "logits": logits,
                  "mode": mode, "batch": batch}
@@ -351,7 +373,7 @@ class MlpNet:
         d_act = np.outer(dl, self.w_out)
         for i in reversed(range(len(self.hidden))):
             layer = cache["layers"][i]
-            d_pre = d_act * (layer["pre"] > 0.0)
+            d_pre = d_act * (layer["out"] > 0.0)
             xhat = layer["xhat"]
             grads[f"gamma{i}"] = (d_pre * xhat).sum(axis=0)
             grads[f"beta{i}"] = d_pre.sum(axis=0)
@@ -379,15 +401,21 @@ class MlpNet:
         d_act = np.outer(sigmoid(logits) - y, self.w_out)
         for i in reversed(range(len(self.hidden))):
             layer = cache["layers"][i]
-            d_pre = d_act * (layer["pre"] > 0.0)
+            d_pre = d_act * (layer["out"] > 0.0)
             d_z = d_pre * self.gammas[i] * layer["inv_std"]
             d_act = d_z @ self.Ws[i]
         return d_act
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        """Eval-mode logits (running statistics, no cache kept)."""
-        out, _ = self.forward(X, mode="eval")
-        return out
+        """Eval-mode logits, the bits of ``forward(X, mode="eval")[0]``, with no cache.
+
+        Each layer works in place on its GEMM output, so at most the input
+        and two layer activations are alive at once.
+        """
+        act = self._check_dim(X)
+        for i in range(len(self.hidden)):
+            act = self._layer(i, act, "eval", False, keep_xhat=False)[0]
+        return act @ self.w_out + float(self.b_out)
 
     def logit(self, x: np.ndarray) -> float:
         return float(self.logits(np.atleast_2d(x))[0])

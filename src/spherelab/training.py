@@ -422,7 +422,9 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
             loss_sum += batch_loss
             loss_count += 1
             grads = model.backward(cache, ys)
+            del logits, cache
             adam_step(params, grads, adam)
+            del grads  # one gradient set alive: none during the next step or an eval
             completed = step
 
             alpha = None

@@ -1,5 +1,8 @@
 import gzip
+import io
 import json
+import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -43,11 +46,14 @@ def mlp_net() -> MlpNet:
     return net
 
 
+# The archive goes to exactly the path given, whatever its suffix; only a
+# ``.gz`` suffix changes what is written.
 @pytest.mark.parametrize("name", ["quad.json", "quad.json.gz"])
 def test_quadratic_round_trip_is_bit_exact(tmp_path, name):
     net = quad_net()
     path = tmp_path / name
     save_checkpoint(path, net, CREATED)
+    assert os.listdir(tmp_path) == [name]
     loaded, meta = load_checkpoint(path)
     assert isinstance(loaded, QuadraticNet)
     assert same_state(loaded, net)
@@ -60,6 +66,7 @@ def test_mlp_round_trip_is_bit_exact_with_batch_norm_stats(tmp_path, name):
     net = mlp_net()
     path = tmp_path / name
     save_checkpoint(path, net, CREATED)
+    assert os.listdir(tmp_path) == [name]
     loaded, meta = load_checkpoint(path)
     assert isinstance(loaded, MlpNet)
     assert loaded.n == 7 and loaded.hidden == (6, 4)
@@ -70,24 +77,75 @@ def test_mlp_round_trip_is_bit_exact_with_batch_norm_stats(tmp_path, name):
     assert same_bits(loaded.logits(x), net.logits(x))
 
 
+def read_members(source) -> dict[str, np.ndarray]:
+    """Each ``.npy`` member of a zip archive, read with zipfile and numpy's npy reader only."""
+    with zipfile.ZipFile(source) as z:
+        return {name.removesuffix(".npy"): np.lib.format.read_array(z.open(name),
+                                                                   allow_pickle=False)
+                for name in z.namelist()}
+
+
+def write_members(path, members: dict, allow_pickle: bool = False) -> None:
+    with zipfile.ZipFile(path, "w") as z:
+        for name, value in members.items():
+            with z.open(f"{name}.npy", "w") as f:
+                np.lib.format.write_array(f, np.asanyarray(value), allow_pickle=allow_pickle)
+
+
+def header_of(members: dict) -> dict:
+    return json.loads(members["header"].tobytes().decode("utf-8"))
+
+
+@pytest.mark.parametrize("make", [quad_net, mlp_net], ids=["quadratic", "mlp"])
+def test_file_is_an_npz_of_flat_float64_state_members_and_a_json_header(tmp_path, make):
+    net = make()
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net, CREATED)
+    with zipfile.ZipFile(path) as z:
+        names = z.namelist()
+    state = net.state()
+    assert names == ["header.npy", *(f"{name}.npy" for name in state)]
+    members = read_members(path)
+    header = members.pop("header")
+    assert header.dtype == np.uint8 and header.ndim == 1
+    expected = {"schema": "spherelab-checkpoint/3", "family": net.family, "created": CREATED}
+    if isinstance(net, MlpNet):
+        expected |= {"dims": {"n": 7, "hidden": [6, 4]},
+                     "batch_norm": {"epsilon": 1e-5, "momentum": 0.99}}
+    else:
+        expected |= {"dims": {"n": 7, "h": 5}}
+    assert json.loads(header.tobytes().decode("utf-8")) == expected
+    for name, a in state.items():
+        member = members[name]
+        assert member.dtype.str == "<f8" and member.shape == (a.size,)
+        assert member.tobytes() == a.tobytes()
+
+
 def test_gz_path_writes_gzip(tmp_path):
-    path = tmp_path / "net.json.gz"
-    save_checkpoint(path, quad_net())
-    raw = path.read_bytes()
+    plain, packed = tmp_path / "net.ckpt", tmp_path / "net.ckpt.gz"
+    save_checkpoint(plain, quad_net())
+    save_checkpoint(packed, quad_net())
+    raw = packed.read_bytes()
     assert raw[:2] == b"\x1f\x8b"
-    assert json.loads(gzip.decompress(raw))["family"] == "quadratic"
-    _, meta = load_checkpoint(path)
+    payload = gzip.decompress(raw)
+    assert payload[:4] == b"PK\x03\x04"
+    inner, outer = read_members(io.BytesIO(payload)), read_members(plain)
+    assert inner.keys() == outer.keys()
+    assert all(inner[k].tobytes() == outer[k].tobytes() for k in inner)
+    assert header_of(inner)["family"] == "quadratic"
+    _, meta = load_checkpoint(packed)
     assert meta["created"] == {}
 
 
 def rewrite(path, **changes) -> None:
-    doc = json.loads(path.read_text())
-    doc.update(changes)
-    path.write_text(json.dumps(doc))
+    members = read_members(path)
+    header = header_of(members) | changes
+    members["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    write_members(path, members)
 
 
 def test_unknown_schema_rejected(tmp_path):
-    path = tmp_path / "net.json"
+    path = tmp_path / "net.ckpt"
     save_checkpoint(path, quad_net())
     rewrite(path, schema="spherelab-checkpoint/999")
     with pytest.raises(ValueError, match="schema"):
@@ -103,25 +161,104 @@ def test_version_1_document_rejected_as_an_unknown_schema(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", ["net.json", "net.json.gz"])
+def test_version_2_json_document_rejected_as_an_unknown_schema(tmp_path, name):
+    doc = json.dumps({
+        "schema": "spherelab-checkpoint/2", "family": "quadratic", "created": {},
+        "dims": {"n": 1, "h": 1}, "state": {"W1": [1.0], "w": [1.0], "b": [-1.0]}})
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(doc.encode()) if name.endswith(".gz") else doc.encode())
+    with pytest.raises(ValueError, match="spherelab-checkpoint/3") as exc:
+        load_checkpoint(path)
+    assert not isinstance(exc.value, CheckpointError)
+
+
 def edit_state(path, edit) -> None:
-    doc = json.loads(path.read_text())
-    edit(doc["state"])
-    path.write_text(json.dumps(doc))
+    members = read_members(path)
+    header = members.pop("header")
+    edit(members)
+    write_members(path, {"header": header, **members})
 
 
 @pytest.mark.parametrize("edit, message", [
     (lambda state: state.pop("run_var1"), r"missing \['run_var1'\], extra \[\]"),
-    (lambda state: state.update(w_skip=[0.0]), r"missing \[\], extra \['w_skip'\]"),
-    (lambda state: state["b0"].append(0.0), "'b0' is not a flat list of the 6 values"),
-    (lambda state: state.update(b_out=1.0), "'b_out' is not a flat list of the 1 values"),
-    (lambda state: state["gamma1"].__setitem__(2, float("nan")), "'gamma1' holds non-finite"),
-], ids=["missing", "extra", "wrong-size", "not-a-list", "nan"])
+    (lambda state: state.update(w_skip=np.zeros(1)), r"missing \[\], extra \['w_skip'\]"),
+    (lambda state: state.update(b0=np.append(state["b0"], 0.0)),
+     "'b0' is not a flat array of the 6 values"),
+    (lambda state: state.update(b_out=state["b_out"].reshape(())),
+     "'b_out' is not a flat array of the 1 values"),
+    (lambda state: state.update(w0=state["w0"].reshape(6, 7)),
+     "'w0' is not a flat array of the 42 values"),
+    (lambda state: state["gamma1"].__setitem__(2, np.nan), "'gamma1' holds non-finite"),
+    (lambda state: state.update(w1=state["w1"].astype(np.float32)), "'w1' holds float32"),
+    (lambda state: state.update(w_out=state["w_out"].astype(">f8")), "'w_out' holds >f8"),
+], ids=["missing", "extra", "wrong-size", "not-flat", "wrong-shape", "nan", "float32",
+        "big-endian"])
 def test_state_that_does_not_fit_the_dims_raises_checkpoint_error(tmp_path, edit, message):
-    path = tmp_path / "net.json"
+    path = tmp_path / "net.ckpt"
     save_checkpoint(path, mlp_net())
     edit_state(path, edit)
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+def test_missing_header_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, quad_net())
+    members = read_members(path)
+    del members["header"]
+    write_members(path, members)
+    with pytest.raises(CheckpointError, match="no 'header' member"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["net.ckpt", "net.ckpt.gz"])
+@pytest.mark.parametrize("keep", [0.3, 0.7, 0.99])
+def test_truncated_file_raises_checkpoint_error(tmp_path, name, keep):
+    path = tmp_path / name
+    save_checkpoint(path, mlp_net())
+    raw = path.read_bytes()
+    path.write_bytes(raw[:int(keep * len(raw))])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_corrupt_member_raises_checkpoint_error(tmp_path):
+    net = mlp_net()
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net)
+    raw = bytearray(path.read_bytes())
+    at = raw.find(net.Ws[0].tobytes()) + 100
+    raw[at] ^= 0x40
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="'w0' cannot be read"):
+        load_checkpoint(path)
+
+
+UNPICKLED = []
+
+
+def _unpickled(value):
+    UNPICKLED.append(value)
+    return value
+
+
+class Tripwire:
+    """Records it was unpickled, were an object member ever unpickled."""
+
+    def __reduce__(self):
+        return _unpickled, ("object member",)
+
+
+def test_object_member_is_never_unpickled(tmp_path):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, quad_net())
+    members = read_members(path)
+    members["w"] = np.array([Tripwire()], dtype=object)
+    write_members(path, members, allow_pickle=True)
+    with pytest.raises(CheckpointError, match="'w' cannot be read"):
+        load_checkpoint(path)
+    assert UNPICKLED == []
 
 
 def test_non_finite_state_is_not_saved(tmp_path):
@@ -134,7 +271,7 @@ def test_non_finite_state_is_not_saved(tmp_path):
 
 
 def test_batch_norm_constants_must_match(tmp_path):
-    path = tmp_path / "net.json"
+    path = tmp_path / "net.ckpt"
     save_checkpoint(path, mlp_net())
     rewrite(path, batch_norm={"epsilon": 1e-3, "momentum": 0.99})
     with pytest.raises(CheckpointError, match="batch-norm"):
@@ -142,7 +279,7 @@ def test_batch_norm_constants_must_match(tmp_path):
 
 
 def test_unknown_family_rejected(tmp_path):
-    path = tmp_path / "net.json"
+    path = tmp_path / "net.ckpt"
     save_checkpoint(path, quad_net())
     rewrite(path, family="transformer")
     with pytest.raises(ValueError, match="family"):
@@ -155,3 +292,20 @@ def test_unsupported_model_raises_type_error(tmp_path, model):
     with pytest.raises(TypeError):
         save_checkpoint(path, model)
     assert not path.exists()
+
+
+def paper_mlp() -> MlpNet:
+    # 500 -> 1000 x 1000: 11.5 MiB of state, 7.6 MiB of it the second weight matrix.
+    return MlpNet.init_random(500, (1000, 1000), RngStream(4))
+
+
+def test_save_streams_members_to_the_file(tmp_path, traced_peak):
+    net = paper_mlp()
+    assert traced_peak(save_checkpoint, tmp_path / "net.ckpt", net) < 16 * 2**20
+
+
+def test_load_holds_the_model_and_one_member(tmp_path, traced_peak):
+    net = paper_mlp()
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net)
+    assert traced_peak(load_checkpoint, path) < 36 * 2**20

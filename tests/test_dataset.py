@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,23 @@ def test_dataset_cache_truncated(tmp_path, section, start, size, found):
         FixedDataset.load(path)
     assert (exc.value.expected, exc.value.actual) == (size, found)
     assert f"{section}: expected {size} bytes, found {found}" in str(exc.value)
+
+
+# Headers promising far more than the file holds: the size check comes
+# before any read, so no 2^40-byte allocation is attempted.
+@pytest.mark.parametrize("section,n,count,expected,found", [
+    ("labels", 500, 2**40, 2**40, 64 + 500 * 8),
+    ("points", 2**40, 64, 64 * 2**40 * 8, 500 * 8),
+], ids=["labels", "points"])
+def test_dataset_cache_header_promising_more_than_the_file(tmp_path, section, n, count,
+                                                           expected, found):
+    path = tmp_path / "ds.bin"
+    header = b"SPHD" + struct.pack(">IQdQQ", 1, n, 1.3, count, 5)
+    path.write_bytes(header + bytes(64 + 500 * 8))
+    with pytest.raises(CacheTruncatedError) as exc:
+        FixedDataset.load(path)
+    assert (exc.value.expected, exc.value.actual) == (expected, found)
+    assert f"{section}: expected {expected} bytes, found {found}" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,18 +189,12 @@ def test_mc_cap_distance_exact_chord_matches_quadrature_at_n500():
     assert abs(mean - theorem_bound(mu, n)) < 0.01 * mean
 
 
-def test_mc_cap_distance_memory_stays_one_row_block_per_job():
+def test_mc_cap_distance_memory_stays_one_row_block_per_job(traced_peak):
     # A whole 16384 x 500 chunk matrix is 65.5 MB; the streamed chunk job
     # keeps one row block and the chunk's x_1 values.
     stream = RngStream(20180108, 3)
     mc_cap_distance(CapSpec(n=500, mu=1e-2), 20_000, stream)  # warm the pool
-    tracemalloc.start()
-    try:
-        mc_cap_distance(CapSpec(n=500, mu=1e-2), 20_000, stream)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
+    assert traced_peak(mc_cap_distance, CapSpec(n=500, mu=1e-2), 20_000, stream) < 8e6
 
 
 def test_bound_curve_columns_equal_separate_estimates(tmp_path):

@@ -27,7 +27,7 @@ def called_names() -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", ["geometry", "checkpoint"])
+@pytest.mark.parametrize("module", ["geometry", "checkpoint", "models"])
 def test_every_public_function_is_called_by_a_test(module):
     public = [node.name for node in parse(SRC / f"{module}.py").body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]

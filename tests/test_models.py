@@ -12,6 +12,7 @@ from spherelab.models import (
     classify,
     gradient_check,
     is_perfect,
+    mean_loss,
     quad_perfect_init,
     sigmoid,
     sigmoid_ce_loss,
@@ -279,6 +280,61 @@ def test_mlp_running_stats_update_only_when_asked():
     assert (net.run_means[0] == before).all()
     net.forward(X, mode="train")
     assert not (net.run_means[0] == before).all()
+
+
+def moved_mlp(n, hidden, seed) -> MlpNet:
+    """A net with nonzero biases and betas, gammas off 1 and running statistics off 0 and 1."""
+    stream = RngStream(seed)
+    net = MlpNet.init_random(n, hidden, stream.child(0))
+    for i, width in enumerate(net.hidden):
+        net.bs[i] = stream.child(10 + i).normals(width)
+        net.gammas[i] = 1.0 + 0.5 * stream.child(20 + i).normals(width)
+        net.betas[i] = stream.child(30 + i).normals(width)
+    net.b_out = np.array(0.125)
+    for k in range(3):
+        net.forward(stream.child(40 + k).normal_matrix(50, n) * 2.0 + 0.5, mode="train")
+    assert not (net.run_means[-1] == 0.0).any() and not (net.run_vars[0] == 1.0).any()
+    return net
+
+
+def reference_eval_logits(net, X):
+    """The eval pass written out of place: one new array per operation."""
+    act = X
+    for i in range(len(net.hidden)):
+        z = act @ net.Ws[i].T + net.bs[i]
+        xhat = (z - net.run_means[i]) * (1.0 / np.sqrt(net.run_vars[i] + 1e-5))
+        act = np.maximum(net.gammas[i] * xhat + net.betas[i], 0.0)
+    return act @ net.w_out + float(net.b_out)
+
+
+@pytest.mark.parametrize("n, hidden, rows", [(7, (6, 4), 9), (500, (1000, 1000), 1000)],
+                         ids=["small", "paper"])
+def test_mlp_logits_have_the_bits_of_the_eval_forward_pass(n, hidden, rows):
+    net = moved_mlp(n, hidden, 31)
+    X = RngStream(32).normal_matrix(rows, n)
+    logits = net.logits(X)
+    assert logits.shape == (rows,)
+    assert logits.tobytes() == net.forward(X, mode="eval")[0].tobytes()
+    assert logits.tobytes() == reference_eval_logits(net, X).tobytes()
+
+
+def test_mlp_logits_keep_no_per_layer_cache(traced_peak):
+    # One 1000 x 1000 activation is 7.6 MiB; the pass holds at most two.
+    net = MlpNet.init_random(500, (1000, 1000), RngStream(33))
+    X = RngStream(34).normal_matrix(1000, 500)
+    assert traced_peak(net.logits, X) < 24 * 2**20
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_mean_loss_is_the_mean_ce_of_forward_logits_and_keeps_running_stats(mode):
+    net = moved_mlp(7, (6, 4), 35)
+    X = RngStream(36).normal_matrix(12, 7)
+    y = RngStream(37).coins(12).astype(float)
+    before = {k: v.copy() for k, v in net.state().items()}
+    loss = mean_loss(net, X, y, mode=mode)
+    assert all(v.tobytes() == before[k].tobytes() for k, v in net.state().items())
+    logits, _ = net.forward(X, mode=mode, update_stats=False)
+    assert loss == float(np.mean(sigmoid_ce_loss(logits, y)))
 
 
 # ---------------------------------------------------------------------------

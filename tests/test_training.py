@@ -422,6 +422,16 @@ def test_mlp_trains_and_batch_size_validated():
     assert np.isfinite(result.metrics[-1].eval_loss)
 
 
+def test_paper_scale_mlp_training_holds_one_gradient_set(traced_peak):
+    # 500 -> 1000 x 1000 is 11.5 MiB of state: Adam's m and v, the record
+    # snapshot and one gradient set are 46 MiB, and a 1000-row eval adds two
+    # 7.6 MiB activations (54 MiB in all). Gradients kept alive through the
+    # eval (67 MiB) or an eval through forward's cache (69 MiB) pass 62.
+    net = MlpNet.init_random(500, (1000, 1000), RngStream(5))
+    cfg = TrainConfig(steps=4, batch_size=50, metric_every=2, eval_batch=1000, seed=6)
+    assert traced_peak(train, net, cfg, SphereConfig(n=500)) < 62 * 2**20
+
+
 def test_model_dim_checked():
     net = small_quad(seed=11)
     with pytest.raises(ValueError):
