@@ -23,6 +23,13 @@ no model pass is made after the loop. Misclassified means
 :func:`spherelab.models.classify` of the logit differs from the start's
 label (a logit of exactly zero is inner). Starts come from
 :func:`spherelab.dataset.sample_batch` on the chosen shell.
+
+Starts run in blocks of 50 consecutive rows; more than one block runs on
+the thread pool of :func:`spherelab.rng._shard_map`, one job per block.
+A start's result depends on its own block only, never on the pool size,
+and its jitter substream on its row in the whole batch. The model's
+``logits`` and ``input_grad`` must not mutate it, since blocks call them
+concurrently.
 """
 
 from __future__ import annotations
@@ -33,10 +40,14 @@ import numpy as np
 
 from spherelab.dataset import SphereConfig, Sample, sample_batch
 from spherelab.models import classify, sigmoid_ce_loss
-from spherelab.rng import RngStream
+from spherelab.rng import RngStream, _shard_map
 
 _ZERO_GRAD = 1e-300
 _DEGENERATE_BASIS = 1e-12
+# Starts per PGD block (see _pgd_batch). The fastest of 10-100 for 100 starts
+# at n = h = 500 on 2 cores; at least the 10 starts of a training probe, so
+# probes stay one inline block.
+_ATTACK_BLOCK = 50
 
 NEAREST_STEP_SIZE = 0.001  # distance-estimation preset
 WORST_STEP_SIZE = 0.01  # worst-case-search preset
@@ -127,17 +138,42 @@ def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
                stream: RngStream) -> list[AttackResult]:
     """Run PGD from every row of X0; results are keyed by row index.
 
+    The rows run in consecutive blocks of ``_ATTACK_BLOCK`` starts, each
+    one :func:`_pgd_block`. More than one block runs as one job per block
+    on the pool of :func:`spherelab.rng._shard_map`, joined in row order;
+    a single block runs inline. A start's bits depend on its own block
+    only, never on the pool size: BLAS may round a row of a GEMM
+    differently with the GEMM's row count, so a start's last bits may
+    change with the rows that share its block. Jobs call ``model.logits``
+    and ``model.input_grad`` concurrently, so neither may mutate the model
+    (neither does for either family: ``MlpNet.input_grad`` uses the
+    running statistics without updating them).
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    offsets = range(0, X0.shape[0], _ATTACK_BLOCK)
+
+    def block(o: int) -> list[AttackResult]:
+        end = o + _ATTACK_BLOCK
+        return _pgd_block(model, X0[o:end], y[o:end], cfg, stream, o)
+
+    if len(offsets) == 1:
+        return block(0)
+    return [result for part in _shard_map(block, offsets) for result in part]
+
+
+def _pgd_block(model, X0: np.ndarray, y: np.ndarray, cfg: AttackConfig,
+               stream: RngStream, offset: int) -> list[AttackResult]:
+    """PGD from every row of X0, the rows ``offset, offset + 1, ...`` of a batch.
+
     Each start keeps one iterate with its loss and logit: the first
     misclassified one in nearest mode, the highest-loss one in worst mode
     (the start until an iterate beats it). Rows still searching are
     ``alive``; a step makes one ``input_grad`` and one ``logits`` call on
-    them. Saddle jitter for row i draws from ``stream.child(i)``, so each
-    start's trajectory is independent of how the batch is assembled or
-    sharded.
+    them. Saddle jitter for batch row i draws from ``stream.child(i)``, so
+    it does not depend on how the batch is split into blocks.
     """
     m, n = X0.shape
     nearest = cfg.mode == "nearest"
-    y = np.asarray(labels, dtype=np.float64)
     radii = np.linalg.norm(X0, axis=1)
     X, x_adv = X0.copy(), X0.copy()
     best_logit = model.logits(X)
@@ -162,7 +198,7 @@ def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
         for row in np.flatnonzero(gnorm < _ZERO_GRAD):
             i = alive[row]
             if np.linalg.norm(g[row]) >= _ZERO_GRAD:
-                d = jitter.setdefault(i, stream.child(i)).normals(n)
+                d = jitter.setdefault(i, stream.child(offset + i)).normals(n)
                 d -= (d @ unit[row]) * unit[row]
                 g_tan[row], gnorm[row] = d, np.linalg.norm(d)
             if gnorm[row] < _ZERO_GRAD:

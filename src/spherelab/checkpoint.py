@@ -11,15 +11,16 @@ free-form ``created`` block describing the run (seed, radius, and so on).
 A path ending in ``.gz`` holds the same archive gzip-compressed; it is
 built in memory first, since ``np.savez`` seeks and a gzip stream cannot.
 
-Loading builds an empty model from the header's dimensions and copies
-each member in. A file that is not a zip archive (a JSON checkpoint of an
-earlier schema included) or a header with another schema raises
-``ValueError``. :class:`CheckpointError` is raised for a truncated or
-corrupt archive, a missing header, a missing or extra member, a member
-that is not a flat ``<f8`` array of the size the dimensions need, and a
-non-finite value; saving refuses a non-finite value and writes nothing.
-Members are read with ``allow_pickle=False``, so object arrays are never
-unpickled.
+Loading builds an empty model from the header's dimensions, checks each
+member's npy header, and reads the member's values straight into the
+model's array, with no temporary copy. A file that is not a zip archive
+(a JSON checkpoint of an earlier schema included) or a header with
+another schema raises ``ValueError``. :class:`CheckpointError` is raised
+for a truncated or corrupt archive, a missing header, a missing or extra
+member, a member that is not a flat ``<f8`` array of the size the
+dimensions need, and a non-finite value; saving refuses a non-finite
+value and writes nothing. An object member is refused unread, so object
+arrays are never unpickled.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ _HEADER = "header"
 _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
 # What a damaged archive, gzip stream or npy member raises while it is read.
 _READ_ERRORS = (zipfile.BadZipFile, EOFError, OSError, ValueError, zlib.error)
+_READ_CHUNK = 1 << 18  # bytes per read of a member into the model's array
 
 
 class CheckpointError(ValueError):
@@ -80,6 +82,28 @@ def _member(npz, name: str) -> np.ndarray:
     if not isinstance(value, np.ndarray):
         raise CheckpointError(f"member {name!r} is not an npy array")
     return value
+
+
+def _read_into(source, name: str, a: np.ndarray, dims) -> None:
+    """Check the npy header of member ``source``, then read its values straight into ``a``."""
+    version = np.lib.format.read_magic(source)
+    if version != (1, 0):  # what np.savez writes for a flat float64 array
+        raise ValueError(f"npy format version {version} is not supported")
+    shape, _, dtype = np.lib.format.read_array_header_1_0(source)
+    if dtype.hasobject:
+        raise ValueError("object arrays are never unpickled")
+    if dtype != np.dtype("<f8"):
+        raise CheckpointError(f"{name!r} holds {dtype}, not float64 (<f8)")
+    if shape != (a.size,):
+        raise CheckpointError(f"{name!r} is not a flat array of the {a.size} "
+                              f"values that dims {dims} need")
+    view = memoryview(a).cast("B")
+    for start in range(0, view.nbytes, _READ_CHUNK):
+        chunk = view[start:start + _READ_CHUNK]
+        if source.readinto(chunk) != chunk.nbytes:
+            raise EOFError("the member ends before its values do")
+    if not np.dtype("<f8").isnative:
+        a.byteswap(inplace=True)
 
 
 def _read_header(npz) -> dict:
@@ -144,15 +168,17 @@ def _load(f, path):
             raise CheckpointError(
                 f"state names do not fit a {family} net of dims {dims}: missing "
                 f"{sorted(state.keys() - saved)}, extra {sorted(saved - state.keys())}")
+        stored = set(npz.zip.namelist())
         for name, a in state.items():
-            values = _member(npz, name)
-            if values.dtype != np.dtype("<f8"):
-                raise CheckpointError(f"{name!r} holds {values.dtype}, not float64 (<f8)")
-            if values.shape != (a.size,):
-                raise CheckpointError(f"{name!r} is not a flat array of the {a.size} "
-                                      f"values that dims {dims} need")
-            if not np.isfinite(values).all():
+            member = f"{name}.npy" if f"{name}.npy" in stored else name
+            try:
+                with npz.zip.open(member) as source:
+                    _read_into(source, name, a, dims)
+            except CheckpointError:
+                raise
+            except _READ_ERRORS as exc:
+                raise CheckpointError(f"member {name!r} cannot be read: {exc}") from exc
+            if not np.isfinite(a).all():
                 raise CheckpointError(f"{name!r} holds non-finite values")
-            np.copyto(a, values.reshape(a.shape))
     meta = {"created": header.get("created", {}), "family": family, "dims": dims}
     return model, meta

@@ -14,11 +14,12 @@ fixed blocks of draws, so the working arrays stay cache-sized; each block
 runs the same word layout and arithmetic as one whole-array pass would, so
 the bits do not depend on the block size.
 
-Monte Carlo loops whose chunks are keyed by substreams run their chunks on
-a process-wide thread pool (:func:`_shard_map`) with one worker per CPU
-this process may run on; numpy releases the GIL in the Philox generator,
-the ufuncs and BLAS, so the chunks run in parallel and, being keyed, give
-the same bits in any order.
+Monte Carlo loops whose chunks are keyed by substreams (error rates and
+cap distances) and attacks of more than one block of starts run their
+chunks on a process-wide thread pool (:func:`_shard_map`) with one worker
+per CPU this process may run on; numpy releases the GIL in the Philox
+generator, the ufuncs and BLAS, so the chunks run in parallel and, being
+keyed, give the same bits in any order.
 
 Stream-index registry (children of a root stream, see :meth:`RngStream.child`):
 

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from spherelab import attack
 from spherelab.attack import (
     AttackConfig,
     DegenerateBasisError,
@@ -244,6 +247,71 @@ def test_worst_case_loss_not_below_start_loss():
     from spherelab.models import sigmoid_ce_loss
     start_losses = sigmoid_ce_loss(net.logits(xs), ys)
     assert wl >= np.max(start_losses) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Blocks of starts on the pool
+
+
+def result_bytes(r) -> list:
+    return [None if v is None else np.asarray(v, dtype=np.float64).tobytes()
+            for v in vars(r).values()]
+
+
+@pytest.mark.parametrize("mode", ["nearest", "worst"])
+def test_pooled_blocks_equal_a_serial_in_order_run_byte_for_byte(monkeypatch, mode):
+    net, sphere = spike_net(20), SphereConfig(n=20)
+    cfg = AttackConfig(mode=mode, steps=300, step_size=0.01, starts=123)
+    pooled = run_attack(net, sphere, cfg, RngStream(41), shell="both")
+    blocks = []
+
+    def serial_map(fn, jobs):
+        parts = [fn(job) for job in jobs]
+        blocks.extend(len(part) for part in parts)
+        return parts
+
+    monkeypatch.setattr(attack, "_shard_map", serial_map)
+    serial = run_attack(net, sphere, cfg, RngStream(41), shell="both")
+    assert blocks == [50, 50, 23]
+    assert 0 < sum(r.found for r in pooled) < cfg.starts
+    assert len({r.steps_used for r in pooled}) > 2
+    assert [result_bytes(r) for r in pooled] == [result_bytes(r) for r in serial]
+
+
+class ChildLog:
+    """Hands out the children of ``stream`` and records the indices asked for."""
+
+    def __init__(self, stream: RngStream) -> None:
+        self.stream, self.asked = stream, []
+
+    def child(self, index: int) -> RngStream:
+        self.asked.append(index)
+        return self.stream.child(index)
+
+
+def test_saddle_jitter_is_keyed_by_the_row_of_the_whole_batch():
+    # Row 60 is row 10 of the second block; e2 is the spike net's saddle.
+    n = 20
+    xs, labels = sample_batch(SphereConfig(n=n), RngStream(43), 61, "inner")
+    xs[60] = np.eye(n)[1]
+    cfg = AttackConfig(mode="worst", steps=20, step_size=0.01, starts=61)
+    log = ChildLog(RngStream(45))
+    worst_case_loss(spike_net(n), xs, labels, cfg, log)
+    assert set(log.asked) == {60}
+
+
+def test_one_block_of_starts_never_uses_the_pool(monkeypatch):
+    def no_jobs(fn, jobs):
+        raise AssertionError("a pool job was queued")
+
+    monkeypatch.setattr(attack, "_shard_map", no_jobs)
+    net, sphere = spike_net(20), SphereConfig(n=20)
+    cfg = AttackConfig(mode="nearest", steps=5, step_size=0.01, starts=50)
+    assert len(run_attack(net, sphere, cfg, RngStream(47))) == 50
+    xs, ys = sample_batch(sphere, RngStream(49), 50)
+    worst_case_loss(net, xs, ys, dataclasses.replace(cfg, mode="worst"), RngStream(51))
+    with pytest.raises(AssertionError, match="pool job"):
+        run_attack(net, sphere, dataclasses.replace(cfg, starts=51), RngStream(47))
 
 
 # ---------------------------------------------------------------------------

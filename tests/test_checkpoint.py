@@ -309,3 +309,11 @@ def test_load_holds_the_model_and_one_member(tmp_path, traced_peak):
     path = tmp_path / "net.ckpt"
     save_checkpoint(path, net)
     assert traced_peak(load_checkpoint, path) < 36 * 2**20
+
+
+def test_load_reads_each_member_into_the_model(tmp_path, traced_peak):
+    # The model's 11.5 MiB plus a read buffer; a temporary copy of w1 would add 7.6 MiB.
+    net = paper_mlp()
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, net)
+    assert traced_peak(load_checkpoint, path) < 14 * 2**20

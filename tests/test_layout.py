@@ -27,10 +27,23 @@ def called_names() -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module", ["geometry", "checkpoint", "models"])
+def public_functions(module: str) -> list[str]:
+    """Public module functions, and the public methods (not properties) of public classes."""
+    names = []
+    for node in parse(SRC / f"{module}.py").body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                      and not f.name.startswith("_")
+                      and not any(getattr(d, "id", "") == "property" for d in f.decorator_list)]
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            names.append(node.name)
+    return names
+
+
+@pytest.mark.parametrize("module", ["geometry", "checkpoint", "models", "attack", "training",
+                                    "dataset", "rng"])
 def test_every_public_function_is_called_by_a_test(module):
-    public = [node.name for node in parse(SRC / f"{module}.py").body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    public = public_functions(module)
     assert public
     assert sorted(set(public) - called_names()) == []
 

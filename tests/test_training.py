@@ -13,7 +13,9 @@ from spherelab.dataset import SphereConfig, make_training_set
 from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init
 from spherelab.rng import CHILD_NEAREST_PROBE, RngStream
 from spherelab.training import (
+    METRICS_SCHEMA,
     AdamState,
+    MetricsRecord,
     MetricsWriter,
     ProbeConfig,
     TrainConfig,
@@ -409,6 +411,19 @@ def test_metrics_file_closed_when_a_step_raises(tmp_path, opened_writers):
     assert len(opened_writers) == 1 and opened_writers[0]._f.closed
     records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
     assert [r["step"] for r in records] == [0, 2]
+
+
+def test_metrics_writer_flushes_a_schema_header_then_each_event(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    writer = MetricsWriter(path, {"seed": 3})
+    writer.write(MetricsRecord(step=0, train_loss=None, eval_loss=0.5))
+    writer.write_event({"event": "abort", "step": 1})
+    lines = path.read_text().splitlines()
+    writer.close()
+    assert [json.loads(line) for line in lines] == [
+        {"schema": METRICS_SCHEMA, "seed": 3}, {"step": 0, "eval_loss": 0.5},
+        {"event": "abort", "step": 1}]
+    assert writer._f.closed
 
 
 def test_mlp_trains_and_batch_size_validated():
