@@ -15,11 +15,14 @@ runs the same word layout and arithmetic as one whole-array pass would, so
 the bits do not depend on the block size.
 
 Monte Carlo loops whose chunks are keyed by substreams (error rates and
-cap distances) and attacks of more than one block of starts run their
-chunks on a process-wide thread pool (:func:`_shard_map`) with one worker
-per CPU this process may run on; numpy releases the GIL in the Philox
-generator, the ufuncs and BLAS, so the chunks run in parallel and, being
-keyed, give the same bits in any order.
+cap distances), attacks of more than one block of starts and Adam updates
+of more than one job of blocks run their chunks on a process-wide thread
+pool (:func:`_shard_map`) with one worker per CPU this process may run on;
+numpy releases the GIL in the Philox generator, the ufuncs and BLAS, so
+the chunks run in parallel and, being keyed or elementwise, give the same
+bits in any order. Training draws each next minibatch on the same pool
+with :func:`prefetch`, one draw ahead of the step that uses it, in order
+and from one stream, so the words drawn are those of a serial loop.
 
 Stream-index registry (children of a root stream, see :meth:`RngStream.child`):
 
@@ -162,18 +165,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _shard_map(fn, jobs) -> list:
-    """``[fn(job) for job in jobs]``, run on the process-wide thread pool.
+def _pool_for(caller: str) -> ThreadPoolExecutor:
+    """The process-wide pool, created on first use; refused inside a pool job.
 
     The pool has one worker per CPU in this process's affinity mask (the
-    CPU count where the platform has no mask) and is created on first use.
-    Results come back in job order. ``fn`` must not call ``_shard_map``
-    itself: a job waiting on jobs queued behind it could deadlock the pool,
-    so a nested call raises ``RuntimeError``.
+    CPU count where the platform has no mask). A job waiting on jobs
+    queued behind it could deadlock the pool, so a call from a job raises
+    ``RuntimeError``.
     """
     global _pool
     if getattr(_worker, "active", False):
-        raise RuntimeError("_shard_map called from inside a sharded job")
+        raise RuntimeError(f"{caller} called from inside a sharded job")
     with _pool_lock:
         if _pool is None:
             try:
@@ -182,4 +184,41 @@ def _shard_map(fn, jobs) -> list:
                 workers = os.cpu_count() or 1
             _pool = ThreadPoolExecutor(max_workers=workers, initializer=_mark_worker,
                                        thread_name_prefix="spherelab-shard")
-    return list(_pool.map(fn, jobs))
+        return _pool
+
+
+def _shard_map(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``, run on the process-wide thread pool.
+
+    Results come back in job order. ``fn`` must not call ``_shard_map`` or
+    :func:`prefetch` itself: a nested call raises ``RuntimeError``.
+    """
+    return list(_pool_for("_shard_map").map(fn, jobs))
+
+
+def prefetch(fn, count: int):
+    """Yield ``fn()`` ``count`` times, each call made one item ahead on the pool.
+
+    Call ``k + 1`` runs on a worker of the process-wide pool while the
+    caller holds item ``k``, and it is submitted only after call ``k`` has
+    returned, so the calls run one at a time and in order, and never more
+    than ``count`` of them. An exception from a call is raised where its
+    item would have been yielded. Closing the generator early waits for
+    the pending call and drops its item, so no call outlives the
+    generator. Like :func:`_shard_map`, it refuses to run inside a pool
+    job (``RuntimeError``, raised here rather than at the first item).
+    """
+    pool = _pool_for("prefetch")
+
+    def items():
+        pending = pool.submit(fn) if count > 0 else None
+        try:
+            for k in range(count):
+                item = pending.result()
+                pending = pool.submit(fn) if k + 1 < count else None
+                yield item
+        finally:
+            if pending is not None:
+                pending.exception()  # waits; neither the item nor its error is wanted
+
+    return items()

@@ -11,6 +11,13 @@ schedule that would pass the last child index is rejected up front. A
 non-finite training loss aborts the run, restoring the model's whole
 ``state()`` (batch-norm statistics too) from the last metric point.
 
+Minibatch k + 1 is drawn on a worker of the process-wide pool (see
+:func:`spherelab.rng.prefetch`) while step k runs its forward pass,
+backward pass and Adam update, so the minibatch stream is always one
+batch ahead of the model: a resume must save that stream's state as it
+was before the drawn-ahead batch, and a run that stops early has drawn at
+most that one batch past its last step.
+
 Quadratic nets additionally report their ellipsoid-coefficient violation
 count at a separate (coarser) cadence, since each check costs an SVD of
 the h x n first-layer weights.
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -38,11 +45,13 @@ from spherelab.rng import (
     RngStream,
     _CHILD_BASE,
     _shard_map,
+    prefetch,
 )
 
 METRICS_SCHEMA = "spherelab-metrics/1"
 _EVAL_CHUNK = 4096
 _ADAM_BLOCK = 32768  # elements per block of adam_step: 256 KiB of float64
+_ADAM_JOB = 4  # consecutive blocks per pool job of adam_step
 
 
 @dataclass
@@ -56,7 +65,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    _scratch: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], lr: float = 1e-4) -> "AdamState":
@@ -86,44 +94,66 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     when ``1 - beta1 > sqrt(1 - beta2)``, else roughly ``lr`` (Kingma & Ba,
     section 2.1).
 
+    Every parameter, gradient and moment is checked before anything is
+    updated: a missing name, a shape that differs from the parameter's or
+    a ``p``, ``m`` or ``v`` that is not C-contiguous (they are updated
+    through flat views) raises ``ValueError`` naming the parameter, and
+    leaves ``params`` and ``state`` as they were.
+
     The update runs over blocks of 32768 elements of each parameter's flat
-    view with one block-sized scratch, so its working set stays in cache.
+    view, so its working set stays in cache. The blocks of all parameters,
+    in order, make jobs of ``_ADAM_JOB`` consecutive blocks, each with one
+    block-sized scratch array of its own, so a step holds one scratch per
+    running job. More than one job runs on the pool of
+    :func:`spherelab.rng._shard_map`; a single job runs inline.
     Every element goes through the same ufunc sequence as in one
-    whole-array pass, so the bits do not depend on the block size. ``p``,
-    ``m`` and ``v`` must be C-contiguous, since they are updated through
-    flat views.
+    whole-array pass, and no two jobs touch the same element, so the bits
+    depend on neither the block size, the job split nor the pool size.
     """
-    state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
-    if state._scratch is None:
-        state._scratch = np.empty(_ADAM_BLOCK)
+    flat = []
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
+        g, m, v = grads.get(name), state.m.get(name), state.v.get(name)
+        if g is None:
+            raise ValueError(f"no gradient for parameter {name!r}")
+        if m is None or v is None:
+            raise ValueError(f"no Adam moments for parameter {name!r}")
+        for label, a in (("gradient", g), ("m", m), ("v", v)):
+            if a.shape != p.shape:
+                raise ValueError(f"{label} shape {a.shape} != param shape {p.shape} for {name!r}")
         if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError(f"Adam updates {name!r} in place and needs it C-contiguous")
-        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-        for start in range(0, p.size, _ADAM_BLOCK):
-            end = start + _ADAM_BLOCK
-            pb, gb, mb, vb = p[start:end], g[start:end], m[start:end], v[start:end]
-            scratch = state._scratch[:pb.size]
-            mb *= state.beta1
-            np.multiply(gb, 1.0 - state.beta1, out=scratch)
+        flat.append((p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)))
+
+    state.t += 1
+    beta1, beta2, eps = state.beta1, state.beta2, state.eps
+    c2 = 1.0 - beta2 ** state.t
+    step = state.lr / (1.0 - beta1 ** state.t)
+    blocks = [tuple(a[start:start + _ADAM_BLOCK] for a in arrays)
+              for arrays in flat for start in range(0, arrays[0].size, _ADAM_BLOCK)]
+    jobs = range(0, len(blocks), _ADAM_JOB)  # each job's first block
+
+    def run(first: int) -> None:
+        job_scratch = np.empty(_ADAM_BLOCK)
+        for pb, gb, mb, vb in blocks[first:first + _ADAM_JOB]:
+            scratch = job_scratch[:pb.size]
+            mb *= beta1
+            np.multiply(gb, 1.0 - beta1, out=scratch)
             mb += scratch
-            vb *= state.beta2
+            vb *= beta2
             np.multiply(gb, gb, out=scratch)
-            scratch *= 1.0 - state.beta2
+            scratch *= 1.0 - beta2
             vb += scratch
             np.divide(vb, c2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += state.eps
+            scratch += eps
             np.divide(mb, scratch, out=scratch)
-            scratch *= state.lr / c1
+            scratch *= step
             pb -= scratch
+
+    if len(jobs) > 1:
+        _shard_map(run, jobs)
+    elif jobs:
+        run(0)
     return state
 
 
@@ -319,14 +349,33 @@ def _check_schedule(cfg: TrainConfig) -> None:
             f"last child index {_CHILD_BASE - 2}")
 
 
+def _minibatches(cfg: TrainConfig, sphere: SphereConfig, stream: RngStream):
+    """The ``cfg.steps`` training minibatches, each drawn during the step before it.
+
+    An online batch is one :func:`spherelab.dataset.sample_batch`; a fixed
+    batch indexes the stored set with one uniform per row. Only the pool
+    worker of :func:`spherelab.rng.prefetch` touches ``stream``, one draw
+    at a time and in step order, so the words drawn are those of a serial
+    loop and no draw passes ``cfg.steps``.
+    """
+    fixed = cfg.dataset
+
+    def draw() -> tuple[np.ndarray, np.ndarray]:
+        if fixed is None:
+            return sample_batch(sphere, stream, cfg.batch_size)
+        idx = (stream.uniforms(cfg.batch_size) * fixed.N).astype(np.int64)
+        return fixed.xs[idx], fixed.labels[idx]
+
+    return prefetch(draw, cfg.steps)
+
+
 def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     """Run the optimization loop; see module docstring for determinism."""
     if getattr(model, "n", None) != sphere.n:
         raise ValueError(f"model dim {getattr(model, 'n', None)} != sphere dim {sphere.n}")
     if isinstance(model, MlpNet) and cfg.batch_size < 2:
         raise ValueError("batch-norm models need batch size >= 2")
-    fixed = cfg.dataset
-    if fixed is not None and fixed.config.n != sphere.n:
+    if cfg.dataset is not None and cfg.dataset.config.n != sphere.n:
         raise ValueError("fixed dataset dimension does not match the sphere config")
     _check_schedule(cfg)
 
@@ -396,18 +445,14 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     aborted = False
     abort_reason = None
     completed = 0
+    batches = _minibatches(cfg, sphere, data_stream)
     writer = MetricsWriter(cfg.metrics_path, {"seed": cfg.seed, "steps": cfg.steps}) \
         if cfg.metrics_path else None
     try:
         alpha0 = _alpha_violations(model, sphere) if cfg.alpha_every > 0 else None
         emit(0, None, alpha0, do_probe=cfg.probe is not None)
 
-        for step in range(1, cfg.steps + 1):
-            if fixed is None:
-                xs, ys = sample_batch(sphere, data_stream, cfg.batch_size)
-            else:
-                idx = (data_stream.uniforms(cfg.batch_size) * fixed.N).astype(np.int64)
-                xs, ys = fixed.xs[idx], fixed.labels[idx]
+        for step, (xs, ys) in enumerate(batches, start=1):
             logits, cache = model.forward(xs, mode="train")
             batch_loss = float(np.mean(sigmoid_ce_loss(logits, ys)))
             if not np.isfinite(batch_loss):
@@ -443,6 +488,7 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
             if stopping:
                 break
     finally:
+        batches.close()
         if writer:
             writer.close()
     return TrainResult(model=model, metrics=metrics, completed_steps=completed,

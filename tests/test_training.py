@@ -2,16 +2,17 @@ import json
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from spherelab import training
 from spherelab.attack import AttackConfig, estimate_mean_distance
-from spherelab.training import _ADAM_BLOCK
+from spherelab.training import _ADAM_BLOCK, _ADAM_JOB
 from spherelab.dataset import SphereConfig, make_training_set
 from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init
-from spherelab.rng import CHILD_NEAREST_PROBE, RngStream
+from spherelab.rng import CHILD_MINIBATCH, CHILD_NEAREST_PROBE, RngStream
 from spherelab.training import (
     METRICS_SCHEMA,
     AdamState,
@@ -91,23 +92,97 @@ def reference_adam(p, m, v, g, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     p[...] = p - (m / (np.sqrt(v / (1.0 - beta2 ** t)) + eps)) * (lr / (1.0 - beta1 ** t))
 
 
-def test_blocked_adam_equals_a_whole_array_reference_byte_for_byte():
+# Sizes on either side of a block and of a job of blocks, a matrix that
+# spans several jobs, and a 0-d scalar.
+ADAM_SHAPES = {"below": (_ADAM_BLOCK - 1,), "block": (_ADAM_BLOCK,), "above": (_ADAM_BLOCK + 1,),
+               "below_job": (_ADAM_JOB * _ADAM_BLOCK - 1,), "job": (_ADAM_JOB * _ADAM_BLOCK,),
+               "above_job": (_ADAM_JOB * _ADAM_BLOCK + 1,), "matrix": (5, 3 * _ADAM_BLOCK + 1),
+               "scalar": ()}
+
+
+def adam_run(shapes, steps=5):
+    """``steps`` Adam updates of normal parameters by normal gradients, and the gradients."""
     stream = RngStream(20180108, 21)
-    shapes = {"below": (_ADAM_BLOCK - 1,), "block": (_ADAM_BLOCK,), "above": (_ADAM_BLOCK + 1,),
-              "flat": (3 * _ADAM_BLOCK + 5,), "matrix": (5, 3 * _ADAM_BLOCK + 1), "scalar": ()}
-    params = {k: stream.normals(int(np.prod(s))).reshape(s) for k, s in shapes.items()}
-    ref = {k: [p.copy(), np.zeros(p.shape), np.zeros(p.shape)] for k, p in params.items()}
+    params = {k: stream.normals(math.prod(s)).reshape(s) for k, s in shapes.items()}
     state = AdamState.for_params(params, lr=1e-3)
-    for t in range(1, 6):
-        grads = {k: stream.normals(int(np.prod(s))).reshape(s) for k, s in shapes.items()}
+    history = []
+    for _ in range(steps):
+        grads = {k: stream.normals(math.prod(s)).reshape(s) for k, s in shapes.items()}
         adam_step(params, grads, state)
+        history.append(grads)
+    return params, state, history
+
+
+def test_blocked_adam_equals_a_whole_array_reference_byte_for_byte():
+    params, state, history = adam_run(ADAM_SHAPES)
+    stream = RngStream(20180108, 21)
+    ref = {k: [stream.normals(math.prod(s)).reshape(s), np.zeros(s), np.zeros(s)]
+           for k, s in ADAM_SHAPES.items()}
+    for t, grads in enumerate(history, start=1):
         for k, (p, m, v) in ref.items():
             reference_adam(p, m, v, grads[k], t)
     for k, (p, m, v) in ref.items():
         assert params[k].tobytes() == p.tobytes(), k
         assert state.m[k].tobytes() == m.tobytes(), k
         assert state.v[k].tobytes() == v.tobytes(), k
-    assert state._scratch.size == _ADAM_BLOCK
+    assert sum(-(-math.prod(s) // _ADAM_BLOCK) for s in ADAM_SHAPES.values()) == 34
+
+
+def test_pooled_adam_equals_a_serial_in_order_map_byte_for_byte(monkeypatch):
+    pooled_params, pooled, _ = adam_run(ADAM_SHAPES, steps=3)
+    firsts = []
+
+    def serial_map(fn, jobs):
+        firsts.append(list(jobs))
+        return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(training, "_shard_map", serial_map)
+    params, state, _ = adam_run(ADAM_SHAPES, steps=3)
+    # 34 blocks make 9 jobs, the last of two blocks, the same split every step.
+    assert firsts == [list(range(0, 34, _ADAM_JOB))] * 3
+    assert state.t == pooled.t == 3
+    for k in ADAM_SHAPES:
+        assert params[k].tobytes() == pooled_params[k].tobytes(), k
+        assert state.m[k].tobytes() == pooled.m[k].tobytes(), k
+        assert state.v[k].tobytes() == pooled.v[k].tobytes(), k
+
+
+def test_one_job_of_adam_blocks_never_uses_the_pool(monkeypatch):
+    def no_jobs(fn, jobs):
+        raise AssertionError("a single job must run inline")
+
+    monkeypatch.setattr(training, "_shard_map", no_jobs)
+    params, state, _ = adam_run({"job": (_ADAM_JOB * _ADAM_BLOCK,)}, steps=2)
+    assert state.t == 2
+
+
+def test_adam_holds_one_block_of_scratch_per_running_job(monkeypatch, traced_peak):
+    # 34 blocks in 9 jobs, run one at a time: a scratch per job, not per
+    # step, is 1 block, where 9 would be 2.25 MiB and whole arrays 8.5 MiB.
+    monkeypatch.setattr(training, "_shard_map", lambda fn, jobs: [fn(job) for job in jobs])
+    stream = RngStream(3)
+    params = {k: stream.normals(math.prod(s)).reshape(s) for k, s in ADAM_SHAPES.items()}
+    grads = {k: stream.normals(math.prod(s)).reshape(s) for k, s in ADAM_SHAPES.items()}
+    state = AdamState.for_params(params)
+    assert traced_peak(adam_step, params, grads, state) < 1.5 * _ADAM_BLOCK * 8
+    assert state.t == 1
+
+
+@pytest.mark.parametrize("bad_grads,match", [
+    ({"a": np.ones(3), "b": np.ones(5)}, "'b'"),
+    ({"a": np.ones(3)}, "no gradient for parameter 'b'"),
+])
+def test_adam_rejects_a_bad_gradient_before_updating_anything(bad_grads, match):
+    params = {"a": np.arange(3.0), "b": np.arange(4.0)}
+    state = AdamState.for_params(params, lr=0.1)
+    adam_step(params, {"a": np.ones(3), "b": np.ones(4)}, state)
+    before = [{k: v.copy() for k, v in d.items()} for d in (params, state.m, state.v)]
+    with pytest.raises(ValueError, match=match):
+        adam_step(params, bad_grads, state)
+    assert state.t == 1
+    for now, then in zip((params, state.m, state.v), before):
+        assert {k: v.tobytes() for k, v in now.items()} \
+            == {k: v.tobytes() for k, v in then.items()}
 
 
 def test_adam_rejects_a_parameter_it_cannot_update_in_place():
@@ -411,6 +486,152 @@ def test_metrics_file_closed_when_a_step_raises(tmp_path, opened_writers):
     assert len(opened_writers) == 1 and opened_writers[0]._f.closed
     records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
     assert [r["step"] for r in records] == [0, 2]
+
+
+@pytest.fixture
+def minibatch_draws(monkeypatch):
+    """Draws made on a run's minibatch stream: ``sample_batch`` calls online, ``uniforms`` fixed.
+
+    ``draws["seed"]`` picks the run. Each draw sleeps ``draws["sleep"]``
+    seconds, then logs the name of the thread it runs on in ``draws["made"]``;
+    draw number ``draws["fail_at"]`` (counted from 1) raises instead.
+    """
+    draws = {"seed": None, "made": [], "running": 0, "sleep": 0.0, "fail_at": None}
+    sample, uniforms = training.sample_batch, RngStream.uniforms
+
+    def counted(stream, fn, *args):
+        if (draws["running"] or draws["seed"] is None  # the coins inside a sample_batch
+                or stream.stream != RngStream(draws["seed"]).child(CHILD_MINIBATCH).stream):
+            return fn(*args)
+        draws["running"] += 1
+        try:
+            time.sleep(draws["sleep"])
+            draws["made"].append(threading.current_thread().name)
+            if len(draws["made"]) == draws["fail_at"]:
+                raise FloatingPointError("injected draw failure")
+            return fn(*args)
+        finally:
+            draws["running"] -= 1
+
+    monkeypatch.setattr(training, "sample_batch",
+                        lambda config, stream, *a: counted(stream, sample, config, stream, *a))
+    monkeypatch.setattr(RngStream, "uniforms",
+                        lambda self, count: counted(self, uniforms, self, count))
+    return draws
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_minibatches_are_drawn_on_the_pool_and_never_past_the_last_step(fixed,
+                                                                        minibatch_draws):
+    sphere = SphereConfig(n=10, seed=13)
+    ds = make_training_set(sphere, 64) if fixed else None
+    minibatch_draws["seed"] = 13
+    result = train(small_quad(seed=13), TrainConfig(steps=9, batch_size=4, seed=13,
+                                                    dataset=ds, metric_every=4), sphere)
+    assert result.completed_steps == 9
+    assert len(minibatch_draws["made"]) == 9
+    assert all(name.startswith("spherelab-shard") for name in minibatch_draws["made"])
+
+
+def test_an_early_stop_draws_one_batch_past_its_last_step(minibatch_draws):
+    minibatch_draws["seed"] = 7
+    cfg = TrainConfig(steps=100, batch_size=4, seed=7, alpha_every=1,
+                      stop_on_perfect=True, metric_every=50)
+    result = train(quad_perfect_init(10, 12), cfg, SphereConfig(n=10, seed=7))
+    assert result.completed_steps == 1
+    assert len(minibatch_draws["made"]) == 2
+
+
+def test_an_abort_draws_one_batch_past_the_aborted_step(minibatch_draws):
+    # The overflow is seen at step 1, whose batch was drawn; batch 2 was
+    # drawn during step 1, as every batch is drawn during the step before it.
+    net = small_quad(seed=6)
+    net.W1 *= 1e200
+    minibatch_draws["seed"] = 6
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        result = train(net, TrainConfig(steps=10, batch_size=4, seed=6),
+                       SphereConfig(n=10, seed=6))
+    assert result.aborted and result.completed_steps == 0
+    assert len(minibatch_draws["made"]) == 2
+
+
+@pytest.mark.parametrize("family,fixed", [("quadratic", False), ("quadratic", True),
+                                          ("mlp", False), ("mlp", True)])
+def test_drawing_ahead_gives_the_bits_of_a_serial_loop(family, fixed, monkeypatch):
+    sphere = SphereConfig(n=10, seed=14)
+    cfg = TrainConfig(steps=12, batch_size=6, seed=14, metric_every=5, error_eval_samples=100,
+                      dataset=make_training_set(sphere, 40) if fixed else None)
+
+    def run():
+        stream = RngStream(14).child(3)
+        net = (small_quad(seed=14) if family == "quadratic"
+               else MlpNet.init_random(10, (8, 5), stream))
+        result = train(net, cfg, sphere)
+        return ([m.to_dict() for m in result.metrics],
+                {k: v.tobytes() for k, v in net.state().items()})
+
+    ahead = run()
+    monkeypatch.setattr(training, "prefetch", lambda fn, count: (fn() for _ in range(count)))
+    assert run() == ahead
+
+
+def test_a_failing_drawn_ahead_batch_propagates_and_leaves_no_draw_running(
+        tmp_path, opened_writers, minibatch_draws):
+    path = tmp_path / "metrics.jsonl"
+    minibatch_draws.update(seed=9, fail_at=4)
+    cfg = TrainConfig(steps=6, batch_size=4, seed=9, metric_every=2, metrics_path=str(path))
+    with pytest.raises(FloatingPointError, match="injected draw failure"):
+        train(small_quad(seed=9), cfg, SphereConfig(n=10, seed=9))
+    assert len(opened_writers) == 1 and opened_writers[0]._f.closed
+    records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert [r["step"] for r in records] == [0, 2]
+    time.sleep(0.05)
+    assert len(minibatch_draws["made"]) == 4 and minibatch_draws["running"] == 0
+
+
+def test_a_failing_step_waits_for_the_batch_drawn_ahead(minibatch_draws):
+    net = small_quad(seed=9)
+
+    def failing_backward(cache, ys):
+        raise FloatingPointError("injected")
+
+    net.backward = failing_backward
+    minibatch_draws.update(seed=9, sleep=0.2)
+    with pytest.raises(FloatingPointError, match="injected"):
+        train(net, TrainConfig(steps=6, batch_size=4, seed=9), SphereConfig(n=10, seed=9))
+    assert len(minibatch_draws["made"]) == 2 and minibatch_draws["running"] == 0
+
+
+def test_concurrent_train_calls_share_the_pool_and_agree():
+    # 100 x 1400 first-layer weights are 5 Adam blocks, so every step maps 2
+    # jobs on the pool while the other callers' draws and jobs queue there
+    # too; more callers than cores and a short switch interval interleave them.
+    sphere = SphereConfig(n=100, seed=15)
+    cfg = TrainConfig(steps=6, batch_size=8, seed=15, metric_every=3)
+
+    def run():
+        net = QuadraticNet.init_random(100, 1400, RngStream(15).child(3))
+        result = train(net, cfg, sphere)
+        return [m.to_dict() for m in result.metrics], net.W1.tobytes()
+
+    expected = run()
+    results = [None] * 6
+
+    def work(k):
+        results[k] = run()
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * len(results)
 
 
 def test_metrics_writer_flushes_a_schema_header_then_each_event(tmp_path):
