@@ -8,6 +8,6 @@ spherical-cap bounds and CLT estimates.
 
 from spherelab.rng import RngStream
 from spherelab.special import normal_cdf, normal_quantile
-from spherelab.linalg import singular_values, top_principal_components
+from spherelab.linalg import singular_values
 
 __version__ = "0.1.0"

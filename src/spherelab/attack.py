@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spherelab.dataset import SphereConfig, Sample, sample_batch
+from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import classify, sigmoid_ce_loss
 from spherelab.rng import RngStream, _shard_map
 
@@ -234,17 +234,6 @@ def _pgd_block(model, X0: np.ndarray, y: np.ndarray, cfg: AttackConfig,
         distance=float(np.linalg.norm(x_adv[i] - X0[i])) if kept[i] else None,
         steps_used=int(steps_used[i]), final_loss=float(final_loss[i]),
         stationary=bool(stationary[i]), norm_drift=float(drift[i])) for i in range(m)]
-
-
-def manifold_pgd(model, sample: Sample, cfg: AttackConfig, stream: RngStream) -> AttackResult:
-    """Attack a single on-manifold sample; see module docstring."""
-    x = np.asarray(sample.x, dtype=np.float64)
-    r = np.linalg.norm(x)
-    if sample.label == 0 and abs(r - 1.0) > 1e-9:
-        raise ValueError(f"inner-label sample has radius {r}")
-    if sample.label == 1 and r <= 1.0:
-        raise ValueError(f"outer-label sample has radius {r}")
-    return _pgd_batch(model, x[None, :], np.array([sample.label]), cfg, stream)[0]
 
 
 def run_attack(model, sphere: SphereConfig, cfg: AttackConfig, stream: RngStream,

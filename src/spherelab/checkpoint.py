@@ -8,8 +8,6 @@ so loading reproduces the state bit-for-bit. A ``header`` member holds
 UTF-8 JSON bytes (uint8) with the schema tag, the model family, its
 dimensions, the MLP's batch-norm constants (``batch_norm``) and the
 free-form ``created`` block describing the run (seed, radius, and so on).
-A path ending in ``.gz`` holds the same archive gzip-compressed; it is
-built in memory first, since ``np.savez`` seeks and a gzip stream cannot.
 
 Loading builds an empty model from the header's dimensions, checks each
 member's npy header, and reads the member's values straight into the
@@ -25,8 +23,6 @@ arrays are never unpickled.
 
 from __future__ import annotations
 
-import gzip
-import io
 import json
 import zipfile
 import zlib
@@ -39,7 +35,7 @@ SCHEMA = "spherelab-checkpoint/3"
 _BATCH_NORM = {"epsilon": BN_EPSILON, "momentum": BN_MOMENTUM}
 _HEADER = "header"
 _ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
-# What a damaged archive, gzip stream or npy member raises while it is read.
+# What a damaged archive or npy member raises while it is read.
 _READ_ERRORS = (zipfile.BadZipFile, EOFError, OSError, ValueError, zlib.error)
 _READ_CHUNK = 1 << 18  # bytes per read of a member into the model's array
 
@@ -64,14 +60,8 @@ def save_checkpoint(path, model, created: dict | None = None) -> None:
     header = {"schema": SCHEMA, "family": model.family, "created": created or {}, **header}
     members = {_HEADER: np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
                **{name: a.reshape(-1).astype("<f8", copy=False) for name, a in state.items()}}
-    if str(path).endswith(".gz"):
-        buffer = io.BytesIO()
-        np.savez(buffer, allow_pickle=False, **members)
-        with gzip.open(path, "wb") as f:
-            f.write(buffer.getbuffer())
-    else:
-        with open(path, "wb") as f:
-            np.savez(f, allow_pickle=False, **members)
+    with open(path, "wb") as f:
+        np.savez(f, allow_pickle=False, **members)
 
 
 def _member(npz, name: str) -> np.ndarray:
@@ -139,46 +129,36 @@ def _empty_model(header: dict):
 def load_checkpoint(path):
     """Load a checkpoint; returns (model, metadata dict)."""
     with open(path, "rb") as f:
-        if not str(path).endswith(".gz"):
-            return _load(f, path)
+        if f.read(4) not in _ZIP_MAGIC:
+            raise ValueError(
+                f"unsupported checkpoint schema: {path} is not a {SCHEMA} npz archive")
+        f.seek(0)
         try:
-            with gzip.GzipFile(fileobj=f) as packed:
-                payload = packed.read()
+            npz = np.load(f, allow_pickle=False)
         except _READ_ERRORS as exc:
-            raise CheckpointError(f"{path} is not a readable gzip file: {exc}") from exc
-    return _load(io.BytesIO(payload), path)
-
-
-def _load(f, path):
-    if f.read(4) not in _ZIP_MAGIC:
-        raise ValueError(f"unsupported checkpoint schema: {path} is not a {SCHEMA} npz archive")
-    f.seek(0)
-    try:
-        npz = np.load(f, allow_pickle=False)
-    except _READ_ERRORS as exc:
-        raise CheckpointError(f"{path} is not a readable npz archive: {exc}") from exc
-    with npz:
-        header = _read_header(npz)
-        if header.get("schema") != SCHEMA:
-            raise ValueError(f"unsupported checkpoint schema {header.get('schema')!r}")
-        model = _empty_model(header)
-        family, dims = header["family"], header["dims"]
-        state, saved = model.state(), set(npz.files) - {_HEADER}
-        if state.keys() != saved:
-            raise CheckpointError(
-                f"state names do not fit a {family} net of dims {dims}: missing "
-                f"{sorted(state.keys() - saved)}, extra {sorted(saved - state.keys())}")
-        stored = set(npz.zip.namelist())
-        for name, a in state.items():
-            member = f"{name}.npy" if f"{name}.npy" in stored else name
-            try:
-                with npz.zip.open(member) as source:
-                    _read_into(source, name, a, dims)
-            except CheckpointError:
-                raise
-            except _READ_ERRORS as exc:
-                raise CheckpointError(f"member {name!r} cannot be read: {exc}") from exc
-            if not np.isfinite(a).all():
-                raise CheckpointError(f"{name!r} holds non-finite values")
+            raise CheckpointError(f"{path} is not a readable npz archive: {exc}") from exc
+        with npz:
+            header = _read_header(npz)
+            if header.get("schema") != SCHEMA:
+                raise ValueError(f"unsupported checkpoint schema {header.get('schema')!r}")
+            model = _empty_model(header)
+            family, dims = header["family"], header["dims"]
+            state, saved = model.state(), set(npz.files) - {_HEADER}
+            if state.keys() != saved:
+                raise CheckpointError(
+                    f"state names do not fit a {family} net of dims {dims}: missing "
+                    f"{sorted(state.keys() - saved)}, extra {sorted(saved - state.keys())}")
+            stored = set(npz.zip.namelist())
+            for name, a in state.items():
+                member = f"{name}.npy" if f"{name}.npy" in stored else name
+                try:
+                    with npz.zip.open(member) as source:
+                        _read_into(source, name, a, dims)
+                except CheckpointError:
+                    raise
+                except _READ_ERRORS as exc:
+                    raise CheckpointError(f"member {name!r} cannot be read: {exc}") from exc
+                if not np.isfinite(a).all():
+                    raise CheckpointError(f"{name!r} holds non-finite values")
     meta = {"created": header.get("created", {}), "family": family, "dims": dims}
     return model, meta

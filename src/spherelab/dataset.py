@@ -1,4 +1,4 @@
-"""The concentric-spheres distribution and IDX image-file parsing.
+"""The concentric-spheres distribution.
 
 A sample is a point on one of two origin-centered shells in R^n: radius 1
 ("inner", label 0) or radius R ("outer", label 1), each chosen with a fair
@@ -27,9 +27,6 @@ _SPHERE_BLOCK = 32768  # draws per row block of sphere_points: 256 KiB of float6
 _CACHE_MAGIC = b"SPHD"
 _CACHE_VERSION = 1
 
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
-
 
 @dataclass(frozen=True)
 class SphereConfig:
@@ -44,14 +41,6 @@ class SphereConfig:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
         if not self.R > 1.0:
             raise ValueError(f"outer radius must exceed 1, got {self.R}")
-
-
-@dataclass(frozen=True)
-class Sample:
-    """A point on one shell with its label (0 inner, 1 outer)."""
-
-    x: np.ndarray
-    label: int
 
 
 class CacheTruncatedError(ValueError):
@@ -90,9 +79,6 @@ class FixedDataset:
 
     def __len__(self) -> int:
         return self.N
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.xs[i], int(self.labels[i]))
 
     def save(self, path) -> None:
         """Binary cache: magic, version, n, R, N, seed header then payload."""
@@ -166,12 +152,6 @@ def sample_batch(config: SphereConfig, stream: RngStream, count: int,
     return xs, labels
 
 
-def sample_sphere(config: SphereConfig, stream: RngStream) -> Sample:
-    """Draw one sample: row 0 of a one-sample :func:`sample_batch`."""
-    xs, labels = sample_batch(config, stream, 1)
-    return Sample(xs[0], int(labels[0]))
-
-
 def make_training_set(config: SphereConfig, N: int) -> FixedDataset:
     """Materialize N iid samples from the dataset substream of the seed."""
     if N < 1:
@@ -180,110 +160,3 @@ def make_training_set(config: SphereConfig, N: int) -> FixedDataset:
     xs, labels = sample_batch(config, stream, N)
     return FixedDataset(xs=xs, labels=labels, config=config)
 
-
-# ---------------------------------------------------------------------------
-# IDX (MNIST container) parsing
-
-
-class IdxError(ValueError):
-    """Malformed IDX file; ``offset`` is the failing byte position."""
-
-    def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (at byte offset {offset})")
-        self.offset = offset
-
-
-class IdxBadMagicError(IdxError):
-    pass
-
-
-class IdxTruncatedError(IdxError):
-    pass
-
-
-class IdxCountMismatchError(IdxError):
-    pass
-
-
-@dataclass
-class MnistSet:
-    """Images scaled to [0, 1], flattened row-major, with integer labels."""
-
-    images: np.ndarray  # (N, rows*cols) float64 in [0, 1]
-    labels: np.ndarray  # (N,) int
-    rows: int = 28
-    cols: int = 28
-
-
-def _read_u32(data: bytes, offset: int, what: str) -> int:
-    if offset + 4 > len(data):
-        raise IdxTruncatedError(f"file ends inside the {what} field", offset)
-    return struct.unpack_from(">I", data, offset)[0]
-
-
-def _load_idx_images(path) -> tuple[np.ndarray, int, int]:
-    with open(path, "rb") as f:
-        data = f.read()
-    magic = _read_u32(data, 0, "magic number")
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxBadMagicError(
-            f"expected image magic 0x{IDX_IMAGES_MAGIC:08x}, found 0x{magic:08x}", 0)
-    count = _read_u32(data, 4, "image count")
-    rows = _read_u32(data, 8, "row count")
-    cols = _read_u32(data, 12, "column count")
-    need = 16 + count * rows * cols
-    if len(data) < need:
-        raise IdxTruncatedError(
-            f"image payload needs {need} bytes, file has {len(data)}", len(data))
-    pixels = np.frombuffer(data, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, rows * cols), rows, cols
-
-
-def _load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        data = f.read()
-    magic = _read_u32(data, 0, "magic number")
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxBadMagicError(
-            f"expected label magic 0x{IDX_LABELS_MAGIC:08x}, found 0x{magic:08x}", 0)
-    count = _read_u32(data, 4, "label count")
-    need = 8 + count
-    if len(data) < need:
-        raise IdxTruncatedError(
-            f"label payload needs {need} bytes, file has {len(data)}", len(data))
-    return np.frombuffer(data, dtype=np.uint8, count=count, offset=8)
-
-
-def load_idx(images_path, labels_path) -> MnistSet:
-    """Parse an IDX image/label pair; pixels are divided by 255."""
-    pixels, rows, cols = _load_idx_images(images_path)
-    labels = _load_idx_labels(labels_path)
-    if pixels.shape[0] != labels.shape[0]:
-        raise IdxCountMismatchError(
-            f"{pixels.shape[0]} images but {labels.shape[0]} labels", 4)
-    return MnistSet(
-        images=pixels.astype(np.float64) / 255.0,
-        labels=labels.astype(np.int64),
-        rows=rows,
-        cols=cols,
-    )
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write (N, rows, cols) uint8 pixels in IDX image layout."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError(f"expected (N, rows, cols) pixels, got shape {images.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, *images.shape))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write (N,) uint8 labels in IDX label layout."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise ValueError(f"expected flat labels, got shape {labels.shape}")
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())

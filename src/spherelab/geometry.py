@@ -1,4 +1,4 @@
-"""Analytic error-set geometry on the spheres, plus PCA halfspaces.
+"""Analytic error-set geometry on the spheres.
 
 Gaussian-approximation conventions used throughout:
 
@@ -41,9 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spherelab.attack import ErrorSetStats
-from spherelab.dataset import MnistSet, sphere_points
-from spherelab.linalg import top_principal_components
+from spherelab.dataset import sphere_points
 from spherelab.models import AlphaSpectrum
 from spherelab.rng import RngStream, _shard_map
 from spherelab.special import normal_cdf, normal_quantile
@@ -319,94 +317,3 @@ def minimal_subspace_fraction(n: int, target_error: float, R: float) -> Subspace
     b, rate = _equalized_rates(n, lo, R)
     return SubspaceResult(k=lo, b=b, fraction=lo / n, achieved_rate=rate)
 
-
-# ---------------------------------------------------------------------------
-# PCA halfspace construction for image data
-
-
-@dataclass
-class HalfspaceSet:
-    """Halfspace error set {x : w . x > b} with construction provenance."""
-
-    w: np.ndarray  # unit normal
-    b: float
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        norm = float(np.linalg.norm(self.w))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"halfspace normal must be unit length, got {norm}")
-
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        """d(x, E) = max(b - w . x, 0) / ||w||; zero inside the set."""
-        proj = points @ self.w
-        return np.maximum(self.b - proj, 0.0) / float(np.linalg.norm(self.w))
-
-
-def _tail_threshold(proj: np.ndarray, tail_fraction: float) -> float:
-    """Threshold putting ceil(tail * N) points strictly above it.
-
-    Ties at the threshold break toward inclusion: if the boundary value
-    repeats, the threshold moves just below it so the whole tied block
-    lands inside the set.
-    """
-    ordered = np.sort(proj)[::-1]
-    m = math.ceil(tail_fraction * proj.size)
-    if m >= proj.size:
-        raise ValueError("tail fraction leaves no points outside the set")
-    b = float(ordered[m])
-    if ordered[m - 1] == ordered[m]:
-        b = float(np.nextafter(b, -np.inf))
-    return b
-
-
-def pca_halfspace(train: MnistSet, tail_fraction: float = 0.01) -> HalfspaceSet:
-    """Halfspace along the top principal direction holding the train tail.
-
-    Both orientations of the direction are evaluated on the training set
-    and the one with the larger mean distance is kept (the maximizing
-    construction). Provenance records the PCA rank, tail fraction, pixel
-    scaling, and orientation rule.
-    """
-    if not 0.0 < tail_fraction < 0.5:
-        raise ValueError("tail fraction must be in (0, 0.5)")
-    directions, variances = top_principal_components(train.images, 1)
-    best = None
-    for sign in (1.0, -1.0):
-        w = sign * directions[0]
-        proj = train.images @ w
-        b = _tail_threshold(proj, tail_fraction)
-        mean_dist = float(np.maximum(b - proj, 0.0).mean())
-        if best is None or mean_dist > best[2]:
-            best = (w, b, mean_dist)
-    w, b, _ = best
-    return HalfspaceSet(
-        w=w, b=b,
-        provenance={
-            "pca_rank": 1,
-            "top_variance": float(variances[0]),
-            "tail_fraction": tail_fraction,
-            "pixel_scaling": "[0,1]",
-            "orientation": "max mean train distance",
-        })
-
-
-def halfspace_stats(hs: HalfspaceSet, test: MnistSet) -> ErrorSetStats:
-    """Measure (mu, mean distance) of the halfspace on a fresh sample."""
-    if test.images.shape[1] != hs.w.size:
-        raise ValueError(
-            f"test dimension {test.images.shape[1]} != halfspace dimension {hs.w.size}")
-    proj = test.images @ hs.w
-    inside = proj > hs.b
-    distances = np.maximum(hs.b - proj, 0.0)
-    count = test.images.shape[0]
-    return ErrorSetStats(
-        mu=float(inside.mean()),
-        dmean=float(distances.mean()),
-        failures=0,
-        n=hs.w.size,
-        model_tag="pca-halfspace",
-        starts=count,
-        successes=count,
-        distances=distances,
-    )

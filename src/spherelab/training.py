@@ -200,6 +200,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if self.metric_every < 1:
             raise ValueError("metric_every must be >= 1")
         if self.eval_batch < 1:

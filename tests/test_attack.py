@@ -9,12 +9,11 @@ from spherelab.attack import (
     DegenerateBasisError,
     distance_distribution,
     estimate_mean_distance,
-    manifold_pgd,
     run_attack,
     slice_grid,
     worst_case_loss,
 )
-from spherelab.dataset import Sample, SphereConfig, sample_batch
+from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import QuadraticNet, quad_perfect_init
 from spherelab.rng import RngStream
 
@@ -67,7 +66,7 @@ def test_spike_net_found_from_axis_saddle_start():
     x = np.zeros(n)
     x[1] = 1.0
     cfg = AttackConfig(mode="nearest", steps=1000, step_size=0.01)
-    res = manifold_pgd(net, Sample(x, 0), cfg, RngStream(9))
+    res = attack._pgd_batch(net, x[None], np.array([0]), cfg, RngStream(9))[0]
     assert res.found
     c = crossing_coordinate(2.0, 0.7572)
     assert c == pytest.approx(0.4421, abs=2e-4)
@@ -116,12 +115,6 @@ def test_worst_mode_found_is_the_sign_of_the_kept_iterates_logit():
         assert r.found == (int(logit > 0.0) != label)
         outcomes.add(r.found)
     assert outcomes == {True, False}
-
-
-def test_on_manifold_precondition():
-    net = spike_net(5)
-    with pytest.raises(ValueError):
-        manifold_pgd(net, Sample(np.full(5, 0.9), 0), AttackConfig(), RngStream(1))
 
 
 def test_nearest_mode_returns_at_first_error():

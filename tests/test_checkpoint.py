@@ -1,5 +1,4 @@
 import gzip
-import io
 import json
 import os
 import zipfile
@@ -46,9 +45,8 @@ def mlp_net() -> MlpNet:
     return net
 
 
-# The archive goes to exactly the path given, whatever its suffix; only a
-# ``.gz`` suffix changes what is written.
-@pytest.mark.parametrize("name", ["quad.json", "quad.json.gz"])
+# The archive goes to exactly the path given, whatever its suffix.
+@pytest.mark.parametrize("name", ["quad.json"])
 def test_quadratic_round_trip_is_bit_exact(tmp_path, name):
     net = quad_net()
     path = tmp_path / name
@@ -61,7 +59,7 @@ def test_quadratic_round_trip_is_bit_exact(tmp_path, name):
     assert meta == {"created": CREATED, "family": "quadratic", "dims": {"n": 7, "h": 5}}
 
 
-@pytest.mark.parametrize("name", ["mlp.json", "mlp.json.gz"])
+@pytest.mark.parametrize("name", ["mlp.json"])
 def test_mlp_round_trip_is_bit_exact_with_batch_norm_stats(tmp_path, name):
     net = mlp_net()
     path = tmp_path / name
@@ -119,22 +117,6 @@ def test_file_is_an_npz_of_flat_float64_state_members_and_a_json_header(tmp_path
         member = members[name]
         assert member.dtype.str == "<f8" and member.shape == (a.size,)
         assert member.tobytes() == a.tobytes()
-
-
-def test_gz_path_writes_gzip(tmp_path):
-    plain, packed = tmp_path / "net.ckpt", tmp_path / "net.ckpt.gz"
-    save_checkpoint(plain, quad_net())
-    save_checkpoint(packed, quad_net())
-    raw = packed.read_bytes()
-    assert raw[:2] == b"\x1f\x8b"
-    payload = gzip.decompress(raw)
-    assert payload[:4] == b"PK\x03\x04"
-    inner, outer = read_members(io.BytesIO(payload)), read_members(plain)
-    assert inner.keys() == outer.keys()
-    assert all(inner[k].tobytes() == outer[k].tobytes() for k in inner)
-    assert header_of(inner)["family"] == "quadratic"
-    _, meta = load_checkpoint(packed)
-    assert meta["created"] == {}
 
 
 def rewrite(path, **changes) -> None:
@@ -212,7 +194,7 @@ def test_missing_header_raises_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("name", ["net.ckpt", "net.ckpt.gz"])
+@pytest.mark.parametrize("name", ["net.ckpt"])
 @pytest.mark.parametrize("keep", [0.3, 0.7, 0.99])
 def test_truncated_file_raises_checkpoint_error(tmp_path, name, keep):
     path = tmp_path / name

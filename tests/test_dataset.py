@@ -7,18 +7,10 @@ from spherelab.dataset import (
     _SPHERE_BLOCK,
     CacheTruncatedError,
     FixedDataset,
-    IdxBadMagicError,
-    IdxCountMismatchError,
-    IdxTruncatedError,
-    MnistSet,
     SphereConfig,
-    load_idx,
     make_training_set,
     sample_batch,
-    sample_sphere,
     sphere_points,
-    write_idx_images,
-    write_idx_labels,
 )
 from spherelab.rng import RngStream
 
@@ -34,13 +26,10 @@ def test_config_validation():
 
 def test_samples_land_on_a_shell():
     cfg = SphereConfig(n=20, seed=3)
-    stream = RngStream(cfg.seed).child(6)
-    for _ in range(50):
-        s = sample_sphere(cfg, stream)
-        r = np.linalg.norm(s.x)
-        target = 1.0 if s.label == 0 else cfg.R
-        assert abs(r - target) <= 1e-9
-        assert s.label in (0, 1)
+    xs, labels = sample_batch(cfg, RngStream(cfg.seed).child(6), 50, shell="both")
+    assert labels.dtype == np.uint8 and set(labels.tolist()) <= {0, 1}
+    target = np.where(labels == 0, 1.0, cfg.R)
+    assert np.abs(np.linalg.norm(xs, axis=1) - target).max() <= 1e-9
 
 
 def test_batch_samples_land_on_shells():
@@ -96,15 +85,6 @@ def test_fixed_shell_batch_is_sphere_points_and_draws_no_coin(shell):
     assert (s.raw(3) == ref_stream.raw(3)).all()  # no coin words were taken
 
 
-def test_sample_sphere_is_row_zero_of_a_one_sample_batch():
-    cfg = SphereConfig(n=9, seed=6)
-    a, b = RngStream(31), RngStream(31)
-    for _ in range(20):
-        s = sample_sphere(cfg, a)
-        xs, labels = sample_batch(cfg, b, 1)
-        assert s.x.tobytes() == xs[0].tobytes() and s.label == int(labels[0])
-
-
 def test_sample_batch_rejects_an_unknown_shell_or_count():
     cfg = SphereConfig(n=4)
     with pytest.raises(ValueError, match="shell must be"):
@@ -129,8 +109,7 @@ def test_training_set_size_and_shells():
     on_inner = np.abs(norms - 1.0) <= 1e-9
     on_outer = np.abs(norms - cfg.R) <= 1e-9
     assert (on_inner | on_outer).all()
-    s = ds[17]
-    assert s.label in (0, 1) and s.x.shape == (8,)
+    assert ds.xs.shape == (1000, 8) and set(ds.labels.tolist()) <= {0, 1}
 
 
 def test_class_balance_binomial():
@@ -202,69 +181,3 @@ def test_dataset_cache_header_promising_more_than_the_file(tmp_path, section, n,
     assert (exc.value.expected, exc.value.actual) == (expected, found)
     assert f"{section}: expected {expected} bytes, found {found}" in str(exc.value)
 
-
-# ---------------------------------------------------------------------------
-# IDX
-
-
-def _write_pair(tmp_path, images, labels):
-    ip = tmp_path / "imgs.idx"
-    lp = tmp_path / "labs.idx"
-    write_idx_images(ip, images)
-    write_idx_labels(lp, labels)
-    return ip, lp
-
-
-def test_idx_hand_built_fixture(tmp_path):
-    images = np.array(
-        [[[0, 51], [102, 255]], [[255, 0], [0, 128]]], dtype=np.uint8)
-    labels = np.array([3, 7], dtype=np.uint8)
-    ip, lp = _write_pair(tmp_path, images, labels)
-    ds = load_idx(ip, lp)
-    assert ds.images.shape == (2, 4)
-    np.testing.assert_allclose(
-        ds.images,
-        np.array([[0, 51, 102, 255], [255, 0, 0, 128]]) / 255.0)
-    assert list(ds.labels) == [3, 7]
-    assert (ds.rows, ds.cols) == (2, 2)
-
-
-def test_idx_bad_magic(tmp_path):
-    p = tmp_path / "bad.idx"
-    p.write_bytes(bytes.fromhex("DEADBEEF") + b"\x00" * 16)
-    lp = tmp_path / "labs.idx"
-    write_idx_labels(lp, np.zeros(1, dtype=np.uint8))
-    with pytest.raises(IdxBadMagicError) as exc:
-        load_idx(p, lp)
-    assert exc.value.offset == 0
-
-
-def test_idx_truncated_payload(tmp_path):
-    images = np.zeros((3, 2, 2), dtype=np.uint8)
-    ip, lp = _write_pair(tmp_path, images, np.zeros(3, dtype=np.uint8))
-    raw = ip.read_bytes()
-    ip.write_bytes(raw[:-5])
-    with pytest.raises(IdxTruncatedError):
-        load_idx(ip, lp)
-
-
-def test_idx_count_mismatch(tmp_path):
-    images = np.zeros((3, 2, 2), dtype=np.uint8)
-    ip, lp = _write_pair(tmp_path, images, np.zeros(4, dtype=np.uint8))
-    with pytest.raises(IdxCountMismatchError):
-        load_idx(ip, lp)
-
-
-def test_idx_round_trip_bit_identical(tmp_path):
-    stream = RngStream(31)
-    images = (stream.uniforms(5 * 4 * 3).reshape(5, 4, 3) * 256).astype(np.uint8)
-    labels = (stream.uniforms(5) * 10).astype(np.uint8)
-    ip, lp = _write_pair(tmp_path, images, labels)
-    first_i, first_l = ip.read_bytes(), lp.read_bytes()
-    ds = load_idx(ip, lp)
-    ip2 = tmp_path / "again.idx"
-    lp2 = tmp_path / "again-labels.idx"
-    write_idx_images(ip2, (ds.images * 255.0).round().astype(np.uint8).reshape(5, 4, 3))
-    write_idx_labels(lp2, ds.labels.astype(np.uint8))
-    assert ip2.read_bytes() == first_i
-    assert lp2.read_bytes() == first_l

@@ -7,16 +7,13 @@ from scipy.optimize import brentq
 from scipy.stats import f, norm
 
 from spherelab import geometry
-from spherelab.dataset import MnistSet, load_idx, write_idx_images, write_idx_labels
 from spherelab.geometry import (
     CapSpec,
     InfeasibleTargetError,
     bound_curve,
     clt_error_rate,
-    halfspace_stats,
     mc_cap_distance,
     minimal_subspace_fraction,
-    pca_halfspace,
     theorem_bound,
 )
 from spherelab.models import AlphaSpectrum
@@ -265,89 +262,3 @@ def test_exact_chord_rejects_a_cap_higher_than_the_pole(monkeypatch):
     with pytest.raises(ValueError, match=pattern):
         bound_curve(7, [1e-2, 1e-4], 10**4, RngStream(1))
 
-
-# ---------------------------------------------------------------------------
-# PCA halfspaces on synthetic IDX files
-
-
-def planted_idx_set(tmp_path, name, count, stream, rows=4, cols=5):
-    """IDX images spread along one planted pixel direction, loaded back.
-
-    The direction depends only on the image size; ``stream`` draws the
-    spread along it and the pixel noise.
-    """
-    dim = rows * cols
-    v = RngStream(40).normals(dim)
-    v /= np.linalg.norm(v)
-    spread = 40.0 * stream.normals(count)
-    noise = 3.0 * stream.normal_matrix(count, dim)
-    pixels = np.clip(np.rint(128.0 + spread[:, None] * v + noise), 0, 255)
-    images, labels = tmp_path / f"{name}-images", tmp_path / f"{name}-labels"
-    write_idx_images(images, pixels.astype(np.uint8).reshape(count, rows, cols))
-    write_idx_labels(labels, np.zeros(count, dtype=np.uint8))
-    return load_idx(images, labels), v
-
-
-def loop_threshold(proj, tail):
-    """Threshold putting ceil(tail N) points above it, ties moved inside."""
-    ordered = sorted((float(p) for p in proj), reverse=True)
-    m = math.ceil(tail * len(ordered))
-    b = ordered[m]
-    return math.nextafter(b, -math.inf) if ordered[m - 1] == b else b
-
-
-def loop_mean_distance(proj, b):
-    return math.fsum(max(b - float(p), 0.0) for p in proj) / len(proj)
-
-
-def test_pca_halfspace_follows_the_planted_direction_and_holds_the_tail(tmp_path):
-    tail = 0.05
-    train_set, planted = planted_idx_set(tmp_path, "train", 400, RngStream(41))
-    hs = pca_halfspace(train_set, tail)
-    centered = train_set.images - train_set.images.mean(axis=0)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    assert abs(hs.w @ vt[0]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(hs.w @ planted) > 0.999
-    assert hs.provenance["top_variance"] == pytest.approx(s[0] ** 2 / 399, rel=1e-10)
-    # Projections with the library's own product, so ties are exact.
-    proj = train_set.images @ hs.w
-    assert hs.b == loop_threshold(proj, tail)
-    assert sum(1 for p in proj if p > hs.b) == math.ceil(tail * 400)
-    # The kept orientation has the larger mean train distance.
-    flipped = -proj
-    assert loop_mean_distance(proj, hs.b) \
-        >= loop_mean_distance(flipped, loop_threshold(flipped, tail))
-
-
-def test_pca_halfspace_moves_a_tied_boundary_inside(tmp_path):
-    tail = 0.05
-    train_set, _ = planted_idx_set(tmp_path, "train", 400, RngStream(41))
-    m = math.ceil(tail * 400)
-    order = np.argsort(-(train_set.images @ pca_halfspace(train_set, tail).w))
-    images = train_set.images.copy()
-    images[order[m]] = images[order[m - 1]]  # the boundary value now repeats
-    tied = MnistSet(images=images, labels=train_set.labels, rows=4, cols=5)
-    hs = pca_halfspace(tied, tail)
-    proj = tied.images @ hs.w
-    ordered = np.sort(proj)[::-1]
-    assert ordered[m - 1] == ordered[m]
-    assert hs.b == loop_threshold(proj, tail) < ordered[m]
-    assert sum(1 for p in proj if p > hs.b) == m + 1
-
-
-def test_halfspace_stats_measure_and_mean_distance(tmp_path):
-    train_set, _ = planted_idx_set(tmp_path, "train", 400, RngStream(41))
-    test_set, _ = planted_idx_set(tmp_path, "test", 300, RngStream(43))
-    hs = pca_halfspace(train_set, 0.02)
-    stats = halfspace_stats(hs, test_set)
-    proj = test_set.images @ hs.w
-    inside = sum(1 for p in proj if p > hs.b)
-    assert 0 < inside < 300
-    assert stats.mu == inside / 300
-    assert stats.dmean == pytest.approx(loop_mean_distance(proj, hs.b), rel=1e-12)
-    assert np.array_equal(stats.distances, hs.distances(test_set.images))
-    assert (stats.n, stats.starts, stats.successes, stats.failures) == (20, 300, 300, 0)
-
-    narrow, _ = planted_idx_set(tmp_path, "narrow", 10, RngStream(45), rows=4, cols=4)
-    with pytest.raises(ValueError, match="dimension"):
-        halfspace_stats(hs, narrow)

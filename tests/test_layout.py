@@ -41,7 +41,7 @@ def public_functions(module: str) -> list[str]:
 
 
 @pytest.mark.parametrize("module", ["geometry", "checkpoint", "models", "attack", "training",
-                                    "dataset", "rng"])
+                                    "dataset", "rng", "linalg", "special"])
 def test_every_public_function_is_called_by_a_test(module):
     public = public_functions(module)
     assert public

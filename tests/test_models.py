@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import gradient_check, mean_loss
 
 from spherelab.linalg import singular_values
 from spherelab.models import (
@@ -10,9 +11,7 @@ from spherelab.models import (
     UnsupportedRegimeError,
     alpha_spectrum,
     classify,
-    gradient_check,
     is_perfect,
-    mean_loss,
     quad_perfect_init,
     sigmoid,
     sigmoid_ce_loss,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from spherelab.linalg import singular_values, top_principal_components
+from spherelab.linalg import singular_values
 from spherelab.rng import _NORMAL_BLOCK, RngStream, _shard_map, prefetch
 from spherelab.special import normal_cdf, normal_quantile
 
@@ -347,49 +347,8 @@ def test_singular_values_rejects_nonfinite():
         singular_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
-# ---------------------------------------------------------------------------
-# top_principal_components
-
-
-def test_pca_points_on_an_axis():
-    stream = RngStream(55)
-    xs = stream.normals(200)
-    data = np.zeros((200, 3))
-    data[:, 0] = xs
-    directions, variances = top_principal_components(data, 1)
-    assert abs(abs(directions[0, 0]) - 1.0) < 1e-10
-    assert np.linalg.norm(directions[0, 1:]) < 1e-10
-    assert variances[0] == pytest.approx(np.var(xs, ddof=1), rel=1e-10)
-
-
-def test_pca_isotropic_cloud_has_flat_spectrum():
-    data = RngStream(77).normal_matrix(10**5, 3)
-    _, variances = top_principal_components(data, 3)
-    assert variances.max() / variances.min() < 1.05
-
-
-def test_pca_recovers_anisotropic_variances():
-    stream = RngStream(99)
-    scales = np.array([2.0, 1.0, 0.5])
-    data = stream.normal_matrix(20000, 3) * scales
-    directions, variances = top_principal_components(data, 3)
-    np.testing.assert_allclose(variances, scales**2, rtol=0.05)
-    # Leading direction aligned with the widest axis.
-    assert abs(directions[0, 0]) > 0.99
-
-
-def test_pca_directions_orthonormal():
-    data = RngStream(101).normal_matrix(500, 8) * np.arange(1, 9)[::-1]
-    directions, variances = top_principal_components(data, 5)
-    gram = directions @ directions.T
-    np.testing.assert_allclose(np.diag(gram), np.ones(5), atol=1e-10)
-    off = gram - np.diag(np.diag(gram))
-    assert np.max(np.abs(off)) < 1e-8
-    assert all(a >= b for a, b in zip(variances, variances[1:]))
-
-
-def test_pca_validates_arguments():
-    with pytest.raises(ValueError):
-        top_principal_components(np.zeros((1, 3)), 1)
-    with pytest.raises(ValueError):
-        top_principal_components(np.zeros((10, 3)), 4)
+@pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 3))],
+                         ids=["1-d", "3-d", "empty"])
+def test_singular_values_rejects_what_is_not_a_nonempty_matrix(m):
+    with pytest.raises(ValueError, match="nonempty 2-D matrix"):
+        singular_values(m)

@@ -341,6 +341,8 @@ def test_metric_and_probe_cadences_must_be_positive():
     ("steps", 0, True), ("starts", 0, True), ("nearest_steps", 0, True),
     ("step_size", -1.0, True), ("step_size", 0.0, True),
     ("nearest_step_size", 0.0, True), ("nearest_step_size", float("nan"), True),
+    ("lr", 0.0, False), ("lr", -1e-4, False), ("lr", float("nan"), False),
+    ("lr", float("inf"), False),
 ])
 def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
         name, value, in_probe, tmp_path, opened_writers):
