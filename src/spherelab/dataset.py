@@ -8,7 +8,9 @@ exact for the uniform distribution on the shell.
 Every labelled draw goes through :func:`sample_batch`. With both shells
 in play a batch of ``count`` draws ``count`` label coins (one word each)
 first, then ``2n`` words of normals per point, so a fixed seed always
-materializes the same dataset. A fixed shell (``"inner"`` or ``"outer"``)
+materializes the same dataset: the same labels everywhere, and the same
+point bits for one numpy build on one CPU feature set (see
+:mod:`spherelab.rng`). A fixed shell (``"inner"`` or ``"outer"``)
 draws no coin: its words are the normals alone, exactly those of
 :func:`sphere_points`, and outer points are those points times R.
 """

@@ -142,10 +142,6 @@ class QuadraticNet:
             raise ValueError(f"input dim {X.shape[1]} != model dim {self.n}")
         return X
 
-    def logit(self, x: np.ndarray) -> float:
-        """Logit of a single point."""
-        return float(self.logits(np.atleast_2d(x))[0])
-
     def _pass(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Hidden activations H = X W1^T, S = sum(H^2) per row, and the logits."""
         H = X @ self.W1.T
@@ -416,7 +412,4 @@ class MlpNet:
         for i in range(len(self.hidden)):
             act = self._layer(i, act, "eval", False, keep_xhat=False)[0]
         return act @ self.w_out + float(self.b_out)
-
-    def logit(self, x: np.ndarray) -> float:
-        return float(self.logits(np.atleast_2d(x))[0])
 

@@ -2,8 +2,15 @@
 
 Every stochastic component of the library draws from an :class:`RngStream`.
 A stream is keyed by a ``(seed, stream_index)`` pair; distinct pairs select
-independent Philox-4x64 counter sequences, so substreams never overlap and
-a given stream replays bit-identically on every platform.
+independent Philox-4x64 counter sequences, so substreams never overlap.
+Raw words, uniforms and coins are the counter words, shifted and scaled
+exactly, and replay bit-identically on every platform. Normals do not:
+they go through numpy's ``log`` and ``cos``, which dispatch to SIMD code
+chosen by the numpy build and the CPU (on an AVX-512 host numpy's own
+``log`` differs from the C library's in the last bit on a few inputs per
+thousand). So normals, and with them shell points, initial weights and
+anything computed from those, are bit-identical for one numpy build on
+one CPU feature set; the metrics header of a training run records both.
 
 Uniform doubles are built from the generator's raw 64-bit words directly
 (top 53 bits), and normal draws use the Box-Muller cosine branch with a

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations
 
 import numpy as np
 
+import spherelab
 from spherelab import attack as attack_mod
 from spherelab.dataset import FixedDataset, SphereConfig, sample_batch
 from spherelab.models import (
@@ -49,7 +51,10 @@ from spherelab.rng import (
 )
 
 METRICS_SCHEMA = "spherelab-metrics/1"
-_EVAL_CHUNK = 4096
+_EVAL_CHUNK = 512  # points per keyed chunk of evaluate_error_rate
+# Outer-shell chunk i of evaluate_error_rate keys child 2i + 1, so it may
+# have 32767 chunks; the odd sample goes to the outer shell.
+_ERROR_SAMPLES_CAP = 2 * (_CHILD_BASE // 2 - 1) * _EVAL_CHUNK
 _ADAM_BLOCK = 32768  # elements per block of adam_step: 256 KiB of float64
 _ADAM_JOB = 4  # consecutive blocks per pool job of adam_step
 
@@ -193,7 +198,7 @@ class TrainConfig:
     alpha_every: int = 0  # 0 skips in-training spectrum checks
     stop_on_perfect: bool = False
     probe: ProbeConfig | None = None
-    metrics_path: str | None = None
+    metrics_path: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
         if self.steps < 0:
@@ -208,6 +213,9 @@ class TrainConfig:
             raise ValueError("eval_batch must be >= 1")
         if self.error_eval_samples < 0:
             raise ValueError("error_eval_samples must be >= 0 (0 skips the estimate)")
+        if self.error_eval_samples > _ERROR_SAMPLES_CAP:
+            raise ValueError(f"error_eval_samples must be <= {_ERROR_SAMPLES_CAP}, "
+                             f"the samples evaluate_error_rate can key")
         if self.alpha_every < 0:
             raise ValueError("alpha_every must be >= 0 (0 skips the checks)")
         if self.stop_on_perfect and self.alpha_every <= 0:
@@ -253,7 +261,8 @@ class ErrorRateEstimate:
 
     With zero observed errors the bound is the rule of three (3/samples),
     a statistical upper bound rather than a point estimate; otherwise it
-    is the normal-approximation upper confidence limit.
+    is the normal-approximation upper confidence limit. Either is clipped
+    at 1, which a rate cannot exceed.
     """
 
     samples: int
@@ -271,16 +280,16 @@ class ErrorRateEstimate:
     @property
     def upper95(self) -> float:
         if self.errors == 0:
-            return 3.0 / self.samples
+            return min(1.0, 3.0 / self.samples)
         r = self.rate
-        return r + 1.645 * np.sqrt(r * (1.0 - r) / self.samples)
+        return min(1.0, r + 1.645 * np.sqrt(r * (1.0 - r) / self.samples))
 
 
 def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
                         stream: RngStream) -> ErrorRateEstimate:
     """Misclassification counts over half-inner half-outer shell samples.
 
-    Each chunk of 4096 points is one :func:`spherelab.dataset.sample_batch`
+    Each chunk of 512 points is one :func:`spherelab.dataset.sample_batch`
     on a fixed shell, keyed by ``stream.child(2 * chunk + shell)`` (shell 0
     inner, 1 outer); it counts the points whose
     :func:`spherelab.models.classify` label differs from their shell. The
@@ -289,10 +298,18 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
     the same totals in any order, so the result does not depend on the
     pool size. Jobs call ``model.logits`` concurrently, so it must not
     mutate the model (it does not for either family: ``MlpNet.logits``
-    uses the running statistics without updating them).
+    uses the running statistics without updating them). A job holds one
+    chunk's points and activations, so the memory of a call grows with
+    the pool size, not with ``samples``.
+
+    The last child index caps ``samples`` at 33,553,408; more raises
+    ``ValueError`` before any chunk runs.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > _ERROR_SAMPLES_CAP:
+        raise ValueError(f"{samples} samples need outer chunks past the last child index; "
+                         f"the cap is {_ERROR_SAMPLES_CAP} samples")
     inner_total = samples // 2
     jobs = [(2 * i + outer, min(_EVAL_CHUNK, total - done))
             for outer, total in ((0, inner_total), (1, samples - inner_total))
@@ -349,6 +366,26 @@ def _check_schedule(cfg: TrainConfig) -> None:
             f"{cfg.alpha_every}, probe every={probe[0] if probe else None} key up to "
             f"{records} records by child(k) and {probes} probes by child(1 + k), past the "
             f"last child index {_CHILD_BASE - 2}")
+
+
+def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
+    """The metrics header: versions, numpy's SIMD extensions and both configs.
+
+    Normals are bit-identical only for one numpy build on one CPU feature
+    set (see :mod:`spherelab.rng`), so the header names both. A fixed
+    dataset is written as its size and config, the probe config as a dict
+    and the metrics path as a string.
+    """
+    train_cfg = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    train_cfg["metrics_path"] = os.fspath(cfg.metrics_path)
+    if cfg.dataset is not None:
+        train_cfg["dataset"] = {"N": cfg.dataset.N, "config": asdict(cfg.dataset.config)}
+    if cfg.probe is not None:
+        train_cfg["probe"] = asdict(cfg.probe)
+    return {"seed": cfg.seed, "steps": cfg.steps,
+            "spherelab_version": spherelab.__version__, "numpy_version": np.__version__,
+            "numpy_simd_found": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
+            "sphere": asdict(sphere), "train": train_cfg}
 
 
 def _minibatches(cfg: TrainConfig, sphere: SphereConfig, stream: RngStream):
@@ -448,7 +485,7 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     abort_reason = None
     completed = 0
     batches = _minibatches(cfg, sphere, data_stream)
-    writer = MetricsWriter(cfg.metrics_path, {"seed": cfg.seed, "steps": cfg.steps}) \
+    writer = MetricsWriter(cfg.metrics_path, _manifest(cfg, sphere)) \
         if cfg.metrics_path else None
     try:
         alpha0 = _alpha_violations(model, sphere) if cfg.alpha_every > 0 else None

@@ -137,7 +137,7 @@ def test_worst_mode_runs_full_budget_and_tracks_max_loss():
     for r in results:
         assert r.x_adv is not None
         # Best-loss iterate is at least as lossy as the start.
-        start_logit = net.logit(r.x_start)
+        start_logit = float(net.logits(r.x_start[None])[0])
         y = 0.0 if abs(np.linalg.norm(r.x_start) - 1.0) < 1e-6 else 1.0
         from spherelab.models import sigmoid_ce_loss
         assert r.final_loss >= sigmoid_ce_loss(start_logit, y) - 1e-12

@@ -39,12 +39,12 @@ def solve_perfect_targets(R=1.3, p_inner=0.0016, p_outer=0.9994):
 
 def test_quad_logit_boundary_point():
     net = QuadraticNet(np.eye(2), 1.0, -1.0)
-    assert net.logit(np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-15)
+    assert float(net.logits(np.array([1.0, 0.0])[None])[0]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_quad_logit_hand_arithmetic():
     net = QuadraticNet(np.diag([2.0, 1.0]), 1.0, -1.0)
-    assert net.logit(np.array([1.0, 0.0])) == pytest.approx(3.0, abs=1e-15)
+    assert float(net.logits(np.array([1.0, 0.0])[None])[0]) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_quad_logit_dimension_mismatch():
@@ -64,7 +64,7 @@ def test_quad_logit_matches_rotated_alpha_form():
         x = stream.normals(6)
         z = vt @ x
         expected = (-float(net.b)) * (np.sum(spec.alphas * z * z) - 1.0)
-        assert net.logit(x) == pytest.approx(expected, rel=1e-8)
+        assert float(net.logits(x[None])[0]) == pytest.approx(expected, rel=1e-8)
 
 
 def test_quad_logit_permutation_invariance_for_isotropic_w1():
@@ -73,7 +73,8 @@ def test_quad_logit_permutation_invariance_for_isotropic_w1():
     net = QuadraticNet(w1, 1.2, -2.0)
     x = RngStream(23).normals(5)
     perm = np.array([3, 1, 4, 0, 2])
-    assert net.logit(x[perm]) == pytest.approx(net.logit(x), rel=1e-12)
+    logit, permuted = net.logits(np.stack([x, x[perm]]))
+    assert permuted == pytest.approx(logit, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ def test_decision_region_empty_iff_alphas_below_one():
             for sign in (1.0, -1.0):
                 e = np.zeros(3)
                 e[i] = sign
-                axis_hits.append(net.logit(e) > 0)
+                axis_hits.append(float(net.logits(e[None])[0]) > 0)
         assert any(axis_hits) == (max(alphas) > 1.0)
 
 
@@ -173,14 +174,14 @@ def test_perfect_init_inner_probability():
     for _ in range(10):
         x = stream.normals(20)
         x /= np.linalg.norm(x)
-        assert sigmoid(np.array(net.logit(x))) == pytest.approx(0.0016, abs=1e-6)
+        assert sigmoid(net.logits(x[None]))[0] == pytest.approx(0.0016, abs=1e-6)
 
 
 def test_perfect_init_outer_probability():
     net = quad_perfect_init(20, 30)
     x = RngStream(6).normals(20)
     x *= R / np.linalg.norm(x)
-    assert sigmoid(np.array(net.logit(x))) == pytest.approx(0.9994, abs=1e-6)
+    assert sigmoid(net.logits(x[None]))[0] == pytest.approx(0.9994, abs=1e-6)
 
 
 def test_perfect_init_is_perfect():
@@ -420,7 +421,7 @@ def test_input_grad_matches_finite_differences():
                     lu = net.logits(up[i:i + 1])[0]
                     ld = net.logits(down[i:i + 1])[0]
                 else:
-                    lu = net.logit(up[i])
-                    ld = net.logit(down[i])
+                    lu = float(net.logits(up[i][None])[0])
+                    ld = float(net.logits(down[i][None])[0])
                 num = (sigmoid_ce_loss(lu, y[i]) - sigmoid_ce_loss(ld, y[i])) / (2 * eps)
                 assert grad[i, j] == pytest.approx(num, rel=1e-4, abs=1e-9)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+import spherelab
 from spherelab import training
 from spherelab.attack import AttackConfig, estimate_mean_distance
 from spherelab.training import _ADAM_BLOCK, _ADAM_JOB
@@ -343,6 +344,7 @@ def test_metric_and_probe_cadences_must_be_positive():
     ("nearest_step_size", 0.0, True), ("nearest_step_size", float("nan"), True),
     ("lr", 0.0, False), ("lr", -1e-4, False), ("lr", float("nan"), False),
     ("lr", float("inf"), False),
+    ("error_eval_samples", training._ERROR_SAMPLES_CAP + 1, False),
 ])
 def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
         name, value, in_probe, tmp_path, opened_writers):
@@ -443,6 +445,29 @@ def test_metrics_file_schema_and_records(tmp_path):
     assert header["schema"] == "spherelab-metrics/1"
     records = [json.loads(line) for line in lines[1:]]
     assert [r["step"] for r in records] == [0, 3, 6]
+
+
+def test_metrics_header_records_versions_simd_and_both_configs(tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    sphere = SphereConfig(n=10, R=1.4, seed=21)
+    probe = ProbeConfig(every=2, starts=2, steps=3)
+    cfg = TrainConfig(steps=2, batch_size=4, seed=21, metric_every=2, error_eval_samples=10,
+                      dataset=make_training_set(sphere, 16), probe=probe, metrics_path=path)
+    train(small_quad(seed=21), cfg, sphere)
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["schema"] == METRICS_SCHEMA
+    assert header["spherelab_version"] == spherelab.__version__
+    assert header["numpy_version"] == np.__version__
+    assert header["numpy_simd_found"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    sphere_dict = {"n": 10, "R": 1.4, "seed": 21}
+    assert header["sphere"] == sphere_dict
+    assert header["train"] == {
+        "steps": 2, "batch_size": 4, "lr": 1e-4, "seed": 21,
+        "dataset": {"N": 16, "config": sphere_dict}, "metric_every": 2, "eval_batch": 1000,
+        "error_eval_samples": 10, "alpha_every": 0, "stop_on_perfect": False,
+        "probe": {"every": 2, "starts": 2, "steps": 3, "step_size": 0.01, "nearest": False,
+                  "nearest_steps": 1000, "nearest_step_size": 0.001},
+        "metrics_path": str(path)}
 
 
 @pytest.fixture
@@ -721,9 +746,9 @@ def test_error_rate_chunking_invariance():
 
 
 def test_error_rate_counts_equal_a_serial_loop_over_the_child_layout():
-    # 3 inner and 3 outer chunks of 4096, the last ones partial, and an odd
+    # 3 inner and 3 outer chunks of 512, the last ones partial, and an odd
     # total: the outer shell gets the extra sample.
-    samples = 2 * (2 * 4096 + 1000) + 1
+    samples = 2 * (2 * 512 + 100) + 1
     net = small_quad(seed=17)
     unit = RngStream(1).normal_matrix(999, 10)
     unit /= np.linalg.norm(unit, axis=1, keepdims=True)
@@ -733,8 +758,8 @@ def test_error_rate_counts_equal_a_serial_loop_over_the_child_layout():
     expected = []
     for shell, total, radius in ((0, samples // 2, 1.0), (1, samples - samples // 2, sphere.R)):
         errors = 0
-        for chunk, start in enumerate(range(0, total, 4096)):
-            count = min(4096, total - start)
+        for chunk, start in enumerate(range(0, total, 512)):
+            count = min(512, total - start)
             z = stream.child(2 * chunk + shell).normals(count * sphere.n)
             z = z.reshape(count, sphere.n)
             z = radius * (z / np.sqrt((z * z).sum(axis=1))[:, None])
@@ -745,6 +770,47 @@ def test_error_rate_counts_equal_a_serial_loop_over_the_child_layout():
     assert 0 < expected[0] < samples // 2 and 0 < expected[1] < samples // 2
     assert (est.errors_inner, est.errors_outer) == tuple(expected)
     assert est.samples == samples
+
+
+def test_error_rate_holds_one_chunk_per_running_job(monkeypatch, traced_peak):
+    # n = 500, h = 1000: a 512-row chunk's points and activations are 6 MB,
+    # where a 4096-row chunk's were 49 MB.
+    monkeypatch.setattr(training, "_shard_map", lambda fn, jobs: [fn(job) for job in jobs])
+    net = QuadraticNet.init_random(500, 1000, RngStream(19))
+    peak = traced_peak(evaluate_error_rate, net, SphereConfig(n=500), 20_000, RngStream(19))
+    assert peak < 12 * 10**6
+
+
+def test_error_rate_cap_keys_the_last_child_and_more_raises_before_any_job(monkeypatch):
+    cap = training._ERROR_SAMPLES_CAP
+    assert cap == 33_553_408
+    queued = []
+
+    def record(fn, jobs):
+        queued.extend(jobs)
+        return [0] * len(jobs)
+
+    monkeypatch.setattr(training, "_shard_map", record)
+    est = evaluate_error_rate(small_quad(), SphereConfig(n=10), cap, RngStream(20))
+    assert est.errors == 0
+    # Outer chunk 32766 is full and takes child 65533; one more sample would
+    # open outer chunk 32767 on child 65535, past the last index 65534.
+    assert max(queued) == (65533, 512)
+
+    def refuse(fn, jobs):
+        raise AssertionError("a job was queued")
+
+    monkeypatch.setattr(training, "_shard_map", refuse)
+    with pytest.raises(ValueError, match=f"the cap is {cap} samples"):
+        evaluate_error_rate(small_quad(), SphereConfig(n=10), cap + 1, RngStream(20))
+
+
+@pytest.mark.parametrize("samples,errors,upper", [
+    (100, 99, 1.0), (10, 9, 1.0), (2, 0, 1.0),  # 1.00637, 1.05606 and 1.5 unclipped
+    (100, 5, 0.05 + 1.645 * np.sqrt(0.05 * 0.95 / 100)),
+])
+def test_error_upper95_is_clipped_at_one(samples, errors, upper):
+    assert training.ErrorRateEstimate(samples, errors - errors // 2, errors // 2).upper95 == upper
 
 
 def test_concurrent_error_rate_calls_share_the_pool_and_agree():
