@@ -10,4 +10,4 @@ from spherelab.rng import RngStream
 from spherelab.special import normal_cdf, normal_quantile
 from spherelab.linalg import singular_values
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

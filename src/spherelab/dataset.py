@@ -7,12 +7,12 @@ exact for the uniform distribution on the shell.
 
 Every labelled draw goes through :func:`sample_batch`. With both shells
 in play a batch of ``count`` draws ``count`` label coins (one word each)
-first, then ``2n`` words of normals per point, so a fixed seed always
+first, then the ``count * n`` normals of its points (about 1.02 words
+each, a variable number; see :mod:`spherelab.rng`), so a fixed seed always
 materializes the same dataset: the same labels everywhere, and the same
-point bits for one numpy build on one CPU feature set (see
-:mod:`spherelab.rng`). A fixed shell (``"inner"`` or ``"outer"``)
-draws no coin: its words are the normals alone, exactly those of
-:func:`sphere_points`, and outer points are those points times R.
+point bits for one numpy version. A fixed shell (``"inner"`` or
+``"outer"``) draws no coin: its words are the normals alone, exactly
+those of :func:`sphere_points`, and outer points are those points times R.
 """
 
 from __future__ import annotations

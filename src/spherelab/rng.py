@@ -4,22 +4,22 @@ Every stochastic component of the library draws from an :class:`RngStream`.
 A stream is keyed by a ``(seed, stream_index)`` pair; distinct pairs select
 independent Philox-4x64 counter sequences, so substreams never overlap.
 Raw words, uniforms and coins are the counter words, shifted and scaled
-exactly, and replay bit-identically on every platform. Normals do not:
-they go through numpy's ``log`` and ``cos``, which dispatch to SIMD code
-chosen by the numpy build and the CPU (on an AVX-512 host numpy's own
-``log`` differs from the C library's in the last bit on a few inputs per
-thousand). So normals, and with them shell points, initial weights and
-anything computed from those, are bit-identical for one numpy build on
-one CPU feature set; the metrics header of a training run records both.
+exactly (a uniform is the top 53 bits of one word), and replay
+bit-identically wherever numpy's Philox does.
 
-Uniform doubles are built from the generator's raw 64-bit words directly
-(top 53 bits), and normal draws use the Box-Muller cosine branch with a
-fixed two-words-per-draw layout. Nothing depends on how draws are chunked
-across calls: ``normals(3)`` followed by ``normals(2)`` yields the same
-five values as ``normals(5)``. Within one call the normals are computed in
-fixed blocks of draws, so the working arrays stay cache-sized; each block
-runs the same word layout and arithmetic as one whole-array pass would, so
-the bits do not depend on the block size.
+Normals are numpy's ziggurat (``Generator.standard_normal``) run over the
+stream's own Philox, so they and the raw words are consumed from one
+counter sequence, in call order. A draw takes a variable number of words
+(about 1.02 on average: one, plus more on the rare draws that land in the
+wedges or the tail), and the tails are not truncated. The ziggurat keeps
+no state outside the Philox counter, so nothing depends on how draws are
+chunked across calls: ``normals(3)`` followed by ``normals(2)`` yields the
+same five values as ``normals(5)``. Under NEP 19 numpy may change the
+algorithms behind ``Generator`` between versions, so normals, and with
+them shell points, initial weights and anything computed from those, are
+bit-identical for one numpy version; they have been checked on one numpy
+build on one CPU feature set only. The metrics header of a training run
+records the numpy version and its SIMD extensions.
 
 Monte Carlo loops whose chunks are keyed by substreams (error rates and
 cap distances), attacks of more than one block of starts and Adam updates
@@ -59,7 +59,6 @@ from numpy.random import Philox
 _U64 = np.uint64
 _INV_2_53 = 2.0**-53
 _CHILD_BASE = 65536  # children pack into base-65536 digits of the stream index
-_NORMAL_BLOCK = 16384  # draws per block: 256 KiB of Philox words
 
 # Registry constants (see module docstring).
 CHILD_DATASET = 1
@@ -88,6 +87,7 @@ class RngStream:
         self.seed = int(seed)
         self.stream = int(stream)
         self._bits = Philox(key=np.array([self.seed, self.stream], dtype=_U64))
+        self._normals = np.random.Generator(self._bits)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
@@ -119,33 +119,13 @@ class RngStream:
         return self.uniforms(count) < 0.5
 
     def normals(self, count: int) -> np.ndarray:
-        """Standard normal draws via the Box-Muller cosine branch.
+        """Standard normal draws: numpy's ziggurat over this stream's Philox.
 
-        Draw ``i`` consumes words ``2i`` and ``2i + 1``: the first maps to
-        u1 in (0, 1] (shifted so the log never sees zero), the second to
-        u2 in [0, 1). The value is sqrt(-2 ln u1) * cos(2 pi u2). The sine
-        twin is discarded to keep consumption chunk-invariant. The (0, 1]
-        shift truncates the tails at about 8.57 sigma, an event of
-        probability ~1e-17 per draw.
+        The draws consume the stream's words in sequence with :meth:`raw`,
+        a variable number per draw, so a stream replays the same values
+        for any split of its draws across calls. No tail is truncated.
         """
-        out = np.empty(count)
-        u1 = np.empty(min(count, _NORMAL_BLOCK))
-        u2 = np.empty_like(u1)
-        for start in range(0, count, _NORMAL_BLOCK):
-            size = min(_NORMAL_BLOCK, count - start)
-            a, b = u1[:size], u2[:size]
-            words = self.raw(2 * size)
-            words >>= _U64(11)
-            words[0::2] += _U64(1)
-            np.multiply(words[0::2], _INV_2_53, out=a)
-            np.multiply(words[1::2], _INV_2_53, out=b)
-            np.log(a, out=a)
-            a *= -2.0
-            np.sqrt(a, out=a)
-            b *= 2.0 * np.pi
-            np.cos(b, out=b)
-            np.multiply(a, b, out=out[start:start + size])
-        return out
+        return self._normals.standard_normal(count)
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Convenience: ``rows * cols`` normal draws reshaped row-major."""
@@ -172,24 +152,30 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _pool_for(caller: str) -> ThreadPoolExecutor:
-    """The process-wide pool, created on first use; refused inside a pool job.
+def pool_workers() -> int:
+    """Worker count of the process-wide pool.
 
-    The pool has one worker per CPU in this process's affinity mask (the
-    CPU count where the platform has no mask). A job waiting on jobs
-    queued behind it could deadlock the pool, so a call from a job raises
-    ``RuntimeError``.
+    One worker per CPU in this process's affinity mask (the CPU count
+    where the platform has no mask).
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool_for(caller: str) -> ThreadPoolExecutor:
+    """The process-wide pool of :func:`pool_workers` threads, created on first use.
+
+    A job waiting on jobs queued behind it could deadlock the pool, so a
+    call from a job raises ``RuntimeError``.
     """
     global _pool
     if getattr(_worker, "active", False):
         raise RuntimeError(f"{caller} called from inside a sharded job")
     with _pool_lock:
         if _pool is None:
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:
-                workers = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(max_workers=workers, initializer=_mark_worker,
+            _pool = ThreadPoolExecutor(max_workers=pool_workers(), initializer=_mark_worker,
                                        thread_name_prefix="spherelab-shard")
         return _pool
 

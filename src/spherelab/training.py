@@ -47,6 +47,7 @@ from spherelab.rng import (
     RngStream,
     _CHILD_BASE,
     _shard_map,
+    pool_workers,
     prefetch,
 )
 
@@ -369,10 +370,12 @@ def _check_schedule(cfg: TrainConfig) -> None:
 
 
 def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
-    """The metrics header: versions, numpy's SIMD extensions and both configs.
+    """The metrics header: versions, BLAS, pool size and both configs.
 
-    Normals are bit-identical only for one numpy build on one CPU feature
-    set (see :mod:`spherelab.rng`), so the header names both. A fixed
+    Normals are bit-identical only for one numpy version (see
+    :mod:`spherelab.rng`), so the header names it, with the SIMD
+    extensions numpy found on this CPU. It also names the BLAS numpy was
+    built against and the worker count of the shared pool. A fixed
     dataset is written as its size and config, the probe config as a dict
     and the metrics path as a string.
     """
@@ -382,9 +385,13 @@ def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
         train_cfg["dataset"] = {"N": cfg.dataset.N, "config": asdict(cfg.dataset.config)}
     if cfg.probe is not None:
         train_cfg["probe"] = asdict(cfg.probe)
+    numpy_config = np.show_config(mode="dicts")
+    blas = numpy_config["Build Dependencies"]["blas"]
     return {"seed": cfg.seed, "steps": cfg.steps,
             "spherelab_version": spherelab.__version__, "numpy_version": np.__version__,
-            "numpy_simd_found": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
+            "numpy_simd_found": numpy_config["SIMD Extensions"]["found"],
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "pool_workers": pool_workers(),
             "sphere": asdict(sphere), "train": train_cfg}
 
 

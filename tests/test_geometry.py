@@ -47,8 +47,11 @@ def test_clt_error_rate_keeps_deep_tails():
 
 def test_clt_error_rate_tails_of_one_statistic_sum_to_one():
     # With R = 1 both shells see the same X, so the two rates are its two
-    # tails; alphas near 1 put both near one half.
-    alphas = 1.0 + 0.01 * RngStream(31).normals(500)
+    # tails. Standardised draws plus an offset of 0.02 give
+    # z = 500 * 0.02 / sqrt(2 * 500 * (1 + 0.02**2)) ~ 0.32 for any stream,
+    # so both rates are near one half.
+    u = RngStream(31).normals(500)
+    alphas = 1.0 + 0.01 * ((u - u.mean()) / u.std() + 0.02)
     spec = AlphaSpectrum(alphas, 1.0)
     inner = clt_error_rate(spec, "inner")
     outer = clt_error_rate(spec, "outer")

@@ -6,10 +6,11 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate
+from numpy.random import Generator, Philox
+from scipy import integrate, stats
 
 from spherelab.linalg import singular_values
-from spherelab.rng import _NORMAL_BLOCK, RngStream, _shard_map, prefetch
+from spherelab.rng import RngStream, _shard_map, prefetch
 from spherelab.special import normal_cdf, normal_quantile
 
 
@@ -151,23 +152,46 @@ def test_chunking_does_not_change_the_stream():
     assert (u == RngStream(9).uniforms(8)).all()
 
 
-def reference_normals(seed: int, stream: int, count: int) -> np.ndarray:
-    """Box-Muller cosine branch over all words at once, from raw words."""
-    words = RngStream(seed, stream).raw(2 * count).reshape(count, 2)
-    u1 = ((words[:, 0] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    u2 = (words[:, 1] >> np.uint64(11)) * 2.0**-53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+def philox(seed: int, stream: int) -> Philox:
+    return Philox(key=np.array([seed, stream], dtype=np.uint64))
 
 
-@pytest.mark.parametrize("count", [1, _NORMAL_BLOCK - 1, _NORMAL_BLOCK,
-                                   _NORMAL_BLOCK + 1, 3 * _NORMAL_BLOCK + 5])
-def test_blocked_normals_equal_a_whole_array_reference(count):
+@pytest.mark.parametrize("count", [1, 16383, 49157])
+def test_normals_are_numpys_ziggurat_over_the_stream_philox(count):
     s = RngStream(20180108, 5)
     z = s.normals(count)
     assert z.dtype == np.float64 and z.shape == (count,)
-    assert z.tobytes() == reference_normals(20180108, 5, count).tobytes()
-    # The call consumed exactly 2 * count words.
-    assert (s.raw(3) == RngStream(20180108, 5).raw(2 * count + 3)[-3:]).all()
+    bits = philox(20180108, 5)
+    assert z.tobytes() == Generator(bits).standard_normal(count).tobytes()
+    # The call consumed exactly the words of the reference draws.
+    assert (s.raw(3) == bits.random_raw(3)).all()
+
+
+def test_normals_follow_the_standard_normal_distribution():
+    s = RngStream(20180108, 6)
+    assert stats.kstest(s.normals(10**6), stats.norm.cdf).pvalue > 1e-3
+    # Tails: |z| > 4 has probability 2 Phi(-4); count it in 10^7 draws.
+    draws, p = 10**7, 2.0 * stats.norm.cdf(-4.0)
+    tail = sum(int((np.abs(s.normals(10**6)) > 4.0).sum()) for _ in range(draws // 10**6))
+    assert abs(tail - draws * p) <= 6.0 * math.sqrt(draws * p * (1.0 - p))
+
+
+def draw_interleaved(raw, uniforms, normals) -> list[np.ndarray]:
+    return [raw(5), normals(3), uniforms(4), normals(16385), raw(2), uniforms(1), normals(1)]
+
+
+def test_interleaved_raw_uniform_and_normal_draws_replay_in_order():
+    s = RngStream(7, 2)
+    drawn = draw_interleaved(s.raw, s.uniforms, s.normals)
+    again = RngStream(7, 2)
+    for a, b in zip(drawn, draw_interleaved(again.raw, again.uniforms, again.normals)):
+        assert a.tobytes() == b.tobytes()
+    # One Philox serves all three kinds, in call order; a uniform is the
+    # generator's own double (the top 53 bits of one word).
+    bits = philox(7, 2)
+    gen = Generator(bits)
+    for a, b in zip(drawn, draw_interleaved(bits.random_raw, gen.random, gen.standard_normal)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_normals_of_zero_draws_consume_nothing():

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 import spherelab
-from spherelab import training
+from spherelab import rng, training
 from spherelab.attack import AttackConfig, estimate_mean_distance
 from spherelab.training import _ADAM_BLOCK, _ADAM_JOB
 from spherelab.dataset import SphereConfig, make_training_set
 from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init
-from spherelab.rng import CHILD_MINIBATCH, CHILD_NEAREST_PROBE, RngStream
+from spherelab.rng import CHILD_MINIBATCH, CHILD_NEAREST_PROBE, RngStream, pool_workers
 from spherelab.training import (
     METRICS_SCHEMA,
     AdamState,
@@ -458,7 +458,13 @@ def test_metrics_header_records_versions_simd_and_both_configs(tmp_path):
     assert header["schema"] == METRICS_SCHEMA
     assert header["spherelab_version"] == spherelab.__version__
     assert header["numpy_version"] == np.__version__
-    assert header["numpy_simd_found"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    numpy_config = np.show_config(mode="dicts")
+    assert header["numpy_simd_found"] == numpy_config["SIMD Extensions"]["found"]
+    blas = numpy_config["Build Dependencies"]["blas"]
+    assert header["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert all(isinstance(v, str) and v for v in header["blas"].values())
+    # The pool that train() used has the worker count the header names.
+    assert header["pool_workers"] == pool_workers() == rng._pool._max_workers
     sphere_dict = {"n": 10, "R": 1.4, "seed": 21}
     assert header["sphere"] == sphere_dict
     assert header["train"] == {
