@@ -34,6 +34,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +72,9 @@ class AttackConfig:
             raise ValueError(f"mode must be 'nearest' or 'worst', got {self.mode!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError("step size must be positive")
+        if self.step_size is not None and not (math.isfinite(self.step_size)
+                                               and self.step_size > 0):
+            raise ValueError(f"step size must be finite and > 0, got {self.step_size!r}")
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
 
@@ -99,13 +101,11 @@ class AttackResult:
 
 @dataclass
 class ErrorSetStats:
-    """Paired error-measure / adversarial-distance measurements."""
+    """Nearest-error distances over the starts of one attack."""
 
-    mu: float
     dmean: float
     failures: int
     n: int
-    model_tag: str
     starts: int = 0
     successes: int = 0
     all_failed: bool = False
@@ -244,9 +244,7 @@ def run_attack(model, sphere: SphereConfig, cfg: AttackConfig, stream: RngStream
 
 
 def estimate_mean_distance(model, sphere: SphereConfig, cfg: AttackConfig,
-                           stream: RngStream, shell: str = "inner",
-                           mu: float = float("nan"),
-                           model_tag: str = "") -> ErrorSetStats:
+                           stream: RngStream, shell: str = "inner") -> ErrorSetStats:
     """Mean nearest-error distance over successful attack starts.
 
     Failures are counted separately and never folded into the mean; when
@@ -259,11 +257,9 @@ def estimate_mean_distance(model, sphere: SphereConfig, cfg: AttackConfig,
     failures = sum(1 for r in results if not r.found)
     all_failed = failures == len(results)
     return ErrorSetStats(
-        mu=mu,
         dmean=float(distances.mean()) if distances.size else float("nan"),
         failures=failures,
         n=sphere.n,
-        model_tag=model_tag or type(model).__name__,
         starts=cfg.starts,
         successes=int(distances.size),
         all_failed=all_failed,

@@ -33,18 +33,18 @@ and from one stream, so the words drawn are those of a serial loop.
 
 Stream-index registry (children of a root stream, see :meth:`RngStream.child`):
 
-====== =================================
+====== ==================================================================
 child  purpose
-====== =================================
-1      fixed training-set materialization
-2      online training minibatches
+====== ==================================================================
+1      fixed training set (a child of the sphere seed, not the run seed)
+2      training minibatches (online draws or fixed-set indices)
 3      model initialization
 4      fresh evaluation samples
 5      error-rate Monte Carlo
 6      attack starts and saddle jitter
 7      in-training probe starts (child 0) and worst-mode probes
 8      in-training nearest-mode probes
-====== =================================
+====== ==================================================================
 """
 
 from __future__ import annotations

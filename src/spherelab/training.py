@@ -2,7 +2,10 @@
 
 The loop is deterministic per seed: minibatches, fresh evaluation samples,
 error-rate Monte Carlo, and attack probes all draw from fixed substreams
-of the run seed (see the registry in :mod:`spherelab.rng`). Metrics are
+of the run seed (see the registry in :mod:`spherelab.rng`). A fixed
+training set of N points is the first N draws of the dataset child of
+the sphere seed, not of the run seed, so runs with the same sphere and N
+train on the same points, whatever their ``TrainConfig.seed``. Metrics are
 emitted at a configured cadence as step-keyed records; a metrics file is
 JSON lines with a schema header. Record k (from 0) takes ``child(k)`` of
 the eval and error-MC streams; probe event k takes ``child(1 + k)`` of the
@@ -35,10 +38,11 @@ import numpy as np
 
 import spherelab
 from spherelab import attack as attack_mod
-from spherelab.dataset import FixedDataset, SphereConfig, sample_batch
+from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import (
     MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, sigmoid_ce_loss)
 from spherelab.rng import (
+    CHILD_DATASET,
     CHILD_ERROR_MC,
     CHILD_EVAL,
     CHILD_MINIBATCH,
@@ -180,19 +184,27 @@ class ProbeConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"probe {name} must be >= 1, got {getattr(self, name)}")
         for name in ("step_size", "nearest_step_size"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"probe {name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"probe {name} must be finite and > 0, got {value!r}")
 
 
 @dataclass
 class TrainConfig:
-    """Optimization budget, data source, and metric cadences."""
+    """Optimization budget, data source, and metric cadences.
+
+    ``train_set_size`` 0 trains on fresh online batches. N > 0 trains on a
+    fixed set of N points, the first N draws of
+    ``RngStream(sphere.seed).child(CHILD_DATASET)``, sampled with
+    replacement: runs with the same sphere and N train on the same
+    points, whatever their ``seed``.
+    """
 
     steps: int
     batch_size: int = 50
     lr: float = 1e-4
     seed: int = 0
-    dataset: FixedDataset | None = None  # None means online (fresh iid batches)
+    train_set_size: int = 0  # 0 means online (fresh iid batches)
     metric_every: int = 1000
     eval_batch: int = 1000
     error_eval_samples: int = 0  # 0 skips Monte Carlo error estimation
@@ -206,6 +218,9 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.train_set_size < 0:
+            raise ValueError(f"train_set_size must be >= 0 (0 trains online), "
+                             f"got {self.train_set_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
         if self.metric_every < 1:
@@ -375,14 +390,11 @@ def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
     Normals are bit-identical only for one numpy version (see
     :mod:`spherelab.rng`), so the header names it, with the SIMD
     extensions numpy found on this CPU. It also names the BLAS numpy was
-    built against and the worker count of the shared pool. A fixed
-    dataset is written as its size and config, the probe config as a dict
-    and the metrics path as a string.
+    built against and the worker count of the shared pool. The probe
+    config is written as a dict and the metrics path as a string.
     """
     train_cfg = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     train_cfg["metrics_path"] = os.fspath(cfg.metrics_path)
-    if cfg.dataset is not None:
-        train_cfg["dataset"] = {"N": cfg.dataset.N, "config": asdict(cfg.dataset.config)}
     if cfg.probe is not None:
         train_cfg["probe"] = asdict(cfg.probe)
     numpy_config = np.show_config(mode="dicts")
@@ -398,19 +410,23 @@ def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
 def _minibatches(cfg: TrainConfig, sphere: SphereConfig, stream: RngStream):
     """The ``cfg.steps`` training minibatches, each drawn during the step before it.
 
-    An online batch is one :func:`spherelab.dataset.sample_batch`; a fixed
-    batch indexes the stored set with one uniform per row. Only the pool
-    worker of :func:`spherelab.rng.prefetch` touches ``stream``, one draw
-    at a time and in step order, so the words drawn are those of a serial
-    loop and no draw passes ``cfg.steps``.
+    An online batch is one :func:`spherelab.dataset.sample_batch`. With
+    ``cfg.train_set_size`` N > 0 the set is one ``sample_batch`` of N
+    points on the dataset child of the sphere seed, built here, and a
+    batch indexes it with one uniform per row. Only the pool worker of
+    :func:`spherelab.rng.prefetch` touches ``stream``, one draw at a time
+    and in step order, so the words drawn are those of a serial loop and
+    no draw passes ``cfg.steps``.
     """
-    fixed = cfg.dataset
+    size = cfg.train_set_size
+    if size:
+        xs, labels = sample_batch(sphere, RngStream(sphere.seed).child(CHILD_DATASET), size)
 
     def draw() -> tuple[np.ndarray, np.ndarray]:
-        if fixed is None:
+        if not size:
             return sample_batch(sphere, stream, cfg.batch_size)
-        idx = (stream.uniforms(cfg.batch_size) * fixed.N).astype(np.int64)
-        return fixed.xs[idx], fixed.labels[idx]
+        idx = (stream.uniforms(cfg.batch_size) * size).astype(np.int64)
+        return xs[idx], labels[idx]
 
     return prefetch(draw, cfg.steps)
 
@@ -421,8 +437,6 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         raise ValueError(f"model dim {getattr(model, 'n', None)} != sphere dim {sphere.n}")
     if isinstance(model, MlpNet) and cfg.batch_size < 2:
         raise ValueError("batch-norm models need batch size >= 2")
-    if cfg.dataset is not None and cfg.dataset.config.n != sphere.n:
-        raise ValueError("fixed dataset dimension does not match the sphere config")
     _check_schedule(cfg)
 
     root = RngStream(cfg.seed)

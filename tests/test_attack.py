@@ -46,6 +46,8 @@ def test_attack_config_validation():
         AttackConfig(steps=0)
     with pytest.raises(ValueError):
         AttackConfig(step_size=-0.1)
+    with pytest.raises(ValueError, match="finite"):
+        AttackConfig(step_size=float("inf"))
     assert AttackConfig(mode="nearest").eta == 0.001
     assert AttackConfig(mode="worst").eta == 0.01
 

@@ -1,18 +1,8 @@
-import struct
-
 import numpy as np
 import pytest
 
-from spherelab.dataset import (
-    _SPHERE_BLOCK,
-    CacheTruncatedError,
-    FixedDataset,
-    SphereConfig,
-    make_training_set,
-    sample_batch,
-    sphere_points,
-)
-from spherelab.rng import RngStream
+from spherelab.dataset import _SPHERE_BLOCK, SphereConfig, sample_batch, sphere_points
+from spherelab.rng import CHILD_DATASET, RngStream
 
 
 def test_config_validation():
@@ -22,6 +12,9 @@ def test_config_validation():
         SphereConfig(n=10, R=1.0)
     with pytest.raises(ValueError):
         SphereConfig(n=10, R=0.9)
+    for radius in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            SphereConfig(n=5, R=radius)
 
 
 def test_samples_land_on_a_shell():
@@ -95,38 +88,43 @@ def test_sample_batch_rejects_an_unknown_shell_or_count():
         sample_batch(cfg, RngStream(1), 0, "inner")
 
 
+def training_set(cfg: SphereConfig, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed training set ``train()`` builds for ``train_set_size=N`` on ``cfg``."""
+    return sample_batch(cfg, RngStream(cfg.seed).child(CHILD_DATASET), N)
+
+
 def test_fixed_seed_reproduces_dataset():
     cfg = SphereConfig(n=10, seed=123)
-    a = make_training_set(cfg, 500)
-    b = make_training_set(cfg, 500)
-    assert (a.xs == b.xs).all()
-    assert (a.labels == b.labels).all()
+    a_xs, a_labels = training_set(cfg, 500)
+    b_xs, b_labels = training_set(cfg, 500)
+    assert (a_xs == b_xs).all()
+    assert (a_labels == b_labels).all()
 
 
 def test_training_set_size_and_shells():
     cfg = SphereConfig(n=8, seed=1)
-    ds = make_training_set(cfg, 1000)
-    assert ds.N == 1000 and len(ds) == 1000
-    norms = np.linalg.norm(ds.xs, axis=1)
+    xs, labels = training_set(cfg, 1000)
+    assert len(xs) == 1000 and len(labels) == 1000
+    norms = np.linalg.norm(xs, axis=1)
     on_inner = np.abs(norms - 1.0) <= 1e-9
     on_outer = np.abs(norms - cfg.R) <= 1e-9
     assert (on_inner | on_outer).all()
-    assert ds.xs.shape == (1000, 8) and set(ds.labels.tolist()) <= {0, 1}
+    assert xs.shape == (1000, 8) and set(labels.tolist()) <= {0, 1}
 
 
 def test_class_balance_binomial():
     # Class counts are binomial(N, 1/2): stay within 4 sigma of N/2.
     cfg = SphereConfig(n=16, seed=2)
-    ds = make_training_set(cfg, 10**6)
-    outer = int(ds.labels.sum())
+    _, labels = training_set(cfg, 10**6)
+    outer = int(labels.sum())
     assert abs(outer - 500_000) < 4 * np.sqrt(10**6 / 4)
 
 
 def test_different_seeds_give_disjoint_sets():
-    a = make_training_set(SphereConfig(n=6, seed=1), 200)
-    b = make_training_set(SphereConfig(n=6, seed=2), 200)
-    rows_a = {a.xs[i].tobytes() for i in range(a.N)}
-    rows_b = {b.xs[i].tobytes() for i in range(b.N)}
+    a, _ = training_set(SphereConfig(n=6, seed=1), 200)
+    b, _ = training_set(SphereConfig(n=6, seed=2), 200)
+    rows_a = {row.tobytes() for row in a}
+    rows_b = {row.tobytes() for row in b}
     assert not rows_a & rows_b
 
 
@@ -138,48 +136,4 @@ def test_rotational_symmetry_of_the_mean():
     m = inner.shape[0]
     bound = 5.0 * np.sqrt(1.0 / (cfg.n * m)) * np.sqrt(cfg.n)
     assert np.linalg.norm(inner.mean(axis=0)) <= bound
-
-
-def test_dataset_cache_round_trip(tmp_path):
-    ds = make_training_set(SphereConfig(n=7, R=1.25, seed=77), 64)
-    path = tmp_path / "ds.bin"
-    ds.save(path)
-    back = FixedDataset.load(path)
-    assert (back.xs == ds.xs).all()
-    assert (back.labels == ds.labels).all()
-    assert back.config == ds.config
-
-
-# A 64-point, n=7 cache: 4 magic bytes, a 36-byte header, 64 label bytes,
-# then 64*7*8 point bytes. Each case keeps ``found`` bytes of one section.
-@pytest.mark.parametrize("section,start,size,found", [
-    ("header", 4, 36, 20),
-    ("labels", 40, 64, 10),
-    ("points", 104, 64 * 7 * 8, 99),
-])
-def test_dataset_cache_truncated(tmp_path, section, start, size, found):
-    path = tmp_path / "ds.bin"
-    make_training_set(SphereConfig(n=7, seed=3), 64).save(path)
-    path.write_bytes(path.read_bytes()[:start + found])
-    with pytest.raises(CacheTruncatedError) as exc:
-        FixedDataset.load(path)
-    assert (exc.value.expected, exc.value.actual) == (size, found)
-    assert f"{section}: expected {size} bytes, found {found}" in str(exc.value)
-
-
-# Headers promising far more than the file holds: the size check comes
-# before any read, so no 2^40-byte allocation is attempted.
-@pytest.mark.parametrize("section,n,count,expected,found", [
-    ("labels", 500, 2**40, 2**40, 64 + 500 * 8),
-    ("points", 2**40, 64, 64 * 2**40 * 8, 500 * 8),
-], ids=["labels", "points"])
-def test_dataset_cache_header_promising_more_than_the_file(tmp_path, section, n, count,
-                                                           expected, found):
-    path = tmp_path / "ds.bin"
-    header = b"SPHD" + struct.pack(">IQdQQ", 1, n, 1.3, count, 5)
-    path.write_bytes(header + bytes(64 + 500 * 8))
-    with pytest.raises(CacheTruncatedError) as exc:
-        FixedDataset.load(path)
-    assert (exc.value.expected, exc.value.actual) == (expected, found)
-    assert f"{section}: expected {expected} bytes, found {found}" in str(exc.value)
 

@@ -11,9 +11,10 @@ import spherelab
 from spherelab import rng, training
 from spherelab.attack import AttackConfig, estimate_mean_distance
 from spherelab.training import _ADAM_BLOCK, _ADAM_JOB
-from spherelab.dataset import SphereConfig, make_training_set
+from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init
-from spherelab.rng import CHILD_MINIBATCH, CHILD_NEAREST_PROBE, RngStream, pool_workers
+from spherelab.rng import (
+    CHILD_DATASET, CHILD_MINIBATCH, CHILD_NEAREST_PROBE, RngStream, pool_workers)
 from spherelab.training import (
     METRICS_SCHEMA,
     AdamState,
@@ -238,18 +239,37 @@ def test_metric_records_step_keyed_and_monotone():
 
 def test_fixed_mode_draws_with_replacement_from_the_stored_set():
     sphere = SphereConfig(n=6, seed=4)
-    ds = make_training_set(sphere, 32)
     net = small_quad(seed=4, n=6, h=8)
-    cfg = TrainConfig(steps=20, batch_size=8, seed=4, dataset=ds, metric_every=10)
+    cfg = TrainConfig(steps=20, batch_size=8, seed=4, train_set_size=32, metric_every=10)
     result = train(net, cfg, sphere)
     assert result.completed_steps == 20
 
 
-def test_fixed_dataset_dimension_checked():
-    ds = make_training_set(SphereConfig(n=6, seed=4), 16)
-    net = small_quad(seed=4)
-    with pytest.raises(ValueError):
-        train(net, TrainConfig(steps=5, dataset=ds, seed=4), SphereConfig(n=10, seed=4))
+def test_fixed_batches_index_the_set_drawn_from_the_sphere_seed():
+    # The run seed (9) differs from the sphere seed (4), which alone defines the set.
+    sphere = SphereConfig(n=6, seed=4)
+    cfg = TrainConfig(steps=5, batch_size=8, seed=9, train_set_size=32, metric_every=5)
+    net = small_quad(seed=4, n=6, h=8)
+    seen = []
+    forward, backward = net.forward, net.backward
+
+    def recording_forward(xs, mode):
+        seen.append([xs.copy()])
+        return forward(xs, mode=mode)
+
+    def recording_backward(cache, ys):
+        seen[-1].append(ys.copy())
+        return backward(cache, ys)
+
+    net.forward, net.backward = recording_forward, recording_backward
+    train(net, cfg, sphere)
+    xs, labels = sample_batch(sphere, RngStream(sphere.seed).child(CHILD_DATASET), 32)
+    minibatch = RngStream(cfg.seed).child(CHILD_MINIBATCH)
+    assert len(seen) == 5
+    for batch_xs, batch_ys in seen:
+        idx = (minibatch.uniforms(8) * 32).astype(np.int64)
+        assert batch_xs.tobytes() == xs[idx].tobytes()
+        assert batch_ys.tobytes() == labels[idx].tobytes()
 
 
 def test_fixed_large_n_matches_online_statistically():
@@ -257,9 +277,9 @@ def test_fixed_large_n_matches_online_statistically():
     # and online training are indistinguishable (overlapping 3-sigma bands).
     sphere = SphereConfig(n=16, seed=5)
     windows = {}
-    for name, ds in (("online", None), ("fixed", make_training_set(sphere, 200_000))):
+    for name, size in (("online", 0), ("fixed", 200_000)):
         net = QuadraticNet.init_random(16, 20, RngStream(5).child(3))
-        cfg = TrainConfig(steps=600, batch_size=50, seed=5, dataset=ds,
+        cfg = TrainConfig(steps=600, batch_size=50, seed=5, train_set_size=size,
                           metric_every=100)
         result = train(net, cfg, sphere)
         windows[name] = np.array([m.train_loss for m in result.metrics[1:]])
@@ -343,7 +363,8 @@ def test_metric_and_probe_cadences_must_be_positive():
     ("step_size", -1.0, True), ("step_size", 0.0, True),
     ("nearest_step_size", 0.0, True), ("nearest_step_size", float("nan"), True),
     ("lr", 0.0, False), ("lr", -1e-4, False), ("lr", float("nan"), False),
-    ("lr", float("inf"), False),
+    ("step_size", float("inf"), True), ("nearest_step_size", float("inf"), True),
+    ("lr", float("inf"), False), ("train_set_size", -1, False),
     ("error_eval_samples", training._ERROR_SAMPLES_CAP + 1, False),
 ])
 def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
@@ -452,7 +473,7 @@ def test_metrics_header_records_versions_simd_and_both_configs(tmp_path):
     sphere = SphereConfig(n=10, R=1.4, seed=21)
     probe = ProbeConfig(every=2, starts=2, steps=3)
     cfg = TrainConfig(steps=2, batch_size=4, seed=21, metric_every=2, error_eval_samples=10,
-                      dataset=make_training_set(sphere, 16), probe=probe, metrics_path=path)
+                      train_set_size=16, probe=probe, metrics_path=path)
     train(small_quad(seed=21), cfg, sphere)
     header = json.loads(path.read_text().splitlines()[0])
     assert header["schema"] == METRICS_SCHEMA
@@ -469,7 +490,7 @@ def test_metrics_header_records_versions_simd_and_both_configs(tmp_path):
     assert header["sphere"] == sphere_dict
     assert header["train"] == {
         "steps": 2, "batch_size": 4, "lr": 1e-4, "seed": 21,
-        "dataset": {"N": 16, "config": sphere_dict}, "metric_every": 2, "eval_batch": 1000,
+        "train_set_size": 16, "metric_every": 2, "eval_batch": 1000,
         "error_eval_samples": 10, "alpha_every": 0, "stop_on_perfect": False,
         "probe": {"every": 2, "starts": 2, "steps": 3, "step_size": 0.01, "nearest": False,
                   "nearest_steps": 1000, "nearest_step_size": 0.001},
@@ -492,10 +513,9 @@ def opened_writers(monkeypatch):
 
 def test_dataset_mismatch_opens_no_metrics_file(tmp_path, opened_writers):
     path = tmp_path / "metrics.jsonl"
-    ds = make_training_set(SphereConfig(n=6, seed=4), 16)
-    cfg = TrainConfig(steps=5, dataset=ds, seed=4, metrics_path=str(path))
-    with pytest.raises(ValueError, match="dimension"):
-        train(small_quad(seed=4), cfg, SphereConfig(n=10, seed=4))
+    cfg = TrainConfig(steps=5, train_set_size=16, seed=4, metrics_path=str(path))
+    with pytest.raises(ValueError, match="dim"):
+        train(small_quad(seed=4), cfg, SphereConfig(n=6, seed=4))
     assert opened_writers == []
     assert not path.exists()
 
@@ -557,10 +577,10 @@ def minibatch_draws(monkeypatch):
 def test_minibatches_are_drawn_on_the_pool_and_never_past_the_last_step(fixed,
                                                                         minibatch_draws):
     sphere = SphereConfig(n=10, seed=13)
-    ds = make_training_set(sphere, 64) if fixed else None
     minibatch_draws["seed"] = 13
-    result = train(small_quad(seed=13), TrainConfig(steps=9, batch_size=4, seed=13,
-                                                    dataset=ds, metric_every=4), sphere)
+    cfg = TrainConfig(steps=9, batch_size=4, seed=13, train_set_size=64 if fixed else 0,
+                      metric_every=4)
+    result = train(small_quad(seed=13), cfg, sphere)
     assert result.completed_steps == 9
     assert len(minibatch_draws["made"]) == 9
     assert all(name.startswith("spherelab-shard") for name in minibatch_draws["made"])
@@ -593,7 +613,7 @@ def test_an_abort_draws_one_batch_past_the_aborted_step(minibatch_draws):
 def test_drawing_ahead_gives_the_bits_of_a_serial_loop(family, fixed, monkeypatch):
     sphere = SphereConfig(n=10, seed=14)
     cfg = TrainConfig(steps=12, batch_size=6, seed=14, metric_every=5, error_eval_samples=100,
-                      dataset=make_training_set(sphere, 40) if fixed else None)
+                      train_set_size=40 if fixed else 0)
 
     def run():
         stream = RngStream(14).child(3)
