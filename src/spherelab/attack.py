@@ -39,12 +39,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from spherelab import require_ints
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import classify, sigmoid_ce_loss
 from spherelab.rng import RngStream, _shard_map
 
 _ZERO_GRAD = 1e-300
-_DEGENERATE_BASIS = 1e-12
 # Starts per PGD block (see _pgd_batch). The fastest of 10-100 for 100 starts
 # at n = h = 500 on 2 cores; at least the 10 starts of a training probe, so
 # probes stay one inline block.
@@ -52,10 +52,6 @@ _ATTACK_BLOCK = 50
 
 NEAREST_STEP_SIZE = 0.001  # distance-estimation preset
 WORST_STEP_SIZE = 0.01  # worst-case-search preset
-
-
-class DegenerateBasisError(ValueError):
-    """Slice basis vectors are parallel or zero."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +66,7 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("nearest", "worst"):
             raise ValueError(f"mode must be 'nearest' or 'worst', got {self.mode!r}")
+        require_ints(self, "steps", "starts")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.step_size is not None and not (math.isfinite(self.step_size)
@@ -105,33 +102,9 @@ class ErrorSetStats:
 
     dmean: float
     failures: int
-    n: int
-    starts: int = 0
     successes: int = 0
     all_failed: bool = False
     distances: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-@dataclass
-class DistanceHistogram:
-    """Binned nearest-error distances over attack starts."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    mean: float
-    std: float
-    q1: float
-    median: float
-    q3: float
-    failures: int
-    successes: int
-    all_failed: bool
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("bin_lo,bin_hi,count\n")
-            for lo, hi, c in zip(self.edges[:-1], self.edges[1:], self.counts):
-                f.write(f"{lo!r},{hi!r},{int(c)}\n")
 
 
 def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
@@ -259,94 +232,20 @@ def estimate_mean_distance(model, sphere: SphereConfig, cfg: AttackConfig,
     return ErrorSetStats(
         dmean=float(distances.mean()) if distances.size else float("nan"),
         failures=failures,
-        n=sphere.n,
-        starts=cfg.starts,
         successes=int(distances.size),
         all_failed=all_failed,
         distances=distances,
     )
 
 
-def distance_distribution(model, sphere: SphereConfig, cfg: AttackConfig,
-                          stream: RngStream, bins: int = 20,
-                          shell: str = "inner") -> DistanceHistogram:
-    """Histogram of per-start nearest-error distances."""
-    if cfg.starts < 100:
-        raise ValueError("distance distribution needs at least 100 starts")
-    stats = estimate_mean_distance(model, sphere, cfg, stream, shell)
-    d = stats.distances
-    if d.size:
-        counts, edges = np.histogram(d, bins=bins)
-        q1, med, q3 = np.percentile(d, [25, 50, 75])
-        return DistanceHistogram(
-            edges=edges, counts=counts, mean=float(d.mean()),
-            std=float(d.std()), q1=float(q1), median=float(med), q3=float(q3),
-            failures=stats.failures, successes=stats.successes, all_failed=False)
-    return DistanceHistogram(
-        edges=np.array([0.0, 1.0]), counts=np.zeros(1, dtype=np.int64),
-        mean=float("nan"), std=float("nan"), q1=float("nan"),
-        median=float("nan"), q3=float("nan"),
-        failures=stats.failures, successes=0, all_failed=True)
-
-
 def worst_case_loss(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
                     stream: RngStream) -> float:
-    """Max attack loss over a probe batch (worst-mode search per row)."""
-    worst_cfg = AttackConfig(mode="worst", steps=cfg.steps,
-                             step_size=cfg.eta, starts=X0.shape[0])
-    results = _pgd_batch(model, X0, labels, worst_cfg, stream)
-    return max(r.final_loss for r in results)
+    """Max attack loss over a probe batch (worst-mode search per row).
 
-
-@dataclass
-class SliceGrid:
-    """Model decisions on a 2-D slice spanned by an orthonormalized basis."""
-
-    a: np.ndarray
-    b: np.ndarray
-    classes: np.ndarray  # (res, res) predicted labels
-    logits: np.ndarray  # (res, res)
-    basis_u: np.ndarray
-    basis_v: np.ndarray
-    center: np.ndarray
-    radii: tuple[float, float]
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("a,b,class,logit\n")
-            for i, av in enumerate(self.a):
-                for j, bv in enumerate(self.b):
-                    f.write(f"{av!r},{bv!r},{int(self.classes[i, j])},"
-                            f"{self.logits[i, j]!r}\n")
-
-
-def slice_grid(model, center: np.ndarray, u: np.ndarray, v: np.ndarray,
-               extent: float, resolution: int,
-               radii: tuple[float, float] = (1.0, 1.3)) -> SliceGrid:
-    """Evaluate the model on the grid center + a*u_hat + b*v_hat.
-
-    ``u`` and ``v`` are orthonormalized by Gram-Schmidt (u keeps its
-    direction; v loses its u-component). The returned radii are the shell
-    radii to overlay on plots.
+    ``cfg`` must be in worst mode; every row of ``X0`` is a start, whatever
+    ``cfg.starts`` says.
     """
-    center = np.asarray(center, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    un = np.linalg.norm(u)
-    if un < _DEGENERATE_BASIS:
-        raise DegenerateBasisError("u has (near-)zero norm")
-    u_hat = u / un
-    v_perp = v - (v @ u_hat) * u_hat
-    vn = np.linalg.norm(v_perp)
-    if vn < _DEGENERATE_BASIS * max(1.0, np.linalg.norm(v)):
-        raise DegenerateBasisError("u and v are (near-)parallel")
-    v_hat = v_perp / vn
-    coords = np.linspace(-extent, extent, resolution)
-    points = (center[None, None, :]
-              + coords[:, None, None] * u_hat[None, None, :]
-              + coords[None, :, None] * v_hat[None, None, :])
-    flat = points.reshape(-1, center.size)
-    logits = model.logits(flat).reshape(resolution, resolution)
-    classes = classify(logits)
-    return SliceGrid(a=coords, b=coords.copy(), classes=classes, logits=logits,
-                     basis_u=u_hat, basis_v=v_hat, center=center, radii=radii)
+    if cfg.mode != "worst":
+        raise ValueError("worst_case_loss requires worst mode")
+    results = _pgd_batch(model, X0, labels, cfg, stream)
+    return max(r.final_loss for r in results)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spherelab import require_ints
 from spherelab.rng import RngStream
 
 _SPHERE_BLOCK = 32768  # draws per row block of sphere_points: 256 KiB of float64
@@ -36,6 +37,7 @@ class SphereConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_ints(self, "n", "seed")
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
         if not (math.isfinite(self.R) and self.R > 1.0):
@@ -49,19 +51,16 @@ def sphere_points(stream: RngStream, count: int, n: int) -> np.ndarray:
     normals are drawn into the output in one call, which is then
     normalised in place in row blocks of about 32768 draws (one row per
     block when ``n`` is larger), so no full-size temporary is made. A
-    row's norm has the same bits for any block size. A row whose norm
-    underflows to zero is redrawn from the same stream when its block is
-    normalised.
+    row's norm has the same bits for any block size. A row of ``n`` exact
+    zeros (probability about 2^(-52 n)) raises ``ValueError``.
     """
     z = stream.normal_matrix(count, n)
     step = max(1, _SPHERE_BLOCK // n)
     for start in range(0, count, step):
         rows = z[start:start + step]
         norms = np.linalg.norm(rows, axis=1)
-        while (norms == 0.0).any():  # pragma: no cover - probability ~0
-            bad = np.flatnonzero(norms == 0.0)
-            rows[bad] = stream.normal_matrix(len(bad), n)
-            norms[bad] = np.linalg.norm(rows[bad], axis=1)
+        if not norms.all():
+            raise ValueError(f"a row of {n} exact zero normals has no direction")
         rows /= norms[:, None]
     return z
 

@@ -17,10 +17,11 @@ Gaussian-approximation conventions used throughout:
 
 Two Monte Carlo cap-distance formulas ship side by side: the
 ``sqrt(2) * (t - x_1)`` form and the exact chord to the cap boundary
-circle. They disagree by up to a factor sqrt(2); curve outputs carry both
-columns and their ratio so the discrepancy stays visible. The exact chord
-needs ``t <= 1``; at small n and small mu the Gaussian height exceeds 1,
-and such a cap is rejected with a ``ValueError`` before any chunk runs.
+circle. They disagree by up to a factor sqrt(2); :func:`bound_curve`
+returns both columns and logs their ratio, so the discrepancy stays
+visible. The exact chord needs ``t <= 1``; at small n and small mu the
+Gaussian height exceeds 1, and such a cap is rejected with a
+``ValueError`` before any chunk runs.
 
 The Monte Carlo runs in keyed chunks of 16384 points on the process-wide
 pool of :func:`spherelab.rng._shard_map`. A chunk draws its points with
@@ -142,7 +143,7 @@ def _cap_distance_sum(job: tuple[CapSpec, RngStream, str, int]) -> float:
     The points come from successive :func:`spherelab.dataset.sphere_points`
     calls on ``stream`` of about 32768 normals each; only each row's x_1 is
     kept. Normals are chunk-invariant and each row is normalised by its own
-    norm, so (a zero-norm redraw aside) the bits do not depend on the block.
+    norm, so the bits do not depend on the block.
     """
     cap, stream, formula, count = job
     step = max(1, _MC_BLOCK // cap.n)
@@ -181,24 +182,6 @@ def _mc_cap_means(estimates: list[tuple[CapSpec, RngStream, str]],
     return means
 
 
-def mc_cap_distance(cap: CapSpec, samples: int, stream: RngStream,
-                    formula: str = "paper") -> float:
-    """Mean distance from uniform sphere points to the cap.
-
-    ``paper`` uses the sqrt(2)-scaled height-gap form; ``exact_chord``
-    measures the true Euclidean distance to the nearest point of the cap
-    (on its boundary circle for points outside it).
-
-    Chunk ``i`` of 16384 points draws from ``stream.child(i)``. The chunks
-    run on the process-wide pool of :func:`spherelab.rng._shard_map` (one
-    worker per CPU this process may use); their float sums are added in
-    chunk order, so the mean does not depend on the pool size. A chunk job
-    holds one block of about 32768 normals and the chunk's x_1 values, not
-    the chunk's points.
-    """
-    return _mc_cap_means([(cap, stream, formula)], samples)[0]
-
-
 @dataclass
 class BoundCurvePoint:
     mu: float
@@ -215,24 +198,15 @@ class BoundCurve:
     samples: int
     points: list[BoundCurvePoint] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("mu,d_theory,d_mc_paper_formula,d_mc_exact_chord,"
-                    "paper_over_exact\n")
-            for p in self.points:
-                ratio = (p.d_mc_paper_formula / p.d_mc_exact_chord
-                         if p.d_mc_exact_chord else float("nan"))
-                f.write(f"{p.mu!r},{p.d_theory!r},{p.d_mc_paper_formula!r},"
-                        f"{p.d_mc_exact_chord!r},{ratio!r}\n")
-
 
 def bound_curve(n: int, mus: list[float], samples: int,
                 stream: RngStream) -> BoundCurve:
     """Tabulate :func:`theorem_bound` and both cap-distance estimates.
 
-    Point ``i`` has the ``paper`` estimate of :func:`mc_cap_distance` on
-    ``stream.child(2 * i)`` and the ``exact_chord`` one on
-    ``stream.child(2 * i + 1)``, with the same bits. The chunks of all
+    Point ``i`` has the ``paper`` estimate on ``stream.child(2 * i)`` and
+    the ``exact_chord`` one on ``stream.child(2 * i + 1)``. Each is the mean
+    distance over ``samples`` uniform sphere points, chunk ``c`` of 16384
+    drawn from the estimate stream's ``child(c)``. The chunks of all
     ``2 * len(mus)`` estimates run in one pool map; each estimate adds its
     chunk sums in chunk order, and each job holds one row block of points.
     """

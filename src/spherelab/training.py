@@ -37,7 +37,7 @@ from itertools import combinations
 import numpy as np
 
 import spherelab
-from spherelab import attack as attack_mod
+from spherelab import attack as attack_mod, require_ints
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import (
     MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, sigmoid_ce_loss)
@@ -62,19 +62,19 @@ _EVAL_CHUNK = 512  # points per keyed chunk of evaluate_error_rate
 _ERROR_SAMPLES_CAP = 2 * (_CHILD_BASE // 2 - 1) * _EVAL_CHUNK
 _ADAM_BLOCK = 32768  # elements per block of adam_step: 256 KiB of float64
 _ADAM_JOB = 4  # consecutive blocks per pool job of adam_step
+_ADAM_BETA1 = 0.9  # Kingma & Ba's defaults
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators plus hyperparameters."""
+    """Per-parameter moment accumulators, step count and learning rate."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], lr: float = 1e-4) -> "AdamState":
@@ -95,7 +95,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
 
     so ``eps`` is added outside the square root of the bias-corrected
-    ``v``. ``state`` (``t``, ``m``, ``v``) is advanced and returned.
+    ``v``; ``beta1`` = 0.9, ``beta2`` = 0.999 and ``eps`` = 1e-8 are fixed.
+    ``state`` (``t``, ``m``, ``v``) is advanced and returned.
 
     Monotone descent is not promised: ``m`` is a momentum term, so on a
     convex bowl the iterate can overshoot the minimum and ``|p - p*|`` can
@@ -135,9 +136,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         flat.append((p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)))
 
     state.t += 1
-    beta1, beta2, eps = state.beta1, state.beta2, state.eps
-    c2 = 1.0 - beta2 ** state.t
-    step = state.lr / (1.0 - beta1 ** state.t)
+    c2 = 1.0 - _ADAM_BETA2 ** state.t
+    step = state.lr / (1.0 - _ADAM_BETA1 ** state.t)
     blocks = [tuple(a[start:start + _ADAM_BLOCK] for a in arrays)
               for arrays in flat for start in range(0, arrays[0].size, _ADAM_BLOCK)]
     jobs = range(0, len(blocks), _ADAM_JOB)  # each job's first block
@@ -146,16 +146,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         job_scratch = np.empty(_ADAM_BLOCK)
         for pb, gb, mb, vb in blocks[first:first + _ADAM_JOB]:
             scratch = job_scratch[:pb.size]
-            mb *= beta1
-            np.multiply(gb, 1.0 - beta1, out=scratch)
+            mb *= _ADAM_BETA1
+            np.multiply(gb, 1.0 - _ADAM_BETA1, out=scratch)
             mb += scratch
-            vb *= beta2
+            vb *= _ADAM_BETA2
             np.multiply(gb, gb, out=scratch)
-            scratch *= 1.0 - beta2
+            scratch *= 1.0 - _ADAM_BETA2
             vb += scratch
             np.divide(vb, c2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += eps
+            scratch += _ADAM_EPS
             np.divide(mb, scratch, out=scratch)
             scratch *= step
             pb -= scratch
@@ -180,7 +180,9 @@ class ProbeConfig:
     nearest_step_size: float = 0.001
 
     def __post_init__(self) -> None:
-        for name in ("every", "starts", "steps", "nearest_steps"):
+        counts = ("every", "starts", "steps", "nearest_steps")
+        require_ints(self, *counts)
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"probe {name} must be >= 1, got {getattr(self, name)}")
         for name in ("step_size", "nearest_step_size"):
@@ -214,6 +216,8 @@ class TrainConfig:
     metrics_path: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
+        require_ints(self, "steps", "batch_size", "seed", "train_set_size", "metric_every",
+                     "eval_batch", "error_eval_samples", "alpha_every")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:

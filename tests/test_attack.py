@@ -6,11 +6,8 @@ import pytest
 from spherelab import attack
 from spherelab.attack import (
     AttackConfig,
-    DegenerateBasisError,
-    distance_distribution,
     estimate_mean_distance,
     run_attack,
-    slice_grid,
     worst_case_loss,
 )
 from spherelab.dataset import SphereConfig, sample_batch
@@ -50,6 +47,13 @@ def test_attack_config_validation():
         AttackConfig(step_size=float("inf"))
     assert AttackConfig(mode="nearest").eta == 0.001
     assert AttackConfig(mode="worst").eta == 0.01
+    for name, value in (("starts", 2.5), ("starts", 100.0), ("steps", True),
+                        ("steps", np.float64(3))):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            AttackConfig(**{name: value})
+    cfg = AttackConfig(steps=np.int64(3), starts=np.int16(2))
+    assert (cfg.steps, cfg.starts) == (3, 2)
+    assert type(cfg.steps) is int and type(cfg.starts) is int
 
 
 def test_perfect_net_attack_fails_from_all_starts():
@@ -200,39 +204,6 @@ def test_estimate_flags_total_failure():
     assert np.isnan(stats.dmean)
 
 
-def test_distance_distribution_mass_and_flags():
-    n = 30
-    cfg = AttackConfig(mode="nearest", steps=2000, step_size=0.01, starts=100)
-    hist = distance_distribution(spike_net(n), SphereConfig(n=n), cfg, RngStream(19))
-    assert hist.counts.sum() == hist.successes
-    assert hist.successes + hist.failures == 100
-    assert hist.q1 <= hist.median <= hist.q3
-
-    perfect_hist = distance_distribution(
-        quad_perfect_init(20, 25), SphereConfig(n=20),
-        AttackConfig(mode="nearest", steps=50, step_size=0.01, starts=100),
-        RngStream(21))
-    assert perfect_hist.all_failed
-    assert perfect_hist.counts.sum() == 0
-
-
-def test_distance_distribution_needs_100_starts():
-    with pytest.raises(ValueError):
-        distance_distribution(spike_net(5), SphereConfig(n=5),
-                              AttackConfig(mode="nearest", starts=50), RngStream(1))
-
-
-def test_histogram_csv(tmp_path):
-    n = 30
-    cfg = AttackConfig(mode="nearest", steps=1500, step_size=0.01, starts=100)
-    hist = distance_distribution(spike_net(n), SphereConfig(n=n), cfg, RngStream(23))
-    path = tmp_path / "hist.csv"
-    hist.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "bin_lo,bin_hi,count"
-    assert len(lines) == 1 + len(hist.counts)
-
-
 def test_worst_case_loss_not_below_start_loss():
     net = quad_perfect_init(20, 25)
     sphere = SphereConfig(n=20)
@@ -242,6 +213,13 @@ def test_worst_case_loss_not_below_start_loss():
     from spherelab.models import sigmoid_ce_loss
     start_losses = sigmoid_ce_loss(net.logits(xs), ys)
     assert wl >= np.max(start_losses) - 1e-12
+
+
+def test_worst_case_loss_refuses_a_nearest_mode_config():
+    xs, ys = sample_batch(SphereConfig(n=5), RngStream(25), 4)
+    with pytest.raises(ValueError, match="worst mode"):
+        worst_case_loss(spike_net(5), xs, ys, AttackConfig(mode="nearest", steps=5),
+                        RngStream(27))
 
 
 # ---------------------------------------------------------------------------
@@ -307,53 +285,3 @@ def test_one_block_of_starts_never_uses_the_pool(monkeypatch):
     worst_case_loss(net, xs, ys, dataclasses.replace(cfg, mode="worst"), RngStream(51))
     with pytest.raises(AssertionError, match="pool job"):
         run_attack(net, sphere, dataclasses.replace(cfg, starts=51), RngStream(47))
-
-
-# ---------------------------------------------------------------------------
-# slice_grid
-
-
-def test_slice_contour_of_isotropic_net_is_a_circle():
-    n = 20
-    net = quad_perfect_init(n, n + 5)
-    stream = RngStream(29)
-    u = stream.normals(n)
-    v = stream.normals(n)
-    grid = slice_grid(net, np.zeros(n), u, v, extent=1.5, resolution=101, radii=(1.0, R))
-    # Boundary radius for uniform alpha: sum(alpha r^2) = 1.
-    alpha = 20.078 / 26.514
-    r_boundary = 1.0 / np.sqrt(alpha)
-    assert 1.0 < r_boundary < R
-    aa, bb = np.meshgrid(grid.a, grid.b, indexing="ij")
-    rr = np.sqrt(aa**2 + bb**2)
-    cell = grid.a[1] - grid.a[0]
-    clearly_in = rr < r_boundary - cell
-    clearly_out = rr > r_boundary + cell
-    assert (grid.classes[clearly_in] == 0).all()
-    assert (grid.classes[clearly_out] == 1).all()
-
-
-def test_slice_grid_size_and_csv(tmp_path):
-    n = 6
-    net = quad_perfect_init(n, n)
-    grid = slice_grid(net, np.zeros(n), np.eye(n)[0], np.eye(n)[1], 1.2, 21)
-    assert grid.logits.shape == (21, 21)
-    path = tmp_path / "slice.csv"
-    grid.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "a,b,class,logit"
-    assert len(lines) == 1 + 21 * 21
-
-
-def test_slice_grid_orthonormalizes_basis():
-    n = 8
-    net = quad_perfect_init(n, n)
-    u = np.ones(n)
-    v = np.ones(n) * 2.0
-    with pytest.raises(DegenerateBasisError):
-        slice_grid(net, np.zeros(n), u, v, 1.0, 5)
-    v[0] += 1.0
-    grid = slice_grid(net, np.zeros(n), u, v, 1.0, 5)
-    assert abs(grid.basis_u @ grid.basis_v) < 1e-12
-    assert np.linalg.norm(grid.basis_u) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(grid.basis_v) == pytest.approx(1.0, abs=1e-12)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from spherelab import require_ints
 from spherelab.dataset import _SPHERE_BLOCK, SphereConfig, sample_batch, sphere_points
 from spherelab.rng import CHILD_DATASET, RngStream
 
@@ -15,6 +18,42 @@ def test_config_validation():
     for radius in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             SphereConfig(n=5, R=radius)
+    for n in (5.5, 5.0, True, np.float64(5), "5"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            SphereConfig(n=n)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SphereConfig(n=5, seed=2.5)
+
+
+def test_require_ints_names_the_field_and_stores_numpy_integers_as_ints():
+    @dataclasses.dataclass(frozen=True)
+    class Counts:
+        a: object
+        b: object
+
+    counts = Counts(a=np.int32(3), b=np.uint64(2**63))
+    require_ints(counts, "a", "b")
+    assert (counts.a, counts.b) == (3, 2**63)
+    assert type(counts.a) is int and type(counts.b) is int
+    for bad in (True, np.bool_(False), 1.0, None):
+        with pytest.raises(ValueError, match=r"^b must be an integer"):
+            require_ints(Counts(a=1, b=bad), "a", "b")
+    assert type(SphereConfig(n=np.int64(7)).n) is int
+
+
+def test_a_row_of_exact_zero_normals_raises(monkeypatch):
+    # At n = 500 a row block is 65 rows, so row 99 is in the second block.
+    stream = RngStream(3)
+    draw = stream.normal_matrix
+
+    def with_a_zero_row(rows, cols):
+        z = draw(rows, cols)
+        z[99] = 0.0
+        return z
+
+    monkeypatch.setattr(stream, "normal_matrix", with_a_zero_row)
+    with pytest.raises(ValueError, match="500 exact zero normals"):
+        sphere_points(stream, 100, 500)
 
 
 def test_samples_land_on_a_shell():

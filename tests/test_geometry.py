@@ -12,7 +12,6 @@ from spherelab.geometry import (
     InfeasibleTargetError,
     bound_curve,
     clt_error_rate,
-    mc_cap_distance,
     minimal_subspace_fraction,
     theorem_bound,
 )
@@ -148,30 +147,50 @@ def chord(x1, t):
 
 @pytest.mark.parametrize("formula", ["paper", "exact_chord"])
 def test_mc_cap_distance_equals_a_serial_in_order_loop(formula):
-    # Six chunks of 16384, the last one partial; at this seed adding the
-    # chunk sums in reverse order changes the last bit of both formulas.
-    cap = CapSpec(n=5, mu=0.05)
-    samples = 5 * 16384 + 777
+    # Six chunks of 16384 per column, the last one partial. Column j of
+    # point i draws chunk c from stream.child(2 * i + j).child(c). At this
+    # seed adding the chunk sums of point 0's exact-chord column in reverse
+    # order changes its last bit.
+    n, mus, samples = 5, [0.3, 0.05], 5 * 16384 + 777
+    j = ["paper", "exact_chord"].index(formula)
     stream = RngStream(23).child(9)
-    total = 0.0
-    for chunk, start in enumerate(range(0, samples, 16384)):
-        count = min(16384, samples - start)
-        u = stream.child(chunk).normals(count * cap.n).reshape(count, cap.n)
-        x1 = u[:, 0] / np.sqrt((u * u).sum(axis=1))
-        if formula == "paper":
-            d = np.maximum(math.sqrt(2.0) * (cap.t - x1), 0.0)
-        else:
-            d = np.where(x1 < cap.t, chord(np.minimum(x1, cap.t), cap.t), 0.0)
-        total += float(d.sum())
-    assert mc_cap_distance(cap, samples, stream, formula) == total / samples
+    curve = bound_curve(n, mus, samples, stream)
+    for i, (mu, p) in enumerate(zip(mus, curve.points)):
+        t = CapSpec(n=n, mu=mu).t
+        total = 0.0
+        for chunk, start in enumerate(range(0, samples, 16384)):
+            count = min(16384, samples - start)
+            u = stream.child(2 * i + j).child(chunk).normals(count * n).reshape(count, n)
+            x1 = u[:, 0] / np.sqrt((u * u).sum(axis=1))
+            if formula == "paper":
+                d = np.maximum(math.sqrt(2.0) * (t - x1), 0.0)
+            else:
+                d = np.where(x1 < t, chord(np.minimum(x1, t), t), 0.0)
+            total += float(d.sum())
+        assert (p.d_mc_paper_formula, p.d_mc_exact_chord)[j] == total / samples
+
+
+def test_bound_curve_columns_equal_separate_estimates():
+    # All 2 * len(mus) estimates share one pool map; each column must equal
+    # its estimate run alone on the same stream.
+    n, mus, samples = 20, [0.3, 1e-2, 1e-4], 2 * 16384 + 11
+    stream = RngStream(41).child(2)
+    curve = bound_curve(n, mus, samples, stream)
+    assert (curve.n, curve.samples) == (n, samples)
+    assert [p.mu for p in curve.points] == mus
+    for i, (mu, p) in enumerate(zip(mus, curve.points)):
+        cap = CapSpec(n=n, mu=mu)
+        assert p.d_theory == theorem_bound(mu, n)
+        assert [p.d_mc_paper_formula, p.d_mc_exact_chord] == [
+            geometry._mc_cap_means([(cap, stream.child(2 * i + j), formula)], samples)[0]
+            for j, formula in enumerate(["paper", "exact_chord"])]
 
 
 def test_mc_cap_distance_exact_chord_matches_quadrature_at_n500():
     # On the unit sphere in R^n, x_1 has density proportional to
     # (1 - x^2)^((n - 3) / 2) on [-1, 1].
     n, mu, samples = 500, 1e-2, 40_000
-    cap = CapSpec(n=n, mu=mu)
-    t = cap.t
+    t = CapSpec(n=n, mu=mu).t
 
     def density(x):
         return (1.0 - x * x) ** ((n - 3) / 2)
@@ -184,7 +203,7 @@ def test_mc_cap_distance_exact_chord_matches_quadrature_at_n500():
                           epsrel=1e-12, limit=200)[0]
     mean = moment(1) / mass
     se = math.sqrt((moment(2) / mass - mean * mean) / samples)
-    estimate = mc_cap_distance(cap, samples, RngStream(29), "exact_chord")
+    estimate = bound_curve(n, [mu], samples, RngStream(29)).points[0].d_mc_exact_chord
     assert abs(estimate - mean) <= 6.0 * se
     assert abs(mean - theorem_bound(mu, n)) < 0.01 * mean
 
@@ -193,31 +212,8 @@ def test_mc_cap_distance_memory_stays_one_row_block_per_job(traced_peak):
     # A whole 16384 x 500 chunk matrix is 65.5 MB; the streamed chunk job
     # keeps one row block and the chunk's x_1 values.
     stream = RngStream(20180108, 3)
-    mc_cap_distance(CapSpec(n=500, mu=1e-2), 20_000, stream)  # warm the pool
-    assert traced_peak(mc_cap_distance, CapSpec(n=500, mu=1e-2), 20_000, stream) < 8e6
-
-
-def test_bound_curve_columns_equal_separate_estimates(tmp_path):
-    n, mus, samples = 20, [0.3, 1e-2, 1e-4], 2 * 16384 + 11
-    stream = RngStream(41).child(2)
-    curve = bound_curve(n, mus, samples, stream)
-    assert (curve.n, curve.samples) == (n, samples)
-    assert [p.mu for p in curve.points] == mus
-    for i, (mu, p) in enumerate(zip(mus, curve.points)):
-        cap = CapSpec(n=n, mu=mu)
-        assert p.d_theory == theorem_bound(mu, n)
-        assert p.d_mc_paper_formula == mc_cap_distance(cap, samples, stream.child(2 * i), "paper")
-        assert p.d_mc_exact_chord == mc_cap_distance(cap, samples, stream.child(2 * i + 1),
-                                                     "exact_chord")
-    path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "mu,d_theory,d_mc_paper_formula,d_mc_exact_chord,paper_over_exact"
-    assert len(lines) == 1 + len(mus)
-    for line, p in zip(lines[1:], curve.points):
-        row = [float(x) for x in line.split(",")]
-        assert row[:4] == [p.mu, p.d_theory, p.d_mc_paper_formula, p.d_mc_exact_chord]
-        assert row[4] == p.d_mc_paper_formula / p.d_mc_exact_chord
+    bound_curve(500, [1e-2], 20_000, stream)  # warm the pool
+    assert traced_peak(bound_curve, 500, [1e-2], 20_000, stream) < 8e6
 
 
 def test_bound_curve_needs_enough_samples():
@@ -260,8 +256,6 @@ def test_exact_chord_rejects_a_cap_higher_than_the_pole(monkeypatch):
 
     monkeypatch.setattr(geometry, "_shard_map", no_jobs)
     pattern = r"n = 7 .*mu = 0\.0001 .*t = 1\.406"
-    with pytest.raises(ValueError, match=pattern):
-        mc_cap_distance(CapSpec(7, 1e-4), 10**4, RngStream(1), "exact_chord")
     with pytest.raises(ValueError, match=pattern):
         bound_curve(7, [1e-2, 1e-4], 10**4, RngStream(1))
 

@@ -40,8 +40,8 @@ def public_functions(module: str) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("module", ["geometry", "checkpoint", "models", "attack", "training",
-                                    "dataset", "rng", "linalg", "special"])
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")
+                                           if path.stem != "__init__"))
 def test_every_public_function_is_called_by_a_test(module):
     public = public_functions(module)
     assert public

@@ -366,13 +366,19 @@ def test_metric_and_probe_cadences_must_be_positive():
     ("step_size", float("inf"), True), ("nearest_step_size", float("inf"), True),
     ("lr", float("inf"), False), ("train_set_size", -1, False),
     ("error_eval_samples", training._ERROR_SAMPLES_CAP + 1, False),
+    ("steps", 3.5, False), ("steps", True, False), ("batch_size", 4.5, False),
+    ("seed", 1.0, False), ("train_set_size", 40.5, False), ("metric_every", False, False),
+    ("eval_batch", np.float64(8), False), ("error_eval_samples", 100.0, False),
+    ("alpha_every", True, False), ("every", 2.5, True), ("starts", 4.0, True),
+    ("steps", True, True), ("nearest_steps", 10.5, True),
 ])
 def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
         name, value, in_probe, tmp_path, opened_writers):
     path = tmp_path / "metrics.jsonl"
     with pytest.raises(ValueError, match=name):
-        kwargs = {"probe": ProbeConfig(**{name: value})} if in_probe else {name: value}
-        cfg = TrainConfig(steps=5, batch_size=4, metrics_path=str(path), **kwargs)
+        kwargs = {"steps": 5, "batch_size": 4, "metrics_path": str(path)}
+        kwargs.update({"probe": ProbeConfig(**{name: value})} if in_probe else {name: value})
+        cfg = TrainConfig(**kwargs)
         train(small_quad(), cfg, SphereConfig(n=10))
     assert opened_writers == []
     assert not path.exists()
@@ -495,6 +501,22 @@ def test_metrics_header_records_versions_simd_and_both_configs(tmp_path):
         "probe": {"every": 2, "starts": 2, "steps": 3, "step_size": 0.01, "nearest": False,
                   "nearest_steps": 1000, "nearest_step_size": 0.001},
         "metrics_path": str(path)}
+
+
+def test_numpy_integer_sizes_train_as_ints_and_write_a_json_manifest(tmp_path):
+    lines = []
+    for i, ints in enumerate((int, np.int64)):
+        path = tmp_path / f"metrics{i}.jsonl"
+        probe = ProbeConfig(every=ints(2), starts=ints(2), steps=ints(3), nearest_steps=ints(5))
+        cfg = TrainConfig(steps=ints(2), batch_size=ints(4), seed=ints(3), train_set_size=ints(16),
+                          metric_every=ints(2), eval_batch=ints(8), error_eval_samples=ints(10),
+                          alpha_every=ints(2), probe=probe, metrics_path=path)
+        train(small_quad(seed=3), cfg, SphereConfig(n=ints(10), seed=ints(3)))
+        lines.append(path.read_text().splitlines())
+    header, numpy_header = (json.loads(run[0]) for run in lines)
+    assert numpy_header["train"].pop("metrics_path") != header["train"].pop("metrics_path")
+    assert numpy_header == header
+    assert lines[1][1:] == lines[0][1:]
 
 
 @pytest.fixture
