@@ -17,12 +17,11 @@ coin: its words are the normals alone, exactly those of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from spherelab import require_ints
+from spherelab import require_int, require_ints, require_radius
 from spherelab.rng import RngStream
 
 _SPHERE_BLOCK = 32768  # draws per row block of sphere_points: 256 KiB of float64
@@ -40,8 +39,7 @@ class SphereConfig:
         require_ints(self, "n", "seed")
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got {self.n}")
-        if not (math.isfinite(self.R) and self.R > 1.0):
-            raise ValueError(f"outer radius must be finite and > 1, got {self.R}")
+        require_radius(self.R)
 
 
 def sphere_points(stream: RngStream, count: int, n: int) -> np.ndarray:
@@ -52,8 +50,10 @@ def sphere_points(stream: RngStream, count: int, n: int) -> np.ndarray:
     normalised in place in row blocks of about 32768 draws (one row per
     block when ``n`` is larger), so no full-size temporary is made. A
     row's norm has the same bits for any block size. A row of ``n`` exact
-    zeros (probability about 2^(-52 n)) raises ``ValueError``.
+    zeros (probability about 2^(-52 n)) raises ``ValueError``, and so does
+    a ``count`` or ``n`` that is not an integer, before anything is drawn.
     """
+    count, n = require_int("count", count), require_int("n", n)
     z = stream.normal_matrix(count, n)
     step = max(1, _SPHERE_BLOCK // n)
     for start in range(0, count, step):
@@ -74,6 +74,7 @@ def sample_batch(config: SphereConfig, stream: RngStream, count: int,
     """
     if shell not in ("inner", "outer", "both"):
         raise ValueError(f"shell must be inner/outer/both, got {shell!r}")
+    count = require_int("count", count)
     if count < 1:
         raise ValueError("count must be positive")
     if shell == "both":

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from spherelab import require_int, require_ints, require_radius
 from spherelab.dataset import sphere_points
 from spherelab.models import AlphaSpectrum
 from spherelab.rng import RngStream, _shard_map
@@ -67,6 +68,7 @@ class CapSpec:
     mu: float
 
     def __post_init__(self) -> None:
+        require_ints(self, "n")
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
         if not 0.0 < self.mu <= 0.5:
@@ -209,7 +211,10 @@ def bound_curve(n: int, mus: list[float], samples: int,
     drawn from the estimate stream's ``child(c)``. The chunks of all
     ``2 * len(mus)`` estimates run in one pool map; each estimate adds its
     chunk sums in chunk order, and each job holds one row block of points.
+    A ``samples`` that is not an integer raises ``ValueError`` before any
+    chunk runs.
     """
+    samples = require_int("samples", samples)
     curve = BoundCurve(n=n, samples=samples)
     means = _mc_cap_means(
         [(CapSpec(n=n, mu=mu), stream.child(2 * i + j), formula)
@@ -270,8 +275,9 @@ def minimal_subspace_fraction(n: int, target_error: float, R: float) -> Subspace
 
     The classifier thresholds the sum of the first k squared coordinates
     at b; rates come from the CLT estimate, so this is the analytic curve,
-    not a sampled one.
+    not a sampled one. ``R`` must be finite and > 1.
     """
+    require_radius(R)
     if not 0.0 < target_error < 0.5:
         raise ValueError("target error must be in (0, 0.5)")
     if n < _CLT_MIN_DIM:

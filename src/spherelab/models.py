@@ -25,12 +25,21 @@ batch-norm running statistics ``run_mean{i}`` and ``run_var{i}``); it is
 what training snapshots and checkpoints save and restore. Both dicts hold
 the model's own arrays, built anew on each call.
 
-``logits`` is the inference pass and keeps no cache. For the MLP it runs
-each layer in place on its GEMM output with the ufunc sequence of
-``forward``, so its bits equal ``forward(X, mode="eval")[0]`` while at
-most the input and two layer activations are alive. Eval-mode ``forward``
-still keeps a cache (each layer's input, ``xhat``, ``inv_std`` and ReLU
-output), which ``input_grad`` reads.
+``logits`` is the inference pass and keeps no cache. It runs over blocks
+of 512 rows, each written into one preallocated ``(rows,)`` output, so a
+call holds the activations of one block whatever its row count: about
+4 MiB for the paper's quadratic net (h = 1000) and 8 MiB for the
+1000x1000 MLP. For the MLP each block runs each layer in place on its
+GEMM output with the ufunc sequence of ``forward``. A call of at most
+512 rows is one block and does exactly the GEMMs of an unblocked pass:
+the quadratic net's ``forward`` logits, and for the MLP the bits of
+``forward(X, mode="eval")[0]``. A longer call runs the same GEMMs on row
+blocks, which BLAS may round differently in the last bit for some widths
+(on OpenBLAS 0.3.31 the 1000-wide layers of the paper's nets kept every
+bit of 1000-row calls, while 500-wide layers moved the last bit of
+0.3-5 % of the rows). Eval-mode ``forward`` still keeps a cache
+(each layer's input, ``xhat``, ``inv_std`` and ReLU output), which
+``input_grad`` reads.
 """
 
 from __future__ import annotations
@@ -39,11 +48,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spherelab import require_radius
 from spherelab.linalg import singular_values
 from spherelab.rng import RngStream
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.99
+# Rows per block of ``logits``. It equals the keyed chunk of
+# ``training.evaluate_error_rate``, so an error-rate chunk is one block and
+# keeps the GEMMs (and bits) of an unblocked pass.
+_LOGIT_BLOCK = 512
 
 
 class UnsupportedRegimeError(ValueError):
@@ -52,6 +66,14 @@ class UnsupportedRegimeError(ValueError):
 
 class InfeasibleInitError(ValueError):
     """Perfect initialization targets put alpha outside [1/R^2, 1]."""
+
+
+def _blocked_logits(X: np.ndarray, block_logits) -> np.ndarray:
+    """``block_logits`` over row blocks of ``X``, written into one ``(rows,)`` array."""
+    out = np.empty(X.shape[0])
+    for start in range(0, X.shape[0], _LOGIT_BLOCK):
+        out[start:start + _LOGIT_BLOCK] = block_logits(X[start:start + _LOGIT_BLOCK])
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -149,7 +171,8 @@ class QuadraticNet:
         return H, S, float(self.w) * S + float(self.b)
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        return self._pass(self._check_dim(X))[2]
+        """The logits of ``_pass``, run per block of 512 rows."""
+        return _blocked_logits(self._check_dim(X), lambda rows: self._pass(rows)[2])
 
     def forward(self, X, mode: str = "train", update_stats: bool | None = None):
         X = self._check_dim(X)
@@ -164,7 +187,8 @@ class QuadraticNet:
         batch = X.shape[0]
         dl = (sigmoid(logits) - y) / batch
         w = float(self.w)
-        dW1 = (2.0 * w) * ((H * dl[:, None]).T @ X)
+        dW1 = (H * dl[:, None]).T @ X
+        dW1 *= 2.0 * w  # in place: the bits of (2w) * (...), without a second h x n array
         dw = np.array(float(dl @ S))
         db = np.array(float(dl.sum()))
         return {"W1": dW1, "w": dw, "b": db}
@@ -181,10 +205,11 @@ class QuadraticNet:
 def alpha_spectrum(net: QuadraticNet, R: float = 1.3) -> AlphaSpectrum:
     """Ellipsoid coefficients alpha_i = w s_i^2 / (-b), descending in s_i.
 
-    Requires b < 0. When the hidden layer is narrower than the input
-    (h < n) the missing coefficients are zeros and the spectrum is flagged
-    as padded.
+    Requires b < 0 and an outer radius ``R`` that is finite and > 1. When
+    the hidden layer is narrower than the input (h < n) the missing
+    coefficients are zeros and the spectrum is flagged as padded.
     """
+    require_radius(R)
     b = float(net.b)
     if b >= 0:
         raise UnsupportedRegimeError(f"alpha spectrum requires b < 0, got b={b}")
@@ -214,8 +239,10 @@ def quad_perfect_init(
         w s^2 R^2   + b = logit(p_outer)
 
     so the sigmoid probability of the outer class is exactly p_inner on
-    the inner shell and p_outer on the outer shell.
+    the inner shell and p_outer on the outer shell. ``R`` must be finite
+    and > 1.
     """
+    require_radius(R)
     if h < n:
         raise ValueError(f"perfect init needs h >= n, got h={h} < n={n}")
     if not (0.0 < p_inner < 0.5 < p_outer < 1.0):
@@ -403,13 +430,15 @@ class MlpNet:
         return d_act
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        """Eval-mode logits, the bits of ``forward(X, mode="eval")[0]``, with no cache.
+        """Eval-mode logits with no cache, run per block of 512 rows.
 
-        Each layer works in place on its GEMM output, so at most the input
-        and two layer activations are alive at once.
+        Each layer works in place on its block's GEMM output, so at most
+        the input and two activations of one block are alive at once.
         """
-        act = self._check_dim(X)
-        for i in range(len(self.hidden)):
-            act = self._layer(i, act, "eval", False, keep_xhat=False)[0]
-        return act @ self.w_out + float(self.b_out)
+        def block(act: np.ndarray) -> np.ndarray:
+            for i in range(len(self.hidden)):
+                act = self._layer(i, act, "eval", False, keep_xhat=False)[0]
+            return act @ self.w_out + float(self.b_out)
+
+        return _blocked_logits(self._check_dim(X), block)
 

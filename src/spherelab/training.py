@@ -37,7 +37,7 @@ from itertools import combinations
 import numpy as np
 
 import spherelab
-from spherelab import attack as attack_mod, require_ints
+from spherelab import attack as attack_mod, require_int, require_ints
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import (
     MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, sigmoid_ce_loss)
@@ -56,7 +56,7 @@ from spherelab.rng import (
 )
 
 METRICS_SCHEMA = "spherelab-metrics/1"
-_EVAL_CHUNK = 512  # points per keyed chunk of evaluate_error_rate
+_EVAL_CHUNK = 512  # points per keyed chunk of evaluate_error_rate, one logits block
 # Outer-shell chunk i of evaluate_error_rate keys child 2i + 1, so it may
 # have 32767 chunks; the odd sample goes to the outer shell.
 _ERROR_SAMPLES_CAP = 2 * (_CHILD_BASE // 2 - 1) * _EVAL_CHUNK
@@ -319,12 +319,15 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
     pool size. Jobs call ``model.logits`` concurrently, so it must not
     mutate the model (it does not for either family: ``MlpNet.logits``
     uses the running statistics without updating them). A job holds one
-    chunk's points and activations, so the memory of a call grows with
-    the pool size, not with ``samples``.
+    chunk's points and the activations of one 512-row ``logits`` block,
+    so the memory of a call grows with the pool size, not with
+    ``samples``.
 
-    The last child index caps ``samples`` at 33,553,408; more raises
-    ``ValueError`` before any chunk runs.
+    The last child index caps ``samples`` at 33,553,408; more, or a
+    ``samples`` that is not an integer, raises ``ValueError`` before any
+    chunk runs.
     """
+    samples = require_int("samples", samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > _ERROR_SAMPLES_CAP:

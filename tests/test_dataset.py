@@ -125,6 +125,14 @@ def test_sample_batch_rejects_an_unknown_shell_or_count():
         sample_batch(cfg, RngStream(1), 5, "middle")
     with pytest.raises(ValueError, match="count"):
         sample_batch(cfg, RngStream(1), 0, "inner")
+    stream = RngStream(1)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        sample_batch(cfg, stream, 2.5)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        sphere_points(stream, 2.0, 3)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sphere_points(stream, 3, 2.0)
+    assert (stream.raw(3) == RngStream(1).raw(3)).all()  # nothing was drawn
 
 
 def training_set(cfg: SphereConfig, N: int) -> tuple[np.ndarray, np.ndarray]:

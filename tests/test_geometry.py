@@ -134,6 +134,9 @@ def test_minimal_subspace_fraction_rejects_unreachable_and_invalid_targets():
             minimal_subspace_fraction(500, target, R)
     with pytest.raises(ValueError, match="n >= 30"):
         minimal_subspace_fraction(29, 1e-2, R)
+    for radius in (float("nan"), float("inf"), 1.0, 0.5):
+        with pytest.raises(ValueError, match="outer radius must be finite and > 1"):
+            minimal_subspace_fraction(100, 0.01, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +249,12 @@ def test_cap_spec_accepts_the_closed_end_and_rejects_low_dimension():
     for n in (1, 0, -3):
         with pytest.raises(ValueError, match="dimension"):
             theorem_bound(0.1, n)
+    for n in (5.5, 5.0, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            CapSpec(n=n, mu=0.1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            theorem_bound(0.1, n)
+    assert type(CapSpec(n=np.int64(5), mu=0.1).n) is int
 
 
 def test_exact_chord_rejects_a_cap_higher_than_the_pole(monkeypatch):
@@ -258,4 +267,8 @@ def test_exact_chord_rejects_a_cap_higher_than_the_pole(monkeypatch):
     pattern = r"n = 7 .*mu = 0\.0001 .*t = 1\.406"
     with pytest.raises(ValueError, match=pattern):
         bound_curve(7, [1e-2, 1e-4], 10**4, RngStream(1))
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        bound_curve(5, [0.1], 2e4, RngStream(1))
+    with pytest.raises(ValueError, match="n must be an integer"):
+        bound_curve(5.0, [0.1], 2 * 10**4, RngStream(1))
 

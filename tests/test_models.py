@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import gradient_check, mean_loss
 
+from spherelab import models, training
 from spherelab.linalg import singular_values
 from spherelab.models import (
     AlphaSpectrum,
@@ -115,6 +116,13 @@ def test_alpha_spectrum_requires_negative_b():
         alpha_spectrum(net, R)
 
 
+def test_alpha_spectrum_rejects_a_radius_outside_the_shells_rule():
+    net = QuadraticNet(np.eye(3), 1.0, -1.0)
+    for radius in (0.5, 1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="outer radius must be finite and > 1"):
+            alpha_spectrum(net, radius)
+
+
 def test_alpha_spectrum_pads_when_hidden_narrower_than_input():
     net = QuadraticNet(np.ones((2, 5)), 1.0, -1.0)
     spec = alpha_spectrum(net, R)
@@ -206,6 +214,9 @@ def test_perfect_init_validation():
         quad_perfect_init(10, 12, p_inner=0.6)
     with pytest.raises(ValueError):
         quad_perfect_init(10, 12, p_outer=0.4)
+    for radius in (1.0, 0.5, float("nan"), float("inf")):  # 1.0 divided by zero
+        with pytest.raises(ValueError, match="outer radius must be finite and > 1"):
+            quad_perfect_init(5, 5, R=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +336,39 @@ def test_mlp_logits_keep_no_per_layer_cache(traced_peak):
     assert traced_peak(net.logits, X) < 24 * 2**20
 
 
+def unblocked_logits(net, X):
+    """One pass over all rows: the quadratic ``_pass``, or the MLP's out-of-place eval pass."""
+    return net._pass(X)[2] if net.family == "quadratic" else reference_eval_logits(net, X)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "mlp"])
+def test_logits_run_per_512_row_block_with_the_bits_of_an_unblocked_pass(family):
+    # 500-wide layers: a GEMM split into row blocks moves the last bit of
+    # some rows on OpenBLAS, so an unblocked 1300-row pass would not equal
+    # the concatenation of its blocks.
+    assert models._LOGIT_BLOCK == training._EVAL_CHUNK == 512
+    if family == "quadratic":
+        net = QuadraticNet.init_random(500, 500, RngStream(38))
+        net.w = np.array(0.7)
+    else:
+        net = moved_mlp(500, (500, 500), 38)
+    X = RngStream(39).normal_matrix(1300, 500)
+    blocks = [net.logits(X[a:b]) for a, b in ((0, 512), (512, 1024), (1024, 1300))]
+    assert net.logits(X).tobytes() == np.concatenate(blocks).tobytes()
+    for rows in (X[:512], X[1024:], X[7:8]):
+        assert net.logits(rows).tobytes() == unblocked_logits(net, rows).tobytes()
+
+
+@pytest.mark.parametrize("family, limit_mib", [("quadratic", 8), ("mlp", 16)])
+def test_paper_size_logits_call_holds_one_block_of_activations(family, limit_mib, traced_peak):
+    # Unblocked, 20 000 rows held 153 MiB (h = 1000) and 305 MiB (two 1000-wide
+    # layers); one 512-row block is 3.9 MiB per 1000-wide activation.
+    net = (QuadraticNet.init_random(500, 1000, RngStream(40)) if family == "quadratic"
+           else MlpNet.init_random(500, (1000, 1000), RngStream(40)))
+    X = RngStream(41).normal_matrix(20_000, 500)
+    assert traced_peak(net.logits, X) < limit_mib * 2**20
+
+
 @pytest.mark.parametrize("mode", ["train", "eval"])
 def test_mean_loss_is_the_mean_ce_of_forward_logits_and_keeps_running_stats(mode):
     net = moved_mlp(7, (6, 4), 35)
@@ -350,6 +394,19 @@ def test_quad_b_gradient_is_mean_sigmoid_residual():
     grads = net.backward(cache, y)
     assert float(grads["b"]) == pytest.approx(
         float(np.mean(sigmoid(logits) - y)), rel=1e-12)
+
+
+def test_quad_weight_gradient_has_the_bits_of_the_scaled_product():
+    # dW1 is scaled in place; an IEEE product commutes, so it keeps the bits
+    # of (2w) * ((H * dl) ^T X) computed as a new array.
+    net = QuadraticNet.init_random(500, 1000, RngStream(42))
+    net.w = np.array(0.37)
+    X = RngStream(43).normal_matrix(50, 500)
+    y = RngStream(44).coins(50).astype(float)
+    logits, cache = net.forward(X)
+    dl = (sigmoid(logits) - y) / 50
+    expected = (2.0 * 0.37) * ((cache["H"] * dl[:, None]).T @ X)
+    assert net.backward(cache, y)["W1"].tobytes() == expected.tobytes()
 
 
 def test_gradient_zero_at_strict_minimum_of_bias_only_problem():

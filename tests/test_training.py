@@ -829,6 +829,23 @@ def test_error_rate_holds_one_chunk_per_running_job(monkeypatch, traced_peak):
     assert peak < 12 * 10**6
 
 
+def test_paper_size_training_loop_holds_moments_snapshot_eval_points_and_one_block(traced_peak):
+    # The eval's 1000 points go through logits in 512-row blocks, and dW1 is
+    # scaled in place, so no 1000 x h activation or second gradient is alive.
+    n, h, eval_batch = 500, 1000, 1000
+    net = QuadraticNet.init_random(n, h, RngStream(45))
+    param_bytes = sum(p.nbytes for p in net.params().values())
+    state_bytes = sum(v.nbytes for v in net.state().values())
+    bound = (2 * param_bytes  # Adam's m and v
+             + state_bytes  # the snapshot
+             + eval_batch * n * 8  # the eval points
+             + 512 * h * 8  # one logits block of hidden activations
+             + 2**20)  # minibatches, labels and Adam's job scratch
+    cfg = TrainConfig(steps=4, metric_every=2, eval_batch=eval_batch, seed=46)
+    peak = traced_peak(train, net, cfg, SphereConfig(n=n))
+    assert peak < bound
+
+
 def test_error_rate_cap_keys_the_last_child_and_more_raises_before_any_job(monkeypatch):
     cap = training._ERROR_SAMPLES_CAP
     assert cap == 33_553_408
@@ -851,6 +868,9 @@ def test_error_rate_cap_keys_the_last_child_and_more_raises_before_any_job(monke
     monkeypatch.setattr(training, "_shard_map", refuse)
     with pytest.raises(ValueError, match=f"the cap is {cap} samples"):
         evaluate_error_rate(small_quad(), SphereConfig(n=10), cap + 1, RngStream(20))
+    for samples in (1000.5, 1000.0, "1000"):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            evaluate_error_rate(small_quad(), SphereConfig(n=10), samples, RngStream(20))
 
 
 @pytest.mark.parametrize("samples,errors,upper", [
