@@ -16,29 +16,37 @@ from spherelab.linalg import singular_values
 __version__ = "0.2.0"
 
 
-def require_int(name: str, value) -> int:
-    """``value`` as a Python int, or ``ValueError`` naming the argument ``name``.
+def require_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int at least ``least``, or ``ValueError`` naming ``name``.
 
     A ``bool`` is not an integer here; a numpy integer is, and becomes a
     Python int, so configs stay JSON-serializable.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
-def require_ints(config, *names: str) -> None:
-    """Check that each named field of ``config`` is an integer and store it as an int.
+def require_ints(config, **least: int) -> None:
+    """Check each field of ``config`` against its least value and store it as an int.
 
-    The rule is :func:`require_int`'s; a field that breaks it raises
-    ``ValueError`` naming the field.
+    The rule is :func:`require_int`'s, e.g. ``require_ints(self, steps=0,
+    seed=0)``; a field that breaks it raises ``ValueError`` naming the field.
     """
-    for name in names:
+    for name, low in least.items():
         # object.__setattr__ works on frozen dataclasses too
-        object.__setattr__(config, name, require_int(name, getattr(config, name)))
+        object.__setattr__(config, name, require_int(name, getattr(config, name), low))
+
+
+def require_above(name: str, value, low: float) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is finite and > ``low``."""
+    if not (math.isfinite(value) and value > low):
+        raise ValueError(f"{name} must be finite and > {low}, got {value!r}")
 
 
 def require_radius(R) -> None:
     """``ValueError`` unless ``R`` is an outer-shell radius: finite and > 1."""
-    if not (math.isfinite(R) and R > 1.0):
-        raise ValueError(f"outer radius must be finite and > 1, got {R!r}")
+    require_above("outer radius", R, 1)

@@ -34,12 +34,11 @@ concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from spherelab import require_ints
+from spherelab import require_above, require_ints
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import classify, sigmoid_ce_loss
 from spherelab.rng import RngStream, _shard_map
@@ -66,14 +65,9 @@ class AttackConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("nearest", "worst"):
             raise ValueError(f"mode must be 'nearest' or 'worst', got {self.mode!r}")
-        require_ints(self, "steps", "starts")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.step_size is not None and not (math.isfinite(self.step_size)
-                                               and self.step_size > 0):
-            raise ValueError(f"step size must be finite and > 0, got {self.step_size!r}")
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
+        require_ints(self, steps=1, starts=1)
+        if self.step_size is not None:
+            require_above("step_size", self.step_size, 0)
 
     @property
     def eta(self) -> float:

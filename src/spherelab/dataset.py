@@ -36,9 +36,7 @@ class SphereConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_ints(self, "n", "seed")
-        if self.n < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.n}")
+        require_ints(self, n=2, seed=0)
         require_radius(self.R)
 
 
@@ -51,9 +49,10 @@ def sphere_points(stream: RngStream, count: int, n: int) -> np.ndarray:
     block when ``n`` is larger), so no full-size temporary is made. A
     row's norm has the same bits for any block size. A row of ``n`` exact
     zeros (probability about 2^(-52 n)) raises ``ValueError``, and so does
-    a ``count`` or ``n`` that is not an integer, before anything is drawn.
+    a ``count`` that is not an integer >= 0 or an ``n`` that is not one
+    >= 1, before anything is drawn.
     """
-    count, n = require_int("count", count), require_int("n", n)
+    count, n = require_int("count", count, 0), require_int("n", n, 1)
     z = stream.normal_matrix(count, n)
     step = max(1, _SPHERE_BLOCK // n)
     for start in range(0, count, step):
@@ -74,9 +73,7 @@ def sample_batch(config: SphereConfig, stream: RngStream, count: int,
     """
     if shell not in ("inner", "outer", "both"):
         raise ValueError(f"shell must be inner/outer/both, got {shell!r}")
-    count = require_int("count", count)
-    if count < 1:
-        raise ValueError("count must be positive")
+    count = require_int("count", count, 1)
     if shell == "both":
         labels = stream.coins(count).astype(np.uint8)  # True -> outer
     else:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spherelab import require_int, require_ints, require_radius
+from spherelab import require_int, require_radius
 from spherelab.dataset import sphere_points
 from spherelab.models import AlphaSpectrum
 from spherelab.rng import RngStream, _shard_map
@@ -58,31 +58,6 @@ _SUBSPACE_BISECT_ITERS = 60
 
 class InfeasibleTargetError(ValueError):
     """No subspace of any size reaches the requested error rate."""
-
-
-@dataclass(frozen=True)
-class CapSpec:
-    """A spherical cap of measure mu in dimension n."""
-
-    n: int
-    mu: float
-
-    def __post_init__(self) -> None:
-        require_ints(self, "n")
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
-        if not 0.0 < self.mu <= 0.5:
-            raise ValueError(f"cap measure must be in (0, 0.5], got {self.mu}")
-
-    @property
-    def alpha(self) -> float:
-        """Gaussian height multiplier solving P[N(0,1) > alpha] = mu."""
-        return 0.0 - normal_quantile(self.mu)  # 0.0 - q keeps mu = 0.5 at +0.0, not -0.0
-
-    @property
-    def t(self) -> float:
-        """Cap height threshold alpha / sqrt(n)."""
-        return self.alpha / math.sqrt(self.n)
 
 
 def _gammas(spec: AlphaSpectrum, shell: str) -> np.ndarray:
@@ -119,10 +94,14 @@ def _chunks(samples: int) -> list[tuple[int, int]]:
 def theorem_bound(mu: float, n: int) -> float:
     """Distance bound Phi^-1(1 - mu)/sqrt(n) for error measure mu.
 
-    It is the height ``t`` of the cap of measure mu, so the same
-    :class:`CapSpec` checks apply: n >= 2 and mu in (0, 0.5].
+    It is also the height ``t`` of the cap ``{x : x_1 > t}`` of measure mu
+    on the sphere in R^n. It needs an integer n >= 2 and mu in (0, 0.5];
+    mu = 0.5 gives +0.0.
     """
-    return CapSpec(n=n, mu=mu).t
+    n = require_int("n", n, 2)
+    if not 0.0 < mu <= 0.5:
+        raise ValueError(f"cap measure must be in (0, 0.5], got {mu}")
+    return (0.0 - normal_quantile(mu)) / math.sqrt(n)  # 0.0 - q: +0.0 at mu = 0.5, not -0.0
 
 
 def _cap_distances(x1: np.ndarray, t: float, formula: str) -> np.ndarray:
@@ -139,7 +118,7 @@ def _cap_distances(x1: np.ndarray, t: float, formula: str) -> np.ndarray:
     raise ValueError(f"formula must be 'paper' or 'exact_chord', got {formula!r}")
 
 
-def _cap_distance_sum(job: tuple[CapSpec, RngStream, str, int]) -> float:
+def _cap_distance_sum(job: tuple[int, float, RngStream, str, int]) -> float:
     """Summed cap distances of one chunk of ``count`` uniform sphere points.
 
     The points come from successive :func:`spherelab.dataset.sphere_points`
@@ -147,33 +126,32 @@ def _cap_distance_sum(job: tuple[CapSpec, RngStream, str, int]) -> float:
     kept. Normals are chunk-invariant and each row is normalised by its own
     norm, so the bits do not depend on the block.
     """
-    cap, stream, formula, count = job
-    step = max(1, _MC_BLOCK // cap.n)
+    n, t, stream, formula, count = job
+    step = max(1, _MC_BLOCK // n)
     x1 = np.empty(count)
     for start in range(0, count, step):
-        x1[start:start + step] = sphere_points(stream, min(step, count - start), cap.n)[:, 0]
-    return float(_cap_distances(x1, cap.t, formula).sum())
+        x1[start:start + step] = sphere_points(stream, min(step, count - start), n)[:, 0]
+    return float(_cap_distances(x1, t, formula).sum())
 
 
-def _mc_cap_means(estimates: list[tuple[CapSpec, RngStream, str]],
+def _mc_cap_means(n: int, estimates: list[tuple[float, RngStream, str]],
                   samples: int) -> list[float]:
-    """Mean cap distance of each ``(cap, stream, formula)`` estimate.
+    """Mean distance in R^n to the cap of each ``(mu, stream, formula)`` estimate.
 
     Chunk ``i`` of 16384 points of an estimate draws from its
     ``stream.child(i)``. The chunks of all estimates run in one
     :func:`spherelab.rng._shard_map` call, and each estimate adds its chunk
     sums in chunk order.
     """
-    if samples < 10**4:
-        raise ValueError("the cap-distance Monte Carlo needs at least 1e4 samples")
-    for cap, _, formula in estimates:
-        if formula == "exact_chord" and cap.t > 1.0:
+    heights = [theorem_bound(mu, n) for mu, _, _ in estimates]
+    for t, (mu, _, formula) in zip(heights, estimates):
+        if formula == "exact_chord" and t > 1.0:
             raise ValueError(
-                f"exact_chord needs a cap height t <= 1, but n = {cap.n} and "
-                f"mu = {cap.mu!r} give t = {cap.t:.4g}")
+                f"exact_chord needs a cap height t <= 1, but n = {n} and "
+                f"mu = {mu!r} give t = {t:.4g}")
     chunks = _chunks(samples)
-    sums = _shard_map(_cap_distance_sum, [(cap, stream.child(i), formula, count)
-                                          for cap, stream, formula in estimates
+    sums = _shard_map(_cap_distance_sum, [(n, t, stream.child(i), formula, count)
+                                          for t, (_, stream, formula) in zip(heights, estimates)
                                           for i, count in chunks])
     means = []
     for k in range(len(estimates)):
@@ -211,15 +189,15 @@ def bound_curve(n: int, mus: list[float], samples: int,
     drawn from the estimate stream's ``child(c)``. The chunks of all
     ``2 * len(mus)`` estimates run in one pool map; each estimate adds its
     chunk sums in chunk order, and each job holds one row block of points.
-    A ``samples`` that is not an integer raises ``ValueError`` before any
-    chunk runs.
+    An ``n`` that is not an integer >= 2, or a ``samples`` that is not one
+    >= 10^4, raises ``ValueError`` before any chunk runs.
     """
-    samples = require_int("samples", samples)
+    n, samples = require_int("n", n, 2), require_int("samples", samples, 10**4)
     curve = BoundCurve(n=n, samples=samples)
     means = _mc_cap_means(
-        [(CapSpec(n=n, mu=mu), stream.child(2 * i + j), formula)
-         for i, mu in enumerate(mus)
-         for j, formula in enumerate(("paper", "exact_chord"))], samples)
+        n, [(mu, stream.child(2 * i + j), formula)
+            for i, mu in enumerate(mus)
+            for j, formula in enumerate(("paper", "exact_chord"))], samples)
     for i, mu in enumerate(mus):
         d_paper, d_exact = means[2 * i], means[2 * i + 1]
         point = BoundCurvePoint(

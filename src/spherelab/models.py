@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spherelab import require_radius
+from spherelab import require_int, require_radius
 from spherelab.linalg import singular_values
 from spherelab.rng import RngStream
 
@@ -74,6 +74,14 @@ def _blocked_logits(X: np.ndarray, block_logits) -> np.ndarray:
     for start in range(0, X.shape[0], _LOGIT_BLOCK):
         out[start:start + _LOGIT_BLOCK] = block_logits(X[start:start + _LOGIT_BLOCK])
     return out
+
+
+def _check_dim(X, n: int) -> np.ndarray:
+    """``X`` as float64 rows, or ``ValueError`` unless each row has the model's ``n`` entries."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != n:
+        raise ValueError(f"input dim {X.shape[1]} != model dim {n}")
+    return X
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -150,6 +158,7 @@ class QuadraticNet:
 
     @classmethod
     def init_random(cls, n: int, h: int, stream: RngStream) -> "QuadraticNet":
+        n, h = require_int("n", n, 1), require_int("h", h, 1)
         w1 = stream.normal_matrix(h, n) * np.sqrt(1.0 / n)
         return cls(w1, 1.0, -1.0)
 
@@ -157,12 +166,6 @@ class QuadraticNet:
         return {"W1": self.W1, "w": self.w, "b": self.b}
 
     state = params  # the parameters are the quadratic net's whole state
-
-    def _check_dim(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n:
-            raise ValueError(f"input dim {X.shape[1]} != model dim {self.n}")
-        return X
 
     def _pass(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Hidden activations H = X W1^T, S = sum(H^2) per row, and the logits."""
@@ -172,10 +175,10 @@ class QuadraticNet:
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         """The logits of ``_pass``, run per block of 512 rows."""
-        return _blocked_logits(self._check_dim(X), lambda rows: self._pass(rows)[2])
+        return _blocked_logits(_check_dim(X, self.n), lambda rows: self._pass(rows)[2])
 
     def forward(self, X, mode: str = "train", update_stats: bool | None = None):
-        X = self._check_dim(X)
+        X = _check_dim(X, self.n)
         H, S, logits = self._pass(X)
         cache = {"X": X, "H": H, "S": S, "logits": logits, "mode": mode}
         return logits, cache
@@ -195,7 +198,7 @@ class QuadraticNet:
 
     def input_grad(self, X, labels) -> np.ndarray:
         """Per-row gradient of the (unaveraged) loss w.r.t. the input."""
-        X = self._check_dim(X)
+        X = _check_dim(X, self.n)
         y = np.asarray(labels, dtype=np.float64)
         H, _, logits = self._pass(X)
         dl = sigmoid(logits) - y
@@ -242,6 +245,7 @@ def quad_perfect_init(
     the inner shell and p_outer on the outer shell. ``R`` must be finite
     and > 1.
     """
+    n, h = require_int("n", n, 1), require_int("h", h, 1)
     require_radius(R)
     if h < n:
         raise ValueError(f"perfect init needs h >= n, got h={h} < n={n}")
@@ -273,8 +277,9 @@ class MlpNet:
     def __init__(self, n: int, hidden: tuple[int, ...]) -> None:
         if not hidden:
             raise ValueError("need at least one hidden layer")
-        self.n = int(n)
-        self.hidden = tuple(int(h) for h in hidden)
+        self.n = require_int("n", n, 1)
+        self.hidden = tuple(require_int(f"hidden[{i}]", width, 1)
+                            for i, width in enumerate(hidden))
         self.Ws: list[np.ndarray] = []
         self.bs: list[np.ndarray] = []
         self.gammas: list[np.ndarray] = []
@@ -296,7 +301,7 @@ class MlpNet:
     @classmethod
     def init_random(cls, n: int, hidden: tuple[int, ...], stream: RngStream) -> "MlpNet":
         net = cls(n, hidden)
-        fan = n
+        fan = net.n
         for i, width in enumerate(net.hidden):
             net.Ws[i] = stream.normal_matrix(width, fan) * np.sqrt(2.0 / fan)
             fan = width
@@ -320,12 +325,6 @@ class MlpNet:
             out[f"run_mean{i}"] = self.run_means[i]
             out[f"run_var{i}"] = self.run_vars[i]
         return out
-
-    def _check_dim(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.n:
-            raise ValueError(f"input dim {X.shape[1]} != model dim {self.n}")
-        return X
 
     def _layer(self, i: int, act: np.ndarray, mode: str, update_stats: bool,
                keep_xhat: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -366,7 +365,7 @@ class MlpNet:
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        X = self._check_dim(X)
+        X = _check_dim(X, self.n)
         batch = X.shape[0]
         if mode == "train" and batch < 2:
             raise ValueError("train mode needs batch size >= 2 for batch statistics")
@@ -418,7 +417,7 @@ class MlpNet:
 
     def input_grad(self, X, labels) -> np.ndarray:
         """Per-row loss gradient w.r.t. the input, eval-mode statistics."""
-        X = self._check_dim(X)
+        X = _check_dim(X, self.n)
         y = np.asarray(labels, dtype=np.float64)
         logits, cache = self.forward(X, mode="eval")
         d_act = np.outer(sigmoid(logits) - y, self.w_out)
@@ -440,5 +439,5 @@ class MlpNet:
                 act = self._layer(i, act, "eval", False, keep_xhat=False)[0]
             return act @ self.w_out + float(self.b_out)
 
-        return _blocked_logits(self._check_dim(X), block)
+        return _blocked_logits(_check_dim(X, self.n), block)
 

@@ -37,7 +37,7 @@ from itertools import combinations
 import numpy as np
 
 import spherelab
-from spherelab import attack as attack_mod, require_int, require_ints
+from spherelab import attack as attack_mod, require_above, require_int, require_ints
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import (
     MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, sigmoid_ce_loss)
@@ -180,15 +180,9 @@ class ProbeConfig:
     nearest_step_size: float = 0.001
 
     def __post_init__(self) -> None:
-        counts = ("every", "starts", "steps", "nearest_steps")
-        require_ints(self, *counts)
-        for name in counts:
-            if getattr(self, name) < 1:
-                raise ValueError(f"probe {name} must be >= 1, got {getattr(self, name)}")
-        for name in ("step_size", "nearest_step_size"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"probe {name} must be finite and > 0, got {value!r}")
+        require_ints(self, every=1, starts=1, steps=1, nearest_steps=1)
+        require_above("step_size", self.step_size, 0)
+        require_above("nearest_step_size", self.nearest_step_size, 0)
 
 
 @dataclass
@@ -216,28 +210,12 @@ class TrainConfig:
     metrics_path: str | os.PathLike | None = None
 
     def __post_init__(self) -> None:
-        require_ints(self, "steps", "batch_size", "seed", "train_set_size", "metric_every",
-                     "eval_batch", "error_eval_samples", "alpha_every")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.train_set_size < 0:
-            raise ValueError(f"train_set_size must be >= 0 (0 trains online), "
-                             f"got {self.train_set_size}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
-        if self.metric_every < 1:
-            raise ValueError("metric_every must be >= 1")
-        if self.eval_batch < 1:
-            raise ValueError("eval_batch must be >= 1")
-        if self.error_eval_samples < 0:
-            raise ValueError("error_eval_samples must be >= 0 (0 skips the estimate)")
+        require_ints(self, steps=0, batch_size=1, seed=0, train_set_size=0, metric_every=1,
+                     eval_batch=1, error_eval_samples=0, alpha_every=0)
+        require_above("lr", self.lr, 0)
         if self.error_eval_samples > _ERROR_SAMPLES_CAP:
             raise ValueError(f"error_eval_samples must be <= {_ERROR_SAMPLES_CAP}, "
                              f"the samples evaluate_error_rate can key")
-        if self.alpha_every < 0:
-            raise ValueError("alpha_every must be >= 0 (0 skips the checks)")
         if self.stop_on_perfect and self.alpha_every <= 0:
             raise ValueError("stop_on_perfect needs alpha_every > 0")
 
@@ -324,12 +302,10 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
     ``samples``.
 
     The last child index caps ``samples`` at 33,553,408; more, or a
-    ``samples`` that is not an integer, raises ``ValueError`` before any
-    chunk runs.
+    ``samples`` that is not an integer >= 1, raises ``ValueError`` before
+    any chunk runs.
     """
-    samples = require_int("samples", samples)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = require_int("samples", samples, 1)
     if samples > _ERROR_SAMPLES_CAP:
         raise ValueError(f"{samples} samples need outer chunks past the last child index; "
                          f"the cap is {_ERROR_SAMPLES_CAP} samples")
@@ -548,8 +524,7 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
             final = step == cfg.steps or stopping
             do_probe = cfg.probe is not None and (step % cfg.probe.every == 0 or final)
             if step % cfg.metric_every == 0 or final or alpha is not None or do_probe:
-                mean_loss = loss_sum / loss_count if loss_count else None
-                emit(step, mean_loss, alpha, do_probe)
+                emit(step, loss_sum / loss_count, alpha, do_probe)
                 loss_sum = 0.0
                 loss_count = 0
             if stopping:

@@ -23,6 +23,8 @@ def test_config_validation():
             SphereConfig(n=n)
     with pytest.raises(ValueError, match="seed must be an integer"):
         SphereConfig(n=5, seed=2.5)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SphereConfig(n=5, seed=-1)
 
 
 def test_require_ints_names_the_field_and_stores_numpy_integers_as_ints():
@@ -32,12 +34,14 @@ def test_require_ints_names_the_field_and_stores_numpy_integers_as_ints():
         b: object
 
     counts = Counts(a=np.int32(3), b=np.uint64(2**63))
-    require_ints(counts, "a", "b")
+    require_ints(counts, a=3, b=0)
     assert (counts.a, counts.b) == (3, 2**63)
     assert type(counts.a) is int and type(counts.b) is int
     for bad in (True, np.bool_(False), 1.0, None):
         with pytest.raises(ValueError, match=r"^b must be an integer"):
-            require_ints(Counts(a=1, b=bad), "a", "b")
+            require_ints(Counts(a=1, b=bad), a=0, b=0)
+    with pytest.raises(ValueError, match=r"^a must be >= 4, got 3$"):
+        require_ints(Counts(a=np.int32(3), b=0), a=4, b=0)
     assert type(SphereConfig(n=np.int64(7)).n) is int
 
 
@@ -123,7 +127,7 @@ def test_sample_batch_rejects_an_unknown_shell_or_count():
     cfg = SphereConfig(n=4)
     with pytest.raises(ValueError, match="shell must be"):
         sample_batch(cfg, RngStream(1), 5, "middle")
-    with pytest.raises(ValueError, match="count"):
+    with pytest.raises(ValueError, match="count must be >= 1"):
         sample_batch(cfg, RngStream(1), 0, "inner")
     stream = RngStream(1)
     with pytest.raises(ValueError, match="count must be an integer"):
@@ -132,6 +136,10 @@ def test_sample_batch_rejects_an_unknown_shell_or_count():
         sphere_points(stream, 2.0, 3)
     with pytest.raises(ValueError, match="n must be an integer"):
         sphere_points(stream, 3, 2.0)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        sphere_points(stream, 3, 0)
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        sphere_points(stream, -1, 3)
     assert (stream.raw(3) == RngStream(1).raw(3)).all()  # nothing was drawn
 
 

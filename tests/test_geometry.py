@@ -8,7 +8,6 @@ from scipy.stats import f, norm
 
 from spherelab import geometry
 from spherelab.geometry import (
-    CapSpec,
     InfeasibleTargetError,
     bound_curve,
     clt_error_rate,
@@ -159,7 +158,7 @@ def test_mc_cap_distance_equals_a_serial_in_order_loop(formula):
     stream = RngStream(23).child(9)
     curve = bound_curve(n, mus, samples, stream)
     for i, (mu, p) in enumerate(zip(mus, curve.points)):
-        t = CapSpec(n=n, mu=mu).t
+        t = theorem_bound(mu, n)
         total = 0.0
         for chunk, start in enumerate(range(0, samples, 16384)):
             count = min(16384, samples - start)
@@ -182,10 +181,9 @@ def test_bound_curve_columns_equal_separate_estimates():
     assert (curve.n, curve.samples) == (n, samples)
     assert [p.mu for p in curve.points] == mus
     for i, (mu, p) in enumerate(zip(mus, curve.points)):
-        cap = CapSpec(n=n, mu=mu)
         assert p.d_theory == theorem_bound(mu, n)
         assert [p.d_mc_paper_formula, p.d_mc_exact_chord] == [
-            geometry._mc_cap_means([(cap, stream.child(2 * i + j), formula)], samples)[0]
+            geometry._mc_cap_means(n, [(mu, stream.child(2 * i + j), formula)], samples)[0]
             for j, formula in enumerate(["paper", "exact_chord"])]
 
 
@@ -193,7 +191,7 @@ def test_mc_cap_distance_exact_chord_matches_quadrature_at_n500():
     # On the unit sphere in R^n, x_1 has density proportional to
     # (1 - x^2)^((n - 3) / 2) on [-1, 1].
     n, mu, samples = 500, 1e-2, 40_000
-    t = CapSpec(n=n, mu=mu).t
+    t = theorem_bound(mu, n)
 
     def density(x):
         return (1.0 - x * x) ** ((n - 3) / 2)
@@ -220,7 +218,7 @@ def test_mc_cap_distance_memory_stays_one_row_block_per_job(traced_peak):
 
 
 def test_bound_curve_needs_enough_samples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples must be >= 10000, got 9999"):
         bound_curve(7, [1e-2], 10**4 - 1, RngStream(1))
 
 
@@ -230,31 +228,24 @@ def test_bound_curve_needs_enough_samples():
 def test_theorem_bound_is_the_gaussian_quantile_over_sqrt_n(mu, n):
     expected = norm.isf(mu) / math.sqrt(n)
     assert theorem_bound(mu, n) == pytest.approx(expected, rel=1e-12, abs=1e-15)
-    assert CapSpec(n=n, mu=mu).t == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("mu", [0.0, -1e-3, 0.5000001, 1.0, float("nan")])
 def test_cap_measure_outside_zero_half_rejected(mu):
-    with pytest.raises(ValueError):
-        CapSpec(n=10, mu=mu)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cap measure"):
         theorem_bound(mu, 10)
 
 
-def test_cap_spec_accepts_the_closed_end_and_rejects_low_dimension():
-    assert CapSpec(n=10, mu=0.5).t == 0.0
-    assert CapSpec(n=10, mu=1e-300).mu == 1e-300
-    with pytest.raises(ValueError):
-        CapSpec(n=1, mu=0.1)
+def test_theorem_bound_accepts_the_closed_end_and_rejects_low_dimension():
+    assert math.copysign(1.0, theorem_bound(0.5, 10)) == 1.0 and theorem_bound(0.5, 10) == 0.0
+    assert theorem_bound(1e-300, 10) == pytest.approx(norm.isf(1e-300) / math.sqrt(10), rel=1e-12)
     for n in (1, 0, -3):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="n must be >= 2"):
             theorem_bound(0.1, n)
     for n in (5.5, 5.0, True):
         with pytest.raises(ValueError, match="n must be an integer"):
-            CapSpec(n=n, mu=0.1)
-        with pytest.raises(ValueError, match="n must be an integer"):
             theorem_bound(0.1, n)
-    assert type(CapSpec(n=np.int64(5), mu=0.1).n) is int
+    assert theorem_bound(0.1, np.int64(5)) == theorem_bound(0.1, 5)
 
 
 def test_exact_chord_rejects_a_cap_higher_than_the_pole(monkeypatch):

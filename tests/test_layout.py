@@ -75,3 +75,25 @@ def test_modules_share_only_the_allowed_private_names():
     extra = {path.name: sorted(private_imports(path) - ALLOWED_PRIVATE)
              for path in SRC.glob("*.py")}
     assert {name: found for name, found in extra.items() if found} == {}
+
+
+def test_every_int_field_of_a_checked_dataclass_goes_through_require_ints():
+    # A class with a __post_init__ checks its fields; each one annotated
+    # ``int`` must be a keyword of a require_ints call there.
+    unchecked, checked_classes = {}, set()
+    for path in SRC.glob("*.py"):
+        for cls in ast.walk(parse(path)):
+            post_init = [f for f in cls.body if isinstance(f, ast.FunctionDef)
+                         and f.name == "__post_init__"] if isinstance(cls, ast.ClassDef) else []
+            if not post_init:
+                continue
+            checked_classes.add(cls.name)
+            ints = {f.target.id for f in cls.body if isinstance(f, ast.AnnAssign)
+                    and getattr(f.annotation, "id", "") == "int"}
+            keywords = {kw.arg for call in ast.walk(post_init[0]) if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", "") == "require_ints"
+                        for kw in call.keywords}
+            if ints - keywords:
+                unchecked[cls.name] = sorted(ints - keywords)
+    assert {"SphereConfig", "TrainConfig", "ProbeConfig", "AttackConfig"} <= checked_classes
+    assert unchecked == {}

@@ -210,6 +210,10 @@ def test_perfect_init_has_nonzero_gradients():
 def test_perfect_init_validation():
     with pytest.raises(ValueError):
         quad_perfect_init(10, 5)
+    with pytest.raises(ValueError, match="h must be an integer"):
+        quad_perfect_init(10, 12.0)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        QuadraticNet.init_random(0, 3, RngStream(1))
     with pytest.raises(ValueError):
         quad_perfect_init(10, 12, p_inner=0.6)
     with pytest.raises(ValueError):
@@ -281,6 +285,10 @@ def test_mlp_rejects_singleton_train_batch():
     net = MlpNet.init_random(5, (4,), RngStream(16))
     with pytest.raises(ValueError):
         net.forward(np.ones((1, 5)), mode="train")
+    with pytest.raises(ValueError, match=r"hidden\[0\] must be an integer, got 2.5"):
+        MlpNet(5, (2.5,))
+    with pytest.raises(ValueError, match=r"hidden\[0\] must be >= 1, got 0"):
+        MlpNet(5, (0,))
 
 
 def test_mlp_running_stats_update_only_when_asked():

@@ -353,8 +353,14 @@ def test_stop_on_perfect_requires_alpha_cadence():
 def test_metric_and_probe_cadences_must_be_positive():
     with pytest.raises(ValueError, match="metric_every"):
         TrainConfig(steps=10, metric_every=0)
-    with pytest.raises(ValueError, match="probe every"):
+    with pytest.raises(ValueError, match="every must be >= 1"):
         ProbeConfig(every=0)
+
+
+def test_a_negative_run_seed_is_refused_when_the_config_is_built():
+    # RngStream refuses it too, but only once train() starts.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(steps=1, seed=-1)
 
 
 @pytest.mark.parametrize("name,value,in_probe", [
