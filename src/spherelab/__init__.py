@@ -9,10 +9,6 @@ spherical-cap bounds and CLT estimates.
 import math
 import numbers
 
-from spherelab.rng import RngStream
-from spherelab.special import normal_cdf, normal_quantile
-from spherelab.linalg import singular_values
-
 __version__ = "0.2.0"
 
 
@@ -50,3 +46,9 @@ def require_above(name: str, value, low: float) -> None:
 def require_radius(R) -> None:
     """``ValueError`` unless ``R`` is an outer-shell radius: finite and > 1."""
     require_above("outer radius", R, 1)
+
+
+# After the argument rule, which ``spherelab.rng`` imports from here.
+from spherelab.rng import RngStream
+from spherelab.special import normal_cdf, normal_quantile
+from spherelab.linalg import singular_values

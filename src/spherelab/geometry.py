@@ -258,6 +258,7 @@ def minimal_subspace_fraction(n: int, target_error: float, R: float) -> Subspace
     require_radius(R)
     if not 0.0 < target_error < 0.5:
         raise ValueError("target error must be in (0, 0.5)")
+    n = require_int("n", n, 1)
     if n < _CLT_MIN_DIM:
         raise ValueError(f"need n >= {_CLT_MIN_DIM} for the CLT estimate")
     _, full_rate = _equalized_rates(n, n, R)

@@ -16,30 +16,32 @@ zero-mean Gaussians with variance 2/fan-in, the readout and the quadratic
 net's W1 use 1/fan-in, biases start at zero, and the quadratic scalars
 start at w=1, b=-1. All arithmetic is float64.
 
-Both families expose the same training surface: ``forward`` returning
-(logits, cache), ``backward`` producing mean-loss gradients for every
-parameter, ``input_grad`` for attack search, and ``params`` as a flat
+Both families expose the same surface, one pass per purpose:
+``forward(X)`` is the training pass, returning (logits, cache), with the
+MLP normalizing by batch statistics and moving its running ones;
+``backward`` turns that cache into mean-loss gradients for every
+parameter; ``logits`` and ``input_grad`` (for attack search) run the eval
+pass, the MLP's by running statistics; and ``params`` is a flat
 name-to-array dict (scalars are 0-d arrays updated in place). ``state``
 extends ``params`` with every other array that defines the net (the MLP's
 batch-norm running statistics ``run_mean{i}`` and ``run_var{i}``); it is
 what training snapshots and checkpoints save and restore. Both dicts hold
 the model's own arrays, built anew on each call.
 
-``logits`` is the inference pass and keeps no cache. It runs over blocks
-of 512 rows, each written into one preallocated ``(rows,)`` output, so a
-call holds the activations of one block whatever its row count: about
-4 MiB for the paper's quadratic net (h = 1000) and 8 MiB for the
-1000x1000 MLP. For the MLP each block runs each layer in place on its
-GEMM output with the ufunc sequence of ``forward``. A call of at most
-512 rows is one block and does exactly the GEMMs of an unblocked pass:
-the quadratic net's ``forward`` logits, and for the MLP the bits of
-``forward(X, mode="eval")[0]``. A longer call runs the same GEMMs on row
-blocks, which BLAS may round differently in the last bit for some widths
-(on OpenBLAS 0.3.31 the 1000-wide layers of the paper's nets kept every
-bit of 1000-row calls, while 500-wide layers moved the last bit of
-0.3-5 % of the rows). Eval-mode ``forward`` still keeps a cache
-(each layer's input, ``xhat``, ``inv_std`` and ReLU output), which
-``input_grad`` reads.
+``logits`` keeps no cache. It runs over blocks of 512 rows, each written
+into one preallocated ``(rows,)`` output, so a call holds the activations
+of one block whatever its row count: about 4 MiB for the paper's
+quadratic net (h = 1000) and 8 MiB for the 1000x1000 MLP. For the MLP
+each block runs the eval ``_layer``, in place on each GEMM output, which
+``input_grad`` runs over all its rows. A call of at most 512 rows is one
+block and does exactly the GEMMs of an unblocked pass: the quadratic
+net's ``forward`` logits, and for the MLP the bits of the eval pass
+written out of place, one new array per operation (``z *= gamma`` rounds
+like ``gamma * z``). A longer call runs the same GEMMs on row blocks,
+which BLAS may round differently in the last bit for some widths (on
+OpenBLAS 0.3.31 the 1000-wide layers of the paper's nets kept every bit
+of 1000-row calls, while 500-wide layers moved the last bit of 0.3-5 %
+of the rows).
 """
 
 from __future__ import annotations
@@ -177,11 +179,11 @@ class QuadraticNet:
         """The logits of ``_pass``, run per block of 512 rows."""
         return _blocked_logits(_check_dim(X, self.n), lambda rows: self._pass(rows)[2])
 
-    def forward(self, X, mode: str = "train", update_stats: bool | None = None):
+    def forward(self, X):
+        """Logits and the cache ``backward`` reads."""
         X = _check_dim(X, self.n)
         H, S, logits = self._pass(X)
-        cache = {"X": X, "H": H, "S": S, "logits": logits, "mode": mode}
-        return logits, cache
+        return logits, {"X": X, "H": H, "S": S, "logits": logits}
 
     def backward(self, cache, labels) -> dict[str, np.ndarray]:
         """Gradients of the mean sigmoid-CE loss over the cached batch."""
@@ -326,67 +328,54 @@ class MlpNet:
             out[f"run_var{i}"] = self.run_vars[i]
         return out
 
-    def _layer(self, i: int, act: np.ndarray, mode: str, update_stats: bool,
-               keep_xhat: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Hidden layer ``i``: affine -> batch norm -> ReLU, in place on the GEMM output.
+    def _layer(self, i: int, act: np.ndarray,
+               train: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Hidden layer ``i``: affine -> batch norm -> ReLU on the GEMM output.
 
-        Returns (output, xhat, inv_std). With ``keep_xhat`` False the
-        normalized pre-activations are overwritten by the output, and the
-        returned ``xhat`` is the output array itself.
+        Returns (output, xhat, inv_std). ``train`` normalizes by batch
+        statistics, moves the running ones and keeps ``xhat``; eval uses the
+        running statistics in place, so ``xhat`` is the output array itself.
         """
         z = act @ self.Ws[i].T
         z += self.bs[i]
-        if mode == "train":
-            mean = z.mean(axis=0)
-            var = z.var(axis=0)
-            if update_stats:
-                self.run_means[i] *= BN_MOMENTUM
-                self.run_means[i] += (1.0 - BN_MOMENTUM) * mean
-                self.run_vars[i] *= BN_MOMENTUM
-                self.run_vars[i] += (1.0 - BN_MOMENTUM) * var
+        if train:
+            mean, var = z.mean(axis=0), z.var(axis=0)
+            self.run_means[i] *= BN_MOMENTUM
+            self.run_means[i] += (1.0 - BN_MOMENTUM) * mean
+            self.run_vars[i] *= BN_MOMENTUM
+            self.run_vars[i] += (1.0 - BN_MOMENTUM) * var
         else:
-            mean = self.run_means[i]
-            var = self.run_vars[i]
+            mean, var = self.run_means[i], self.run_vars[i]
         inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         z -= mean
         z *= inv_std
-        out = self.gammas[i] * z if keep_xhat else np.multiply(z, self.gammas[i], out=z)
+        out = self.gammas[i] * z if train else np.multiply(z, self.gammas[i], out=z)
         out += self.betas[i]
         np.maximum(out, 0.0, out=out)
         return out, z, inv_std
 
-    def forward(self, X, mode: str = "train", update_stats: bool | None = None):
-        """Run the net; in train mode normalization uses batch statistics.
+    def forward(self, X):
+        """The training pass: batch norm by batch statistics, running ones moved.
 
-        ``update_stats`` defaults to True in train mode; pass False to
-        probe the train-mode function without touching running stats
-        (finite differencing relies on this). The cache keeps, per hidden
-        layer, its input, ``xhat``, ``inv_std`` and its ReLU output.
+        Needs at least two rows. The cache keeps, per hidden layer, its
+        input, ``xhat``, ``inv_std`` and its ReLU output.
         """
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         X = _check_dim(X, self.n)
         batch = X.shape[0]
-        if mode == "train" and batch < 2:
-            raise ValueError("train mode needs batch size >= 2 for batch statistics")
-        if update_stats is None:
-            update_stats = mode == "train"
-        act = X
-        layers = []
+        if batch < 2:
+            raise ValueError("the training pass needs batch size >= 2 for batch statistics")
+        act, layers = X, []
         for i in range(len(self.hidden)):
-            out, xhat, inv_std = self._layer(i, act, mode, update_stats, keep_xhat=True)
+            out, xhat, inv_std = self._layer(i, act, train=True)
             layers.append({"input": act, "xhat": xhat, "inv_std": inv_std, "out": out})
             act = out
         logits = act @ self.w_out + float(self.b_out)
-        cache = {"layers": layers, "top": act, "logits": logits,
-                 "mode": mode, "batch": batch}
-        return logits, cache
+        return logits, {"layers": layers, "top": act, "logits": logits, "batch": batch}
 
     def backward(self, cache, labels) -> dict[str, np.ndarray]:
         """Gradients of the mean sigmoid-CE loss, batch-norm terms included."""
         y = np.asarray(labels, dtype=np.float64)
         batch = cache["batch"]
-        mode = cache["mode"]
         dl = (sigmoid(cache["logits"]) - y) / batch
         grads: dict[str, np.ndarray] = {
             "w_out": cache["top"].T @ dl,
@@ -400,15 +389,12 @@ class MlpNet:
             grads[f"gamma{i}"] = (d_pre * xhat).sum(axis=0)
             grads[f"beta{i}"] = d_pre.sum(axis=0)
             d_xhat = d_pre * self.gammas[i]
-            if mode == "train":
-                # Batch statistics carry gradient terms of their own.
-                d_z = (layer["inv_std"] / batch) * (
-                    batch * d_xhat
-                    - d_xhat.sum(axis=0)
-                    - xhat * (d_xhat * xhat).sum(axis=0)
-                )
-            else:
-                d_z = d_xhat * layer["inv_std"]
+            # Batch statistics carry gradient terms of their own.
+            d_z = (layer["inv_std"] / batch) * (
+                batch * d_xhat
+                - d_xhat.sum(axis=0)
+                - xhat * (d_xhat * xhat).sum(axis=0)
+            )
             grads[f"w{i}"] = d_z.T @ layer["input"]
             grads[f"b{i}"] = d_z.sum(axis=0)
             if i:  # the input gradient of layer 0 is not a parameter gradient
@@ -416,16 +402,19 @@ class MlpNet:
         return grads
 
     def input_grad(self, X, labels) -> np.ndarray:
-        """Per-row loss gradient w.r.t. the input, eval-mode statistics."""
-        X = _check_dim(X, self.n)
+        """Per-row loss gradient w.r.t. the input, through the eval ``_layer`` of ``logits``.
+
+        One pass over all rows keeps each layer's ReLU output and ``inv_std``.
+        """
+        act, layers = _check_dim(X, self.n), []
         y = np.asarray(labels, dtype=np.float64)
-        logits, cache = self.forward(X, mode="eval")
-        d_act = np.outer(sigmoid(logits) - y, self.w_out)
+        for i in range(len(self.hidden)):
+            act, _, inv_std = self._layer(i, act, train=False)
+            layers.append((act, inv_std))
+        d_act = np.outer(sigmoid(act @ self.w_out + float(self.b_out)) - y, self.w_out)
         for i in reversed(range(len(self.hidden))):
-            layer = cache["layers"][i]
-            d_pre = d_act * (layer["out"] > 0.0)
-            d_z = d_pre * self.gammas[i] * layer["inv_std"]
-            d_act = d_z @ self.Ws[i]
+            out, inv_std = layers[i]
+            d_act = (d_act * (out > 0.0) * self.gammas[i] * inv_std) @ self.Ws[i]
         return d_act
 
     def logits(self, X: np.ndarray) -> np.ndarray:
@@ -436,7 +425,7 @@ class MlpNet:
         """
         def block(act: np.ndarray) -> np.ndarray:
             for i in range(len(self.hidden)):
-                act = self._layer(i, act, "eval", False, keep_xhat=False)[0]
+                act = self._layer(i, act, train=False)[0]
             return act @ self.w_out + float(self.b_out)
 
         return _blocked_logits(_check_dim(X, self.n), block)

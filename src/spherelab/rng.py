@@ -56,6 +56,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.random import Philox
 
+from spherelab import require_int
+
 _U64 = np.uint64
 _INV_2_53 = 2.0**-53
 _CHILD_BASE = 65536  # children pack into base-65536 digits of the stream index
@@ -80,12 +82,10 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        if not 0 <= int(seed) < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        if not 0 <= int(stream) < 2**64:
-            raise ValueError(f"stream index must be an unsigned 64-bit integer, got {stream}")
-        self.seed = int(seed)
-        self.stream = int(stream)
+        for name, value in (("seed", seed), ("stream index", stream)):
+            if require_int(name, value, 0) >= 2**64:
+                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
+        self.seed, self.stream = int(seed), int(stream)
         self._bits = Philox(key=np.array([self.seed, self.stream], dtype=_U64))
         self._normals = np.random.Generator(self._bits)
 
@@ -99,7 +99,8 @@ class RngStream:
         index, so distinct derivation paths (up to depth 4, fan-out 65535)
         map to distinct Philox keys and therefore non-overlapping streams.
         """
-        if not 0 <= index < _CHILD_BASE - 1:
+        index = require_int("child index", index, 0)
+        if index >= _CHILD_BASE - 1:
             raise ValueError(f"child index must be in [0, {_CHILD_BASE - 2}], got {index}")
         packed = self.stream * _CHILD_BASE + 1 + index
         if packed >= 2**64:

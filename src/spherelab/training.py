@@ -496,7 +496,7 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         emit(0, None, alpha0, do_probe=cfg.probe is not None)
 
         for step, (xs, ys) in enumerate(batches, start=1):
-            logits, cache = model.forward(xs, mode="train")
+            logits, cache = model.forward(xs)
             batch_loss = float(np.mean(sigmoid_ce_loss(logits, ys)))
             if not np.isfinite(batch_loss):
                 for k, v in state.items():

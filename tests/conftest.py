@@ -1,5 +1,6 @@
 """Shared test fixtures and the finite-difference gradient oracle."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -24,31 +25,35 @@ def traced_peak():
     return measure
 
 
-def mean_loss(model, X, labels, mode: str = "train") -> float:
-    """Mean sigmoid-CE loss without side effects on running statistics."""
-    logits, _ = model.forward(X, mode=mode, update_stats=False)
+def mean_loss(model, X, labels) -> float:
+    """Mean sigmoid-CE loss of the training pass, run on a copy of ``model``.
+
+    The copy moves its running statistics, so the caller's stay put.
+    """
+    logits, _ = copy.deepcopy(model).forward(X)
     return float(np.mean(sigmoid_ce_loss(logits, labels)))
 
 
-def gradient_check(model, X, labels, eps: float = 1e-5, mode: str = "train") -> float:
+def gradient_check(model, X, labels, eps: float = 1e-5) -> float:
     """Max relative error of analytic gradients against central differences.
 
-    Intended for small nets (<= 1e4 parameters); running statistics are
-    frozen throughout so probing is side-effect free.
+    Intended for small nets (<= 1e4 parameters). Every pass probes a copy
+    of the model, so the caller's parameters and running statistics stay put.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    _, cache = model.forward(X, mode=mode, update_stats=False)
-    analytic = model.backward(cache, labels)
+    probe = copy.deepcopy(model)
+    _, cache = probe.forward(X)
+    analytic = probe.backward(cache, labels)
     worst = 0.0
-    for name, param in model.params().items():
+    for name, param in probe.params().items():
         flat = param.reshape(-1)  # a writable view, for 0-d parameters too
         gflat = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
         for idx in range(gflat.size):
             original = flat[idx]
             flat[idx] = original + eps
-            up = mean_loss(model, X, labels, mode)
+            up = mean_loss(probe, X, labels)
             flat[idx] = original - eps
-            down = mean_loss(model, X, labels, mode)
+            down = mean_loss(probe, X, labels)
             flat[idx] = original
             numeric = (up - down) / (2.0 * eps)
             denom = max(abs(numeric), abs(gflat[idx]), 1e-6)

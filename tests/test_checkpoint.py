@@ -40,7 +40,7 @@ def mlp_net() -> MlpNet:
     net.b_out = np.array(1.0 / 3.0)
     # Train-mode passes move the batch-norm running statistics off 0 and 1.
     for k in range(3):
-        net.forward(stream.child(40 + k).normal_matrix(9, 7), mode="train")
+        net.forward(stream.child(40 + k).normal_matrix(9, 7))
     assert not (net.run_means[0] == 0.0).all() and not (net.run_vars[1] == 1.0).all()
     return net
 

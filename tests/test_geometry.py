@@ -133,6 +133,9 @@ def test_minimal_subspace_fraction_rejects_unreachable_and_invalid_targets():
             minimal_subspace_fraction(500, target, R)
     with pytest.raises(ValueError, match="n >= 30"):
         minimal_subspace_fraction(29, 1e-2, R)
+    for n in (100.5, True):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
+            minimal_subspace_fraction(n, 1e-2, R)
     for radius in (float("nan"), float("inf"), 1.0, 0.5):
         with pytest.raises(ValueError, match="outer radius must be finite and > 1"):
             minimal_subspace_fraction(100, 0.01, radius)

@@ -259,8 +259,7 @@ def test_mlp_zero_weights_returns_readout_bias():
     net = MlpNet(4, (6, 5))
     net.b_out.fill(0.25)
     X = RngStream(10).normal_matrix(8, 4)
-    for mode in ("train", "eval"):
-        logits, _ = net.forward(X, mode=mode)
+    for logits in (net.forward(X)[0], net.logits(X)):
         np.testing.assert_allclose(logits, 0.25, atol=1e-12)
 
 
@@ -275,7 +274,7 @@ def test_mlp_eval_mode_deterministic():
 def test_mlp_train_mode_normalizes_batch():
     net = MlpNet.init_random(5, (16,), RngStream(14))
     X = RngStream(15).normal_matrix(64, 5) * 3.0 + 1.0
-    _, cache = net.forward(X, mode="train", update_stats=False)
+    _, cache = net.forward(X)
     xhat = cache["layers"][0]["xhat"]
     assert np.abs(xhat.mean(axis=0)).max() <= 1e-7
     assert np.abs(xhat.var(axis=0) - 1.0).max() <= 1e-5
@@ -284,21 +283,11 @@ def test_mlp_train_mode_normalizes_batch():
 def test_mlp_rejects_singleton_train_batch():
     net = MlpNet.init_random(5, (4,), RngStream(16))
     with pytest.raises(ValueError):
-        net.forward(np.ones((1, 5)), mode="train")
+        net.forward(np.ones((1, 5)))
     with pytest.raises(ValueError, match=r"hidden\[0\] must be an integer, got 2.5"):
         MlpNet(5, (2.5,))
     with pytest.raises(ValueError, match=r"hidden\[0\] must be >= 1, got 0"):
         MlpNet(5, (0,))
-
-
-def test_mlp_running_stats_update_only_when_asked():
-    net = MlpNet.init_random(5, (4,), RngStream(18))
-    X = RngStream(19).normal_matrix(32, 5)
-    before = net.run_means[0].copy()
-    net.forward(X, mode="train", update_stats=False)
-    assert (net.run_means[0] == before).all()
-    net.forward(X, mode="train")
-    assert not (net.run_means[0] == before).all()
 
 
 def moved_mlp(n, hidden, seed) -> MlpNet:
@@ -311,19 +300,23 @@ def moved_mlp(n, hidden, seed) -> MlpNet:
         net.betas[i] = stream.child(30 + i).normals(width)
     net.b_out = np.array(0.125)
     for k in range(3):
-        net.forward(stream.child(40 + k).normal_matrix(50, n) * 2.0 + 0.5, mode="train")
+        net.forward(stream.child(40 + k).normal_matrix(50, n) * 2.0 + 0.5)
     assert not (net.run_means[-1] == 0.0).any() and not (net.run_vars[0] == 1.0).any()
     return net
 
 
-def reference_eval_logits(net, X):
-    """The eval pass written out of place: one new array per operation."""
-    act = X
+def reference_eval_pass(net, X):
+    """The eval pass written out of place: one new array per operation.
+
+    Returns the logits and, per hidden layer, its output and 1 / std.
+    """
+    act, layers = X, []
     for i in range(len(net.hidden)):
+        inv_std = 1.0 / np.sqrt(net.run_vars[i] + 1e-5)
         z = act @ net.Ws[i].T + net.bs[i]
-        xhat = (z - net.run_means[i]) * (1.0 / np.sqrt(net.run_vars[i] + 1e-5))
-        act = np.maximum(net.gammas[i] * xhat + net.betas[i], 0.0)
-    return act @ net.w_out + float(net.b_out)
+        act = np.maximum(net.gammas[i] * ((z - net.run_means[i]) * inv_std) + net.betas[i], 0.0)
+        layers.append((act, inv_std))
+    return act @ net.w_out + float(net.b_out), layers
 
 
 @pytest.mark.parametrize("n, hidden, rows", [(7, (6, 4), 9), (500, (1000, 1000), 1000)],
@@ -333,8 +326,7 @@ def test_mlp_logits_have_the_bits_of_the_eval_forward_pass(n, hidden, rows):
     X = RngStream(32).normal_matrix(rows, n)
     logits = net.logits(X)
     assert logits.shape == (rows,)
-    assert logits.tobytes() == net.forward(X, mode="eval")[0].tobytes()
-    assert logits.tobytes() == reference_eval_logits(net, X).tobytes()
+    assert logits.tobytes() == reference_eval_pass(net, X)[0].tobytes()
 
 
 def test_mlp_logits_keep_no_per_layer_cache(traced_peak):
@@ -346,7 +338,7 @@ def test_mlp_logits_keep_no_per_layer_cache(traced_peak):
 
 def unblocked_logits(net, X):
     """One pass over all rows: the quadratic ``_pass``, or the MLP's out-of-place eval pass."""
-    return net._pass(X)[2] if net.family == "quadratic" else reference_eval_logits(net, X)
+    return net._pass(X)[2] if net.family == "quadratic" else reference_eval_pass(net, X)[0]
 
 
 @pytest.mark.parametrize("family", ["quadratic", "mlp"])
@@ -377,15 +369,14 @@ def test_paper_size_logits_call_holds_one_block_of_activations(family, limit_mib
     assert traced_peak(net.logits, X) < limit_mib * 2**20
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-def test_mean_loss_is_the_mean_ce_of_forward_logits_and_keeps_running_stats(mode):
+def test_mean_loss_is_the_mean_ce_of_forward_logits_and_keeps_running_stats():
     net = moved_mlp(7, (6, 4), 35)
     X = RngStream(36).normal_matrix(12, 7)
     y = RngStream(37).coins(12).astype(float)
     before = {k: v.copy() for k, v in net.state().items()}
-    loss = mean_loss(net, X, y, mode=mode)
+    loss = mean_loss(net, X, y)
     assert all(v.tobytes() == before[k].tobytes() for k, v in net.state().items())
-    logits, _ = net.forward(X, mode=mode, update_stats=False)
+    logits, _ = net.forward(X)
     assert loss == float(np.mean(sigmoid_ce_loss(logits, y)))
 
 
@@ -445,7 +436,7 @@ def test_gradient_check_mlp_train_mode():
     net = MlpNet.init_random(6, (8,), stream)
     X = stream.normal_matrix(4, 6)
     y = stream.coins(4).astype(float)
-    assert gradient_check(net, X, y, mode="train") <= 1e-4
+    assert gradient_check(net, X, y) <= 1e-4
 
 
 def test_gradient_check_mlp_two_hidden_layers():
@@ -453,25 +444,31 @@ def test_gradient_check_mlp_two_hidden_layers():
     net = MlpNet.init_random(4, (6, 5), stream)
     X = stream.normal_matrix(5, 4)
     y = stream.coins(5).astype(float)
-    assert gradient_check(net, X, y, mode="train") <= 1e-4
+    assert gradient_check(net, X, y) <= 1e-4
 
 
-def test_gradient_check_mlp_eval_mode():
-    stream = RngStream(26)
-    net = MlpNet.init_random(6, (8,), stream)
-    # Give the running stats some history first.
-    net.forward(stream.normal_matrix(32, 6), mode="train")
-    X = stream.normal_matrix(4, 6)
-    y = stream.coins(4).astype(float)
-    assert gradient_check(net, X, y, mode="eval") <= 1e-4
+@pytest.mark.parametrize("n, hidden, rows", [(7, (6, 4), 9), (500, (1000, 1000), 50)],
+                         ids=["small", "paper"])
+def test_mlp_input_grad_has_the_bits_of_the_out_of_place_chain_rule(n, hidden, rows):
+    # 50 rows: one PGD block at paper size.
+    net = moved_mlp(n, hidden, 45)
+    X = RngStream(46).normal_matrix(rows, n)
+    y = RngStream(47).coins(rows).astype(float)
+    logits, layers = reference_eval_pass(net, X)
+    d_act = np.outer(sigmoid(logits) - y, net.w_out)
+    for i in reversed(range(len(net.hidden))):
+        out, inv_std = layers[i]
+        d_act = (d_act * (out > 0.0) * net.gammas[i] * inv_std) @ net.Ws[i]
+    assert net.input_grad(X, y).tobytes() == d_act.tobytes()
 
 
 def test_input_grad_matches_finite_differences():
     stream = RngStream(28)
     for net in (QuadraticNet.init_random(5, 6, stream),
-                MlpNet.init_random(5, (7,), stream)):
+                MlpNet.init_random(5, (7,), stream),
+                moved_mlp(5, (7, 6), 29)):
         if isinstance(net, MlpNet):
-            net.forward(stream.normal_matrix(16, 5), mode="train")
+            net.forward(stream.normal_matrix(16, 5))
         X = stream.normal_matrix(3, 5)
         y = np.array([0.0, 1.0, 0.0])
         grad = net.input_grad(X, y)

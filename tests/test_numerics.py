@@ -322,6 +322,28 @@ def test_child_paths_never_collide():
     assert len(seen) == 40 + 40 * 40
 
 
+def test_stream_seed_index_and_child_index_must_be_integers_in_range():
+    # 2.5 once keyed the stream of child(2), and True the seed 1.
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad}$"):
+            RngStream(bad)
+        with pytest.raises(ValueError, match=f"^stream index must be an integer, got {bad}$"):
+            RngStream(1, bad)
+        with pytest.raises(ValueError, match=f"^child index must be an integer, got {bad}$"):
+            RngStream(1).child(bad)
+    assert (RngStream(1).child(np.int64(2)).raw(8) == RngStream(1).child(2).raw(8)).all()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        RngStream(-1)
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        RngStream(2**64)
+    with pytest.raises(ValueError, match="stream index must be an unsigned 64-bit integer"):
+        RngStream(1, 2**64)
+    with pytest.raises(ValueError, match="child index must be >= 0, got -1"):
+        RngStream(1).child(-1)
+    with pytest.raises(ValueError, match=r"child index must be in \[0, 65534\], got 65535"):
+        RngStream(1).child(65535)
+
+
 def test_uniform_bounds():
     u = RngStream(5).uniforms(10**5)
     assert (u >= 0.0).all() and (u < 1.0).all()

@@ -253,9 +253,9 @@ def test_fixed_batches_index_the_set_drawn_from_the_sphere_seed():
     seen = []
     forward, backward = net.forward, net.backward
 
-    def recording_forward(xs, mode):
+    def recording_forward(xs):
         seen.append([xs.copy()])
-        return forward(xs, mode=mode)
+        return forward(xs)
 
     def recording_backward(cache, ys):
         seen[-1].append(ys.copy())
