@@ -9,7 +9,7 @@ spherical-cap bounds and CLT estimates.
 import math
 import numbers
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 
 def require_int(name: str, value, least: int) -> int:

@@ -23,14 +23,15 @@ visible. The exact chord needs ``t <= 1``; at small n and small mu the
 Gaussian height exceeds 1, and such a cap is rejected with a
 ``ValueError`` before any chunk runs.
 
-The Monte Carlo runs in keyed chunks of 16384 points on the process-wide
-pool of :func:`spherelab.rng._shard_map`. A chunk draws its points with
-:func:`spherelab.dataset.sphere_points`, a block of about 32768 normals
-at a time, and keeps only x_1, so a job holds a few hundred KiB whatever
-``n`` is.
-All chunks of a :func:`bound_curve` go to the pool in one map, and every
-estimate adds its chunk sums in chunk order, so no result depends on the
-pool size.
+On the unit sphere in R^n, x_1 has the law of ``g / sqrt(g^2 + c)`` with
+g standard normal and c an independent chi-square with n - 1 degrees of
+freedom (so x_1^2 ~ Beta(1/2, (n - 1)/2)), and the distance to a cap
+depends on x_1 alone. So the Monte Carlo draws two numbers per point,
+whatever ``n`` is, and one sample of ``samples`` points serves the whole
+curve: every mu and both columns share its draws. It runs in keyed chunks
+of 16384 points on the process-wide pool of
+:func:`spherelab.rng._shard_map`, and the chunk sums are added in chunk
+order, so no result depends on the pool size.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spherelab import require_int, require_radius
-from spherelab.dataset import sphere_points
 from spherelab.models import AlphaSpectrum
 from spherelab.rng import RngStream, _shard_map
 from spherelab.special import normal_cdf, normal_quantile
@@ -51,7 +51,6 @@ from spherelab.special import normal_cdf, normal_quantile
 log = logging.getLogger(__name__)
 
 _MC_CHUNK = 16384
-_MC_BLOCK = 32768  # normals per sphere_points call of a chunk: 256 KiB
 _CLT_MIN_DIM = 30
 _SUBSPACE_BISECT_ITERS = 60
 
@@ -85,12 +84,6 @@ def clt_error_rate(spec: AlphaSpectrum, shell: str) -> float:
     return normal_cdf(z) if shell == "inner" else normal_cdf(-z)
 
 
-def _chunks(samples: int) -> list[tuple[int, int]]:
-    """``(chunk index, count)`` of each Monte Carlo chunk, in order."""
-    return [(i, min(_MC_CHUNK, samples - done))
-            for i, done in enumerate(range(0, samples, _MC_CHUNK))]
-
-
 def theorem_bound(mu: float, n: int) -> float:
     """Distance bound Phi^-1(1 - mu)/sqrt(n) for error measure mu.
 
@@ -104,62 +97,24 @@ def theorem_bound(mu: float, n: int) -> float:
     return (0.0 - normal_quantile(mu)) / math.sqrt(n)  # 0.0 - q: +0.0 at mu = 0.5, not -0.0
 
 
-def _cap_distances(x1: np.ndarray, t: float, formula: str) -> np.ndarray:
-    if formula == "paper":
-        return np.maximum(math.sqrt(2.0) * (t - x1), 0.0)
-    if formula == "exact_chord":
-        out = np.zeros_like(x1)
-        outside = x1 < t
-        xo = x1[outside]
-        out[outside] = np.sqrt(
-            (t - xo) ** 2
-            + (math.sqrt(1.0 - t * t) - np.sqrt(1.0 - xo * xo)) ** 2)
-        return out
-    raise ValueError(f"formula must be 'paper' or 'exact_chord', got {formula!r}")
+def _cap_distance_sums(job: tuple[int, list[float], RngStream, int]) -> np.ndarray:
+    """``(paper, exact_chord)`` distance sums of one chunk at each cap height.
 
-
-def _cap_distance_sum(job: tuple[int, float, RngStream, str, int]) -> float:
-    """Summed cap distances of one chunk of ``count`` uniform sphere points.
-
-    The points come from successive :func:`spherelab.dataset.sphere_points`
-    calls on ``stream`` of about 32768 normals each; only each row's x_1 is
-    kept. Normals are chunk-invariant and each row is normalised by its own
-    norm, so the bits do not depend on the block.
+    The chunk's ``count`` values of x_1 are ``g / sqrt(g^2 + c)``, with
+    ``normals(count)`` and then ``chisquares(n - 1, count)`` drawn from
+    ``stream``; ``sqrt(c / (g^2 + c))`` is their ``sqrt(1 - x_1^2)``.
     """
-    n, t, stream, formula, count = job
-    step = max(1, _MC_BLOCK // n)
-    x1 = np.empty(count)
-    for start in range(0, count, step):
-        x1[start:start + step] = sphere_points(stream, min(step, count - start), n)[:, 0]
-    return float(_cap_distances(x1, t, formula).sum())
-
-
-def _mc_cap_means(n: int, estimates: list[tuple[float, RngStream, str]],
-                  samples: int) -> list[float]:
-    """Mean distance in R^n to the cap of each ``(mu, stream, formula)`` estimate.
-
-    Chunk ``i`` of 16384 points of an estimate draws from its
-    ``stream.child(i)``. The chunks of all estimates run in one
-    :func:`spherelab.rng._shard_map` call, and each estimate adds its chunk
-    sums in chunk order.
-    """
-    heights = [theorem_bound(mu, n) for mu, _, _ in estimates]
-    for t, (mu, _, formula) in zip(heights, estimates):
-        if formula == "exact_chord" and t > 1.0:
-            raise ValueError(
-                f"exact_chord needs a cap height t <= 1, but n = {n} and "
-                f"mu = {mu!r} give t = {t:.4g}")
-    chunks = _chunks(samples)
-    sums = _shard_map(_cap_distance_sum, [(n, t, stream.child(i), formula, count)
-                                          for t, (_, stream, formula) in zip(heights, estimates)
-                                          for i, count in chunks])
-    means = []
-    for k in range(len(estimates)):
-        total = 0.0  # a plain loop: sum() compensates float sums from Python 3.12
-        for part in sums[k * len(chunks):(k + 1) * len(chunks)]:
-            total += part
-        means.append(total / samples)
-    return means
+    n, heights, stream, count = job
+    g = stream.normals(count)
+    c = stream.chisquares(n - 1, count)
+    s = g * g + c
+    x1, far = g / np.sqrt(s), np.sqrt(c / s)
+    sums = np.empty((len(heights), 2))
+    for row, t in zip(sums, heights):
+        row[0] = np.maximum(math.sqrt(2.0) * (t - x1), 0.0).sum()
+        chord = np.sqrt((t - x1) ** 2 + (math.sqrt(1.0 - t * t) - far) ** 2)
+        row[1] = np.where(x1 < t, chord, 0.0).sum()
+    return sums
 
 
 @dataclass
@@ -183,29 +138,35 @@ def bound_curve(n: int, mus: list[float], samples: int,
                 stream: RngStream) -> BoundCurve:
     """Tabulate :func:`theorem_bound` and both cap-distance estimates.
 
-    Point ``i`` has the ``paper`` estimate on ``stream.child(2 * i)`` and
-    the ``exact_chord`` one on ``stream.child(2 * i + 1)``. Each is the mean
-    distance over ``samples`` uniform sphere points, chunk ``c`` of 16384
-    drawn from the estimate stream's ``child(c)``. The chunks of all
-    ``2 * len(mus)`` estimates run in one pool map; each estimate adds its
-    chunk sums in chunk order, and each job holds one row block of points.
-    An ``n`` that is not an integer >= 2, or a ``samples`` that is not one
-    >= 10^4, raises ``ValueError`` before any chunk runs.
+    Both columns of every point are means over one sample of ``samples``
+    values of x_1. Chunk ``c`` of 16384 of them draws ``normals(count)``
+    and then ``chisquares(n - 1, count)`` from ``stream.child(c)``, and one
+    pool job per chunk sums both distances at every cap height; the chunk
+    sums are added in chunk order. An ``n`` that is not an integer >= 2, a
+    ``samples`` that is not one >= 10^4, or a mu whose Gaussian height
+    exceeds 1 (the exact chord needs ``t <= 1``) raises ``ValueError``
+    before any job is queued, and an empty ``mus`` queues none.
     """
     n, samples = require_int("n", n, 2), require_int("samples", samples, 10**4)
+    heights = [theorem_bound(mu, n) for mu in mus]
+    for mu, t in zip(mus, heights):
+        if t > 1.0:
+            raise ValueError(
+                f"exact_chord needs a cap height t <= 1, but n = {n} and "
+                f"mu = {mu!r} give t = {t:.4g}")
+    totals = np.zeros((len(heights), 2))
+    if heights:
+        jobs = [(n, heights, stream.child(c), min(_MC_CHUNK, samples - start))
+                for c, start in enumerate(range(0, samples, _MC_CHUNK))]
+        for part in _shard_map(_cap_distance_sums, jobs):  # in chunk order
+            totals += part
     curve = BoundCurve(n=n, samples=samples)
-    means = _mc_cap_means(
-        n, [(mu, stream.child(2 * i + j), formula)
-            for i, mu in enumerate(mus)
-            for j, formula in enumerate(("paper", "exact_chord"))], samples)
-    for i, mu in enumerate(mus):
-        d_paper, d_exact = means[2 * i], means[2 * i + 1]
-        point = BoundCurvePoint(
-            mu=mu, d_theory=theorem_bound(mu, n),
-            d_mc_paper_formula=d_paper, d_mc_exact_chord=d_exact)
+    for mu, t, (d_paper, d_exact) in zip(mus, heights, totals / samples):
+        point = BoundCurvePoint(mu=mu, d_theory=t, d_mc_paper_formula=float(d_paper),
+                                d_mc_exact_chord=float(d_exact))
         curve.points.append(point)
         log.info("bound_curve mu=%g: theory=%.5f paper=%.5f exact=%.5f "
-                 "paper/exact=%.4f", mu, point.d_theory, d_paper, d_exact,
+                 "paper/exact=%.4f", mu, t, d_paper, d_exact,
                  d_paper / d_exact if d_exact else float("nan"))
     return curve
 

@@ -14,12 +14,20 @@ counter sequence, in call order. A draw takes a variable number of words
 wedges or the tail), and the tails are not truncated. The ziggurat keeps
 no state outside the Philox counter, so nothing depends on how draws are
 chunked across calls: ``normals(3)`` followed by ``normals(2)`` yields the
-same five values as ``normals(5)``. Under NEP 19 numpy may change the
-algorithms behind ``Generator`` between versions, so normals, and with
-them shell points, initial weights and anything computed from those, are
+same five values as ``normals(5)``. Chi-square draws are numpy's
+(``Generator.chisquare``) over the same Philox, under the same terms: a
+variable number of words per draw, consumed in call order with the other
+kinds, and the same values for any split of the draws across calls.
+Under NEP 19 numpy may change the algorithms behind ``Generator`` between
+versions, so normals and chi-squares, and with them shell points, initial
+weights, cap distances and anything computed from those, are
 bit-identical for one numpy version; they have been checked on one numpy
 build on one CPU feature set only. The metrics header of a training run
 records the numpy version and its SIMD extensions.
+
+Every count and size is checked (a Python or numpy integer >= 0, not a
+``bool``) before any word is drawn, so a refused call leaves the stream
+where it was.
 
 Monte Carlo loops whose chunks are keyed by substreams (error rates and
 cap distances), attacks of more than one block of starts and Adam updates
@@ -56,7 +64,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.random import Philox
 
-from spherelab import require_int
+from spherelab import require_above, require_int
 
 _U64 = np.uint64
 _INV_2_53 = 2.0**-53
@@ -87,7 +95,7 @@ class RngStream:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
         self.seed, self.stream = int(seed), int(stream)
         self._bits = Philox(key=np.array([self.seed, self.stream], dtype=_U64))
-        self._normals = np.random.Generator(self._bits)
+        self._gen = np.random.Generator(self._bits)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
@@ -109,7 +117,7 @@ class RngStream:
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words from the counter sequence."""
-        return self._bits.random_raw(count)
+        return self._bits.random_raw(require_int("count", count, 0))
 
     def uniforms(self, count: int) -> np.ndarray:
         """Uniform float64 in [0, 1), one word per draw."""
@@ -126,10 +134,20 @@ class RngStream:
         a variable number per draw, so a stream replays the same values
         for any split of its draws across calls. No tail is truncated.
         """
-        return self._normals.standard_normal(count)
+        return self._gen.standard_normal(require_int("count", count, 0))
+
+    def chisquares(self, df: float, count: int) -> np.ndarray:
+        """Chi-square draws with ``df`` > 0 degrees of freedom.
+
+        numpy's ``Generator.chisquare`` over this stream's Philox, under
+        the contract of :meth:`normals`.
+        """
+        require_above("df", df, 0)
+        return self._gen.chisquare(df, require_int("count", count, 0))
 
     def normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Convenience: ``rows * cols`` normal draws reshaped row-major."""
+        rows, cols = require_int("rows", rows, 0), require_int("cols", cols, 0)
         return self.normals(rows * cols).reshape(rows, cols)
 
 

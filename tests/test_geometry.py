@@ -152,42 +152,67 @@ def chord(x1, t):
 
 @pytest.mark.parametrize("formula", ["paper", "exact_chord"])
 def test_mc_cap_distance_equals_a_serial_in_order_loop(formula):
-    # Six chunks of 16384 per column, the last one partial. Column j of
-    # point i draws chunk c from stream.child(2 * i + j).child(c). At this
-    # seed adding the chunk sums of point 0's exact-chord column in reverse
-    # order changes its last bit.
+    # Six chunks of 16384 points, the last one partial; chunk c draws its
+    # normals and then its chi-squares from stream.child(c), and every mu
+    # and both columns use that one sample. At this seed adding the chunk
+    # sums in reverse order changes the last bit of both columns of point 0.
     n, mus, samples = 5, [0.3, 0.05], 5 * 16384 + 777
     j = ["paper", "exact_chord"].index(formula)
     stream = RngStream(23).child(9)
     curve = bound_curve(n, mus, samples, stream)
-    for i, (mu, p) in enumerate(zip(mus, curve.points)):
-        t = theorem_bound(mu, n)
-        total = 0.0
-        for chunk, start in enumerate(range(0, samples, 16384)):
-            count = min(16384, samples - start)
-            u = stream.child(2 * i + j).child(chunk).normals(count * n).reshape(count, n)
-            x1 = u[:, 0] / np.sqrt((u * u).sum(axis=1))
+    assert (curve.n, curve.samples) == (n, samples)
+    assert [p.mu for p in curve.points] == mus
+    totals = [0.0] * len(mus)
+    for chunk, start in enumerate(range(0, samples, 16384)):
+        count, chunk_stream = min(16384, samples - start), stream.child(chunk)
+        g = chunk_stream.normals(count)
+        c = chunk_stream.chisquares(n - 1, count)
+        x1, far = g / np.sqrt(g * g + c), np.sqrt(c / (g * g + c))  # far = sqrt(1 - x1^2)
+        for i, mu in enumerate(mus):
+            t = theorem_bound(mu, n)
             if formula == "paper":
                 d = np.maximum(math.sqrt(2.0) * (t - x1), 0.0)
             else:
-                d = np.where(x1 < t, chord(np.minimum(x1, t), t), 0.0)
-            total += float(d.sum())
+                d = np.where(x1 < t, np.sqrt((t - x1) ** 2 + (math.sqrt(1.0 - t * t) - far) ** 2),
+                             0.0)
+            totals[i] += float(d.sum())
+    for mu, p, total in zip(mus, curve.points, totals):
+        assert p.d_theory == theorem_bound(mu, n)
         assert (p.d_mc_paper_formula, p.d_mc_exact_chord)[j] == total / samples
 
 
-def test_bound_curve_columns_equal_separate_estimates():
-    # All 2 * len(mus) estimates share one pool map; each column must equal
-    # its estimate run alone on the same stream.
-    n, mus, samples = 20, [0.3, 1e-2, 1e-4], 2 * 16384 + 11
+@pytest.mark.parametrize("mus", [[0.1], [0.3, 1e-2, 1e-4]])
+def test_bound_curve_draws_samples_normals_and_chisquares_whatever_the_mus(monkeypatch, mus):
+    # Each chunk stream's next words are those of a fresh one after
+    # normals(count) and chisquares(n - 1, count), so a curve draws exactly
+    # `samples` of each, for one mu or three.
+    n, samples = 20, 2 * 16384 + 11
+    children, child = [], RngStream.child
+
+    def recording_child(self, index):
+        children.append((index, child(self, index)))
+        return children[-1][1]
+
+    monkeypatch.setattr(RngStream, "child", recording_child)
     stream = RngStream(41).child(2)
-    curve = bound_curve(n, mus, samples, stream)
-    assert (curve.n, curve.samples) == (n, samples)
-    assert [p.mu for p in curve.points] == mus
-    for i, (mu, p) in enumerate(zip(mus, curve.points)):
-        assert p.d_theory == theorem_bound(mu, n)
-        assert [p.d_mc_paper_formula, p.d_mc_exact_chord] == [
-            geometry._mc_cap_means(n, [(mu, stream.child(2 * i + j), formula)], samples)[0]
-            for j, formula in enumerate(["paper", "exact_chord"])]
+    children.clear()
+    bound_curve(n, mus, samples, stream)
+    monkeypatch.undo()
+    assert [index for index, _ in children] == [0, 1, 2]
+    for (index, drawn), count in zip(children, [16384, 16384, 11]):
+        fresh = stream.child(index)
+        fresh.normals(count)
+        fresh.chisquares(n - 1, count)
+        assert (drawn.raw(4) == fresh.raw(4)).all()
+
+
+def test_bound_curve_of_no_mu_queues_no_job(monkeypatch):
+    def no_jobs(fn, jobs):
+        raise AssertionError("a pool job was queued")
+
+    monkeypatch.setattr(geometry, "_shard_map", no_jobs)
+    curve = bound_curve(7, [], 10**4, RngStream(1))
+    assert (curve.n, curve.samples, curve.points) == (7, 10**4, [])
 
 
 def test_mc_cap_distance_exact_chord_matches_quadrature_at_n500():
@@ -213,8 +238,8 @@ def test_mc_cap_distance_exact_chord_matches_quadrature_at_n500():
 
 
 def test_mc_cap_distance_memory_stays_one_row_block_per_job(traced_peak):
-    # A whole 16384 x 500 chunk matrix is 65.5 MB; the streamed chunk job
-    # keeps one row block and the chunk's x_1 values.
+    # A whole 16384 x 500 chunk matrix is 65.5 MB; a chunk job holds a few
+    # arrays of its 16384 values of x_1.
     stream = RngStream(20180108, 3)
     bound_curve(500, [1e-2], 20_000, stream)  # warm the pool
     assert traced_peak(bound_curve, 500, [1e-2], 20_000, stream) < 8e6

@@ -1,6 +1,7 @@
 """Static checks of the package layout, read from the source with ``ast``."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,19 @@ def test_modules_share_only_the_allowed_private_names():
     extra = {path.name: sorted(private_imports(path) - ALLOWED_PRIVATE)
              for path in SRC.glob("*.py")}
     assert {name: found for name, found in extra.items() if found} == {}
+
+
+def test_the_package_imports_only_the_standard_library_numpy_and_itself():
+    # numpy is the one runtime dependency; scipy and the rest are test-only.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "spherelab"}
+    imports = set()  # (file, top-level module)
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                imports |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.add((path.name, node.module.split(".")[0]))
+    assert {(name, module) for name, module in imports if module not in allowed} == set()
 
 
 def test_every_int_field_of_a_checked_dataclass_goes_through_require_ints():

@@ -150,6 +150,9 @@ def test_chunking_does_not_change_the_stream():
     s2 = RngStream(9)
     u = np.concatenate([s2.uniforms(7), s2.uniforms(1)])
     assert (u == RngStream(9).uniforms(8)).all()
+    s3 = RngStream(9)
+    c = np.concatenate([s3.chisquares(499, 3), s3.chisquares(499, 4)])
+    assert c.tobytes() == RngStream(9).chisquares(499, 7).tobytes()
 
 
 def philox(seed: int, stream: int) -> Philox:
@@ -198,6 +201,73 @@ def test_normals_of_zero_draws_consume_nothing():
     s = RngStream(4)
     assert s.normals(0).shape == (0,)
     assert (s.raw(2) == RngStream(4).raw(2)).all()
+
+
+@pytest.mark.parametrize("count", [1, 7, 16385])
+@pytest.mark.parametrize("df", [0.5, 4.0, 499])
+def test_chisquares_are_numpys_over_the_stream_philox(df, count):
+    s = RngStream(20180108, 12)
+    x = s.chisquares(df, count)
+    assert x.dtype == np.float64 and x.shape == (count,)
+    bits = philox(20180108, 12)
+    assert x.tobytes() == Generator(bits).chisquare(df, count).tobytes()
+    assert (s.raw(3) == bits.random_raw(3)).all()
+
+
+@pytest.mark.parametrize("df", [0.5, 4.0, 499])
+def test_chisquares_follow_the_chi_square_distribution(df):
+    draws = RngStream(20180108, 13).chisquares(df, 10**5)
+    assert stats.kstest(draws, stats.chi2(df).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [5, 500])
+def test_x1_squared_of_a_sphere_point_is_beta(n):
+    # x_1 = g / sqrt(g^2 + c), with c ~ chi2(n - 1), is the first coordinate
+    # of a uniform point on the sphere in R^n, so x_1^2 ~ Beta(1/2, (n - 1)/2).
+    s = RngStream(20180108, 14)
+    g = s.normals(10**5)
+    x1_squared = g * g / (g * g + s.chisquares(n - 1, 10**5))
+    assert stats.kstest(x1_squared, stats.beta(0.5, (n - 1) / 2).cdf).pvalue > 1e-3
+
+
+# Each drawing method with the name of its size argument.
+DRAWS = {
+    "raw": ("count", lambda s, k: s.raw(k)),
+    "uniforms": ("count", lambda s, k: s.uniforms(k)),
+    "coins": ("count", lambda s, k: s.coins(k)),
+    "normals": ("count", lambda s, k: s.normals(k)),
+    "chisquares": ("count", lambda s, k: s.chisquares(499, k)),
+    "normal_matrix_rows": ("rows", lambda s, k: s.normal_matrix(k, 3)),
+    "normal_matrix_cols": ("cols", lambda s, k: s.normal_matrix(3, k)),
+}
+
+
+@pytest.mark.parametrize("method", sorted(DRAWS))
+def test_draw_counts_must_be_integers_at_least_zero_and_a_refusal_draws_nothing(method):
+    name, draw = DRAWS[method]
+    for bad, message in ((True, "must be an integer, got True"),
+                         (2.5, "must be an integer, got 2.5"), (-1, "must be >= 0, got -1")):
+        s = RngStream(7)
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            draw(s, bad)
+        assert (s.raw(4) == RngStream(7).raw(4)).all()
+    assert draw(RngStream(7), np.int64(5)).tobytes() == draw(RngStream(7), 5).tobytes()
+
+
+def test_normal_matrix_of_two_negative_sizes_draws_nothing():
+    # It once drew two normals and then failed in numpy's reshape.
+    s = RngStream(7)
+    with pytest.raises(ValueError, match="^rows must be >= 0, got -1$"):
+        s.normal_matrix(-1, -2)
+    assert (s.raw(4) == RngStream(7).raw(4)).all()
+
+
+@pytest.mark.parametrize("df", [0, -1.0, float("nan"), float("inf")])
+def test_chisquares_need_finite_positive_degrees_of_freedom(df):
+    s = RngStream(7)
+    with pytest.raises(ValueError, match="df must be finite and > 0"):
+        s.chisquares(df, 3)
+    assert (s.raw(4) == RngStream(7).raw(4)).all()
 
 
 def test_shard_map_keeps_job_order_and_uses_the_pool():
