@@ -9,7 +9,7 @@ spherical-cap bounds and CLT estimates.
 import math
 import numbers
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 
 def require_int(name: str, value, least: int) -> int:
@@ -38,7 +38,13 @@ def require_ints(config, **least: int) -> None:
 
 
 def require_above(name: str, value, low: float) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is finite and > ``low``."""
+    """``ValueError`` naming ``name`` unless ``value`` is a real number, finite and > ``low``.
+
+    As in :func:`require_int`, a ``bool`` is not a number here; a numpy
+    float or integer is.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(value) and value > low):
         raise ValueError(f"{name} must be finite and > {low}, got {value!r}")
 

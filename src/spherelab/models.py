@@ -57,8 +57,9 @@ from spherelab.rng import RngStream
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.99
 # Rows per block of ``logits``. It equals the keyed chunk of
-# ``training.evaluate_error_rate``, so an error-rate chunk is one block and
-# keeps the GEMMs (and bits) of an unblocked pass.
+# ``training.evaluate_error_rate``, so on that function's default path an
+# error-rate chunk is one block and keeps the GEMMs (and bits) of an
+# unblocked pass. Its eigenbasis path, for quadratic nets, calls no logits.
 _LOGIT_BLOCK = 512
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spherelab import require_ints
+from spherelab import require_above, require_ints
 from spherelab.dataset import _SPHERE_BLOCK, SphereConfig, sample_batch, sphere_points
 from spherelab.rng import CHILD_DATASET, RngStream
 
@@ -43,6 +43,21 @@ def test_require_ints_names_the_field_and_stores_numpy_integers_as_ints():
     with pytest.raises(ValueError, match=r"^a must be >= 4, got 3$"):
         require_ints(Counts(a=np.int32(3), b=0), a=4, b=0)
     assert type(SphereConfig(n=np.int64(7)).n) is int
+
+
+def test_require_above_refuses_a_non_number_naming_the_argument():
+    for bad in ("3", None, True, np.bool_(True)):
+        with pytest.raises(ValueError, match=r"^df must be a real number, got "):
+            RngStream(1).chisquares(bad, 2)
+        with pytest.raises(ValueError, match=r"^outer radius must be a real number, got "):
+            SphereConfig(n=5, R=bad, seed=1)
+        with pytest.raises(ValueError, match=r"^lr must be a real number, got "):
+            require_above("lr", bad, 0)
+    assert SphereConfig(n=5, R=np.float64(1.3)).R == 1.3
+    assert RngStream(1).chisquares(np.float64(3.0), 2).tobytes() \
+        == RngStream(1).chisquares(3.0, 2).tobytes()
+    require_above("lr", np.float32(1e-4), 0)
+    require_above("lr", np.int64(2), 1)
 
 
 def test_a_row_of_exact_zero_normals_raises(monkeypatch):

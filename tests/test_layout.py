@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import spherelab
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "spherelab"
 TESTS = Path(__file__).resolve().parent
 # Private names one module may take from another: the shared thread pool and
@@ -111,3 +113,9 @@ def test_every_int_field_of_a_checked_dataclass_goes_through_require_ints():
                 unchecked[cls.name] = sorted(ints - keywords)
     assert {"SphereConfig", "TrainConfig", "ProbeConfig", "AttackConfig"} <= checked_classes
     assert unchecked == {}
+
+
+def test_the_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert spherelab.__version__ == pyproject["project"]["version"]

@@ -300,6 +300,21 @@ def test_abort_on_nonfinite_loss_restores_snapshot():
     assert (net.W1 == w1).all()
 
 
+def test_abort_with_an_eigenbasis_sized_error_eval_restores_snapshot():
+    # The error Monte Carlo of record 0 sees the overflowing Gram matrix and
+    # takes the default path; the first step then aborts as above.
+    net = small_quad(seed=6)
+    net.W1 *= 1e200
+    w1 = net.W1.copy()
+    cfg = TrainConfig(steps=10, batch_size=4, seed=6, error_eval_samples=8 * 10)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        result = train(net, cfg, SphereConfig(n=10, seed=6))
+    assert result.aborted
+    assert "step 1" in result.abort_reason
+    assert (net.W1 == w1).all()
+    assert result.metrics[0].error_rate == 0.5  # every inner point, no outer one
+
+
 def test_mlp_abort_restores_batch_norm_statistics_with_the_parameters():
     # Step 1 moves every parameter by about lr, so the train-mode forward of
     # step 2 overflows and writes NaN into the running statistics before
@@ -799,15 +814,27 @@ def test_error_rate_chunking_invariance():
     assert a.rate == pytest.approx(b.rate, abs=0.02)
 
 
+def quad_erring_on_both_shells(seed, n, h):
+    """A random quadratic net with b at -1.3 times its median inner ``|W1 x|^2``.
+
+    With h small against n, or n small, ``|W1 x|^2`` spreads enough that
+    the net errs on a share of both shells.
+    """
+    net = small_quad(seed=seed, n=n, h=h)
+    unit = RngStream(1).normal_matrix(999, n)
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    net.b = np.array(-1.3 * float(np.median(net.logits(unit) - net.b)))
+    return net
+
+
 def test_error_rate_counts_equal_a_serial_loop_over_the_child_layout():
     # 3 inner and 3 outer chunks of 512, the last ones partial, and an odd
-    # total: the outer shell gets the extra sample.
+    # total: the outer shell gets the extra sample. At n = 282 the call is
+    # below 8 samples per dimension, so it takes the default path.
     samples = 2 * (2 * 512 + 100) + 1
-    net = small_quad(seed=17)
-    unit = RngStream(1).normal_matrix(999, 10)
-    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-    net.b = np.array(-1.3 * float(np.median(net.logits(unit) - net.b)))  # errs on both shells
-    sphere = SphereConfig(n=10)
+    sphere = SphereConfig(n=282)
+    assert samples < 8 * sphere.n
+    net = quad_erring_on_both_shells(17, sphere.n, 12)
     stream = RngStream(17).child(5)
     expected = []
     for shell, total, radius in ((0, samples // 2, 1.0), (1, samples - samples // 2, sphere.R)):
@@ -826,12 +853,124 @@ def test_error_rate_counts_equal_a_serial_loop_over_the_child_layout():
     assert est.samples == samples
 
 
+@pytest.mark.parametrize("h", [12, 4])  # W1^T W1, and W1 W1^T padded with zeros
+def test_eigenbasis_counts_equal_a_serial_loop_over_the_child_layout(h):
+    # The chunks of the test above, at n = 10: a point errs by the sign of
+    # r^2 (z^2 . c) / |z|^2 + b, z the normals its child draws and
+    # c = w lambda, lambda the eigenvalues of the smaller Gram matrix.
+    samples = 2 * (2 * 512 + 100) + 1
+    sphere = SphereConfig(n=10)
+    assert samples >= 8 * sphere.n
+    net = quad_erring_on_both_shells(17, sphere.n, h)
+    gram = net.W1.T @ net.W1 if h >= sphere.n else net.W1 @ net.W1.T
+    lam = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(sphere.n - len(gram))])
+    c = float(net.w) * lam
+    stream = RngStream(17).child(5)
+    expected = []
+    for shell, total, radius in ((0, samples // 2, 1.0), (1, samples - samples // 2, sphere.R)):
+        errors = 0
+        for chunk, start in enumerate(range(0, total, 512)):
+            count = min(512, total - start)
+            z = stream.child(2 * chunk + shell).normals(count * sphere.n)
+            z = z.reshape(count, sphere.n) ** 2
+            logits = (radius * radius) * (z @ c) / z.sum(axis=1) + float(net.b)
+            errors += int((logits <= 0.0).sum() if shell else (logits > 0.0).sum())
+        expected.append(errors)
+    est = evaluate_error_rate(net, sphere, samples, stream)
+    assert 0 < expected[0] < samples // 2 and 0 < expected[1] < samples // 2
+    assert (est.errors_inner, est.errors_outer) == tuple(expected)
+
+
+def test_eight_samples_per_dimension_select_the_eigenbasis_for_a_quadratic_net_only(
+        monkeypatch):
+    batches = []
+
+    def counting(*args, **kwargs):
+        batches.append(args[2])
+        return sample_batch(*args, **kwargs)
+
+    monkeypatch.setattr(training, "sample_batch", counting)
+    sphere = SphereConfig(n=10)
+    mlp = MlpNet.init_random(10, (6,), RngStream(3))
+    for model, samples, default_path in ((small_quad(), 80, False), (small_quad(), 79, True),
+                                         (mlp, 80, True)):
+        batches.clear()
+        evaluate_error_rate(model, sphere, samples, RngStream(4))
+        assert sum(batches) == (samples if default_path else 0)
+
+
+def test_a_net_whose_gram_matrix_overflows_keeps_the_default_path(monkeypatch):
+    net = small_quad(seed=6)
+    net.W1 *= 1e200  # W1^T W1 overflows, and eigvalsh would raise
+    sphere = SphereConfig(n=10)
+    est = evaluate_error_rate(net, sphere, 800, RngStream(6))
+    monkeypatch.setattr(training, "_EIGENBASIS_SAMPLES_PER_DIM", 10**9)
+    assert est == evaluate_error_rate(net, sphere, 800, RngStream(6))
+    assert (est.errors_inner, est.errors_outer) == (400, 0)  # every logit is +inf
+
+
+@pytest.mark.parametrize("samples", [80, 79])  # eigenbasis, default path
+def test_an_error_rate_chunk_with_a_row_of_exact_zero_normals_raises(monkeypatch, samples):
+    draw = RngStream.normal_matrix
+
+    def with_a_zero_row(self, rows, cols):
+        z = draw(self, rows, cols)
+        z[0] = 0.0
+        return z
+
+    monkeypatch.setattr(RngStream, "normal_matrix", with_a_zero_row)
+    with pytest.raises(ValueError, match="10 exact zero normals"):
+        evaluate_error_rate(small_quad(), SphereConfig(n=10), samples, RngStream(6))
+
+
+def test_eigenbasis_inner_rate_of_a_two_valued_spectrum_is_an_f_tail():
+    # alpha = 1.6 on 50 axes and 0.9 on 450, behind a random rotation. An
+    # inner point errs when 0.6 chi2_50 > 0.1 chi2_450, that is when an
+    # F(50, 450) variate exceeds 1.5; every R^2 alpha exceeds 1, so no
+    # outer point errs.
+    from scipy.stats import f
+    n, samples = 500, 2 * 10**5
+    q, _ = np.linalg.qr(np.random.default_rng(26).standard_normal((n, n)))
+    alphas = np.concatenate([np.full(50, 1.6), np.full(450, 0.9)])
+    net = QuadraticNet(np.sqrt(alphas)[:, None] * q, 1.0, -1.0)  # w = -b: alpha = s^2
+    est = evaluate_error_rate(net, SphereConfig(n=n), samples, RngStream(26))
+    p = f.sf(1.5, 50, 450)
+    assert p == pytest.approx(0.018632, abs=1e-6)
+    inner = samples // 2
+    assert abs(est.errors_inner / inner - p) <= 6 * math.sqrt(p * (1 - p) / inner)
+    assert est.errors_outer == 0
+
+
+def test_both_paths_count_errors_with_one_law(monkeypatch):
+    sphere, samples = SphereConfig(n=40), 40_000
+    net = quad_erring_on_both_shells(40, sphere.n, 4)
+    eigen = evaluate_error_rate(net, sphere, samples, RngStream(40))
+    monkeypatch.setattr(training, "_EIGENBASIS_SAMPLES_PER_DIM", 10**9)
+    default = evaluate_error_rate(net, sphere, samples, RngStream(41))
+    for a, b, count in ((eigen.errors_inner, default.errors_inner, samples // 2),
+                        (eigen.errors_outer, default.errors_outer, samples - samples // 2)):
+        p = (a + b) / (2 * count)
+        assert 0.01 < p < 0.99
+        assert abs(a - b) / count <= 6 * math.sqrt(p * (1 - p) * 2 / count)
+
+
 def test_error_rate_holds_one_chunk_per_running_job(monkeypatch, traced_peak):
-    # n = 500, h = 1000: a 512-row chunk's points and activations are 6 MB,
-    # where a 4096-row chunk's were 49 MB.
+    # n = 500, h = 1000, in the eigenbasis: a 512-row chunk's normals are
+    # 2 MB, and so is the 500 x 500 Gram matrix, gone before any chunk runs.
+    # A 4096-row chunk's points and activations were 49 MB.
     monkeypatch.setattr(training, "_shard_map", lambda fn, jobs: [fn(job) for job in jobs])
     net = QuadraticNet.init_random(500, 1000, RngStream(19))
     peak = traced_peak(evaluate_error_rate, net, SphereConfig(n=500), 20_000, RngStream(19))
+    assert peak < 4 * 10**6
+
+
+def test_default_path_error_rate_holds_one_logits_block_per_running_job(monkeypatch,
+                                                                          traced_peak):
+    # Below 8 samples per dimension: a 512-row chunk's points and one
+    # logits block of activations are 6 MB.
+    monkeypatch.setattr(training, "_shard_map", lambda fn, jobs: [fn(job) for job in jobs])
+    net = QuadraticNet.init_random(500, 1000, RngStream(19))
+    peak = traced_peak(evaluate_error_rate, net, SphereConfig(n=500), 3999, RngStream(19))
     assert peak < 12 * 10**6
 
 
@@ -877,6 +1016,8 @@ def test_error_rate_cap_keys_the_last_child_and_more_raises_before_any_job(monke
     for samples in (1000.5, 1000.0, "1000"):
         with pytest.raises(ValueError, match="samples must be an integer"):
             evaluate_error_rate(small_quad(), SphereConfig(n=10), samples, RngStream(20))
+    with pytest.raises(ValueError, match="model dim 10 != sphere dim 11"):
+        evaluate_error_rate(small_quad(), SphereConfig(n=11), 1000, RngStream(20))
 
 
 @pytest.mark.parametrize("samples,errors,upper", [
