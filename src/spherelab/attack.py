@@ -24,8 +24,8 @@ no model pass is made after the loop. Misclassified means
 label (a logit of exactly zero is inner). Starts come from
 :func:`spherelab.dataset.sample_batch` on the chosen shell.
 
-Starts run in blocks of 50 consecutive rows; more than one block runs on
-the thread pool of :func:`spherelab.rng._shard_map`, one job per block.
+Starts run in blocks of 50 consecutive rows, one job per block on the
+thread pool of :func:`spherelab.rng._shard_map`, even when there is one.
 A start's result depends on its own block only, never on the pool size,
 and its jitter substream on its row in the whole batch. The model's
 ``logits`` and ``input_grad`` must not mutate it, since blocks call them
@@ -46,7 +46,7 @@ from spherelab.rng import RngStream, _shard_map
 _ZERO_GRAD = 1e-300
 # Starts per PGD block (see _pgd_batch). The fastest of 10-100 for 100 starts
 # at n = h = 500 on 2 cores; at least the 10 starts of a training probe, so
-# probes stay one inline block.
+# a probe is one pool job.
 _ATTACK_BLOCK = 50
 
 NEAREST_STEP_SIZE = 0.001  # distance-estimation preset
@@ -106,15 +106,15 @@ def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
     """Run PGD from every row of X0; results are keyed by row index.
 
     The rows run in consecutive blocks of ``_ATTACK_BLOCK`` starts, each
-    one :func:`_pgd_block`. More than one block runs as one job per block
-    on the pool of :func:`spherelab.rng._shard_map`, joined in row order;
-    a single block runs inline. A start's bits depend on its own block
-    only, never on the pool size: BLAS may round a row of a GEMM
-    differently with the GEMM's row count, so a start's last bits may
-    change with the rows that share its block. Jobs call ``model.logits``
-    and ``model.input_grad`` concurrently, so neither may mutate the model
-    (neither does for either family: ``MlpNet.input_grad`` uses the
-    running statistics without updating them).
+    one :func:`_pgd_block`, run as one job per block (a lone block too) on
+    the pool of :func:`spherelab.rng._shard_map` and joined in row order.
+    A start's bits depend on its own block only, never on the pool size:
+    BLAS may round a row of a GEMM differently with the GEMM's row count,
+    so a start's last bits may change with the rows that share its block.
+    Jobs call ``model.logits`` and ``model.input_grad`` concurrently, so
+    neither may mutate the model (neither does for either family:
+    ``MlpNet.input_grad`` uses the running statistics without updating
+    them).
     """
     y = np.asarray(labels, dtype=np.float64)
     offsets = range(0, X0.shape[0], _ATTACK_BLOCK)
@@ -123,8 +123,6 @@ def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
         end = o + _ATTACK_BLOCK
         return _pgd_block(model, X0[o:end], y[o:end], cfg, stream, o)
 
-    if len(offsets) == 1:
-        return block(0)
     return [result for part in _shard_map(block, offsets) for result in part]
 
 

@@ -29,9 +29,7 @@ freedom (so x_1^2 ~ Beta(1/2, (n - 1)/2)), and the distance to a cap
 depends on x_1 alone. So the Monte Carlo draws two numbers per point,
 whatever ``n`` is, and one sample of ``samples`` points serves the whole
 curve: every mu and both columns share its draws. It runs in keyed chunks
-of 16384 points on the process-wide pool of
-:func:`spherelab.rng._shard_map`, and the chunk sums are added in chunk
-order, so no result depends on the pool size.
+of 16384 points, summed one after another on the caller thread.
 """
 
 from __future__ import annotations
@@ -43,9 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spherelab import require_int, require_radius
+from spherelab import require_above, require_int, require_radius
 from spherelab.models import AlphaSpectrum
-from spherelab.rng import RngStream, _shard_map
+from spherelab.rng import RngStream
 from spherelab.special import normal_cdf, normal_quantile
 
 log = logging.getLogger(__name__)
@@ -92,19 +90,20 @@ def theorem_bound(mu: float, n: int) -> float:
     mu = 0.5 gives +0.0.
     """
     n = require_int("n", n, 2)
-    if not 0.0 < mu <= 0.5:
+    require_above("cap measure", mu, 0)
+    if mu > 0.5:
         raise ValueError(f"cap measure must be in (0, 0.5], got {mu}")
     return (0.0 - normal_quantile(mu)) / math.sqrt(n)  # 0.0 - q: +0.0 at mu = 0.5, not -0.0
 
 
-def _cap_distance_sums(job: tuple[int, list[float], RngStream, int]) -> np.ndarray:
+def _cap_distance_sums(n: int, heights: list[float], stream: RngStream,
+                       count: int) -> np.ndarray:
     """``(paper, exact_chord)`` distance sums of one chunk at each cap height.
 
     The chunk's ``count`` values of x_1 are ``g / sqrt(g^2 + c)``, with
     ``normals(count)`` and then ``chisquares(n - 1, count)`` drawn from
     ``stream``; ``sqrt(c / (g^2 + c))`` is their ``sqrt(1 - x_1^2)``.
     """
-    n, heights, stream, count = job
     g = stream.normals(count)
     c = stream.chisquares(n - 1, count)
     s = g * g + c
@@ -140,12 +139,12 @@ def bound_curve(n: int, mus: list[float], samples: int,
 
     Both columns of every point are means over one sample of ``samples``
     values of x_1. Chunk ``c`` of 16384 of them draws ``normals(count)``
-    and then ``chisquares(n - 1, count)`` from ``stream.child(c)``, and one
-    pool job per chunk sums both distances at every cap height; the chunk
-    sums are added in chunk order. An ``n`` that is not an integer >= 2, a
-    ``samples`` that is not one >= 10^4, or a mu whose Gaussian height
-    exceeds 1 (the exact chord needs ``t <= 1``) raises ``ValueError``
-    before any job is queued, and an empty ``mus`` queues none.
+    and then ``chisquares(n - 1, count)`` from ``stream.child(c)`` and sums
+    both distances at every cap height; the chunks run in order on the
+    caller thread. An ``n`` that is not an integer >= 2, a ``samples``
+    that is not one >= 10^4, or a mu whose Gaussian height exceeds 1 (the
+    exact chord needs ``t <= 1``) raises ``ValueError`` before any chunk
+    is drawn, and an empty ``mus`` draws none.
     """
     n, samples = require_int("n", n, 2), require_int("samples", samples, 10**4)
     heights = [theorem_bound(mu, n) for mu in mus]
@@ -156,10 +155,9 @@ def bound_curve(n: int, mus: list[float], samples: int,
                 f"mu = {mu!r} give t = {t:.4g}")
     totals = np.zeros((len(heights), 2))
     if heights:
-        jobs = [(n, heights, stream.child(c), min(_MC_CHUNK, samples - start))
-                for c, start in enumerate(range(0, samples, _MC_CHUNK))]
-        for part in _shard_map(_cap_distance_sums, jobs):  # in chunk order
-            totals += part
+        for c, start in enumerate(range(0, samples, _MC_CHUNK)):
+            totals += _cap_distance_sums(n, heights, stream.child(c),
+                                         min(_MC_CHUNK, samples - start))
     curve = BoundCurve(n=n, samples=samples)
     for mu, t, (d_paper, d_exact) in zip(mus, heights, totals / samples):
         point = BoundCurvePoint(mu=mu, d_theory=t, d_mc_paper_formula=float(d_paper),
@@ -217,8 +215,9 @@ def minimal_subspace_fraction(n: int, target_error: float, R: float) -> Subspace
     not a sampled one. ``R`` must be finite and > 1.
     """
     require_radius(R)
-    if not 0.0 < target_error < 0.5:
-        raise ValueError("target error must be in (0, 0.5)")
+    require_above("target error", target_error, 0)
+    if target_error >= 0.5:
+        raise ValueError(f"target error must be in (0, 0.5), got {target_error!r}")
     n = require_int("n", n, 1)
     if n < _CLT_MIN_DIM:
         raise ValueError(f"need n >= {_CLT_MIN_DIM} for the CLT estimate")

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spherelab import require_int, require_radius
+from spherelab import require_above, require_int, require_radius
 from spherelab.linalg import singular_values
 from spherelab.rng import RngStream
 
@@ -129,10 +129,10 @@ class AlphaSpectrum:
 def is_perfect(spec: AlphaSpectrum) -> tuple[bool, int]:
     """Whether every alpha lies in the closed interval [1/R^2, 1].
 
-    Returns (perfect, violation count); boundary values count as correct.
+    Returns (perfect, violation count); boundary values count as correct, NaN as a violation.
     """
     lo = 1.0 / (spec.R * spec.R)
-    violations = int(((spec.alphas < lo) | (spec.alphas > 1.0)).sum())
+    violations = int((~((spec.alphas >= lo) & (spec.alphas <= 1.0))).sum())
     return violations == 0, violations
 
 
@@ -211,13 +211,13 @@ class QuadraticNet:
 def alpha_spectrum(net: QuadraticNet, R: float = 1.3) -> AlphaSpectrum:
     """Ellipsoid coefficients alpha_i = w s_i^2 / (-b), descending in s_i.
 
-    Requires b < 0 and an outer radius ``R`` that is finite and > 1. When
-    the hidden layer is narrower than the input (h < n) the missing
-    coefficients are zeros and the spectrum is flagged as padded.
+    Requires b < 0 (not NaN) and an outer radius ``R`` that is finite and
+    > 1. When the hidden layer is narrower than the input (h < n) the
+    missing coefficients are zeros and the spectrum is flagged as padded.
     """
     require_radius(R)
     b = float(net.b)
-    if b >= 0:
+    if not b < 0:
         raise UnsupportedRegimeError(f"alpha spectrum requires b < 0, got b={b}")
     s = singular_values(net.W1)
     alphas = float(net.w) * s * s / (-b)
@@ -252,7 +252,9 @@ def quad_perfect_init(
     require_radius(R)
     if h < n:
         raise ValueError(f"perfect init needs h >= n, got h={h} < n={n}")
-    if not (0.0 < p_inner < 0.5 < p_outer < 1.0):
+    require_above("p_inner", p_inner, 0)
+    require_above("p_outer", p_outer, 0)
+    if not p_inner < 0.5 < p_outer < 1.0:
         raise ValueError("need 0 < p_inner < 0.5 < p_outer < 1")
     logit_in = np.log(p_inner / (1.0 - p_inner))
     logit_out = np.log(p_outer / (1.0 - p_outer))

@@ -29,15 +29,16 @@ Every count and size is checked (a Python or numpy integer >= 0, not a
 ``bool``) before any word is drawn, so a refused call leaves the stream
 where it was.
 
-Monte Carlo loops whose chunks are keyed by substreams (error rates and
-cap distances), attacks of more than one block of starts and Adam updates
-of more than one job of blocks run their chunks on a process-wide thread
-pool (:func:`_shard_map`) with one worker per CPU this process may run on;
-numpy releases the GIL in the Philox generator, the ufuncs and BLAS, so
-the chunks run in parallel and, being keyed or elementwise, give the same
-bits in any order. Training draws each next minibatch on the same pool
-with :func:`prefetch`, one draw ahead of the step that uses it, in order
-and from one stream, so the words drawn are those of a serial loop.
+The error-rate Monte Carlo (chunks keyed by substreams), the attacks
+(blocks of starts) and the Adam updates (jobs of blocks) run on a
+process-wide thread pool (:func:`_shard_map`) with one worker per CPU
+this process may run on; no caller special-cases a lone job. numpy
+releases the GIL in the Philox generator, the ufuncs and BLAS, so the
+jobs run in parallel and, being keyed or elementwise, give the same bits
+in any order. (The cap-distance Monte Carlo sums its keyed chunks on the
+caller thread.) Training draws each next minibatch on the same pool with
+:func:`prefetch`, one draw ahead of the step that uses it, in order and
+from one stream, so the words drawn are those of a serial loop.
 
 Stream-index registry (children of a root stream, see :meth:`RngStream.child`):
 

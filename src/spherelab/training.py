@@ -23,7 +23,7 @@ most that one batch past its last step.
 
 Quadratic nets additionally report their ellipsoid-coefficient violation
 count at a separate (coarser) cadence, since each check costs an SVD of
-the h x n first-layer weights.
+the h x n first-layer weights; other models have none, and are refused.
 
 The error-rate Monte Carlo of a quadratic net with at least 8 samples per
 input dimension runs in the eigenbasis of its quadric, from one n x n
@@ -127,11 +127,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     view, so its working set stays in cache. The blocks of all parameters,
     in order, make jobs of ``_ADAM_JOB`` consecutive blocks, each with one
     block-sized scratch array of its own, so a step holds one scratch per
-    running job. More than one job runs on the pool of
-    :func:`spherelab.rng._shard_map`; a single job runs inline.
-    Every element goes through the same ufunc sequence as in one
-    whole-array pass, and no two jobs touch the same element, so the bits
-    depend on neither the block size, the job split nor the pool size.
+    running job. The jobs, a lone one too, run on the pool of
+    :func:`spherelab.rng._shard_map`. Every element goes through the same
+    ufunc sequence as in one whole-array pass, and no two jobs touch the
+    same element, so the bits depend on neither the block size, the job
+    split nor the pool size.
     """
     flat = []
     for name, p in params.items():
@@ -172,29 +172,26 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             scratch *= step
             pb -= scratch
 
-    if len(jobs) > 1:
-        _shard_map(run, jobs)
-    elif jobs:
-        run(0)
+    _shard_map(run, jobs)
     return state
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """In-training attack probes feeding the worst-case-loss metric."""
+    """In-training attack probes feeding the worst-case-loss metric.
+
+    A ``nearest`` probe runs on the budget of ``AttackConfig(mode="nearest")``.
+    """
 
     every: int = 1000
     starts: int = 10
     steps: int = 200
     step_size: float = 0.01
     nearest: bool = False  # also estimate mean attack distance
-    nearest_steps: int = 1000
-    nearest_step_size: float = 0.001
 
     def __post_init__(self) -> None:
-        require_ints(self, every=1, starts=1, steps=1, nearest_steps=1)
+        require_ints(self, every=1, starts=1, steps=1)
         require_above("step_size", self.step_size, 0)
-        require_above("nearest_step_size", self.nearest_step_size, 0)
 
 
 @dataclass
@@ -298,17 +295,17 @@ class ErrorRateEstimate:
 def _quadric_weights(model: QuadraticNet) -> np.ndarray | None:
     """The eigenbasis weights c = w lambda of :func:`evaluate_error_rate`.
 
-    None, without a warning, when the Gram matrix, c or b is not finite.
+    lambda are the eigenvalues of W1^T W1, whatever the hidden width. None,
+    without a warning, when the Gram matrix, c or b is not finite.
     """
-    W1 = model.W1
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = W1.T @ W1 if model.h >= model.n else W1 @ W1.T
+        gram = model.W1.T @ model.W1
         if not np.isfinite(gram).all():
             return None
         c = float(model.w) * np.linalg.eigvalsh(gram)
     if not (np.isfinite(c).all() and np.isfinite(model.b)):
         return None
-    return np.concatenate([c, np.zeros(model.n - c.size)])
+    return c
 
 
 def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
@@ -328,11 +325,11 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
       eigenbasis of its quadric. For x = r u/|u| with u Gaussian, the logit
       ``w |W1 x|^2 + b`` has the law of ``r^2 (z^2 . c) / |z|^2 + b`` with
       z Gaussian and c = w lambda, lambda the eigenvalues of W1^T W1. One
-      ``eigvalsh`` of the smaller Gram matrix (W1^T W1, or W1 W1^T padded
-      with zeros to n) gives lambda, on the caller thread. A chunk takes
-      the ``normal_matrix(count, n)`` that ``sample_batch`` would have
-      drawn as its z, and forms no point. A net whose Gram matrix, c or b
-      is not finite takes the default path.
+      ``eigvalsh`` of that n x n Gram matrix gives lambda, on the caller
+      thread, whatever the hidden width h. A chunk takes the
+      ``normal_matrix(count, n)`` that ``sample_batch`` would have drawn
+      as its z, and forms no point. A net whose Gram matrix, c or b is not
+      finite takes the default path.
 
     The two paths draw the same normals from the same children but read
     them in different bases, so their counts differ while their law is the
@@ -400,11 +397,9 @@ class TrainResult:
     first_perfect_step: int | None = None
 
 
-def _alpha_violations(model, sphere: SphereConfig) -> int | None:
-    if not isinstance(model, QuadraticNet):
-        return None
-    if float(model.b) >= 0:
-        return None  # spectrum undefined outside the b < 0 regime
+def _alpha_violations(model: QuadraticNet, sphere: SphereConfig) -> int | None:
+    if not float(model.b) < 0:
+        return None  # spectrum undefined outside the b < 0 regime (NaN b too)
     _, violations = is_perfect(alpha_spectrum(model, sphere.R))
     return violations
 
@@ -483,6 +478,8 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         raise ValueError(f"model dim {getattr(model, 'n', None)} != sphere dim {sphere.n}")
     if isinstance(model, MlpNet) and cfg.batch_size < 2:
         raise ValueError("batch-norm models need batch size >= 2")
+    if cfg.alpha_every > 0 and not isinstance(model, QuadraticNet):
+        raise ValueError("alpha_every > 0 needs a QuadraticNet: only it has an alpha spectrum")
     _check_schedule(cfg)
 
     root = RngStream(cfg.seed)
@@ -517,9 +514,7 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         if cfg.probe.nearest:
             stats = attack_mod.estimate_mean_distance(
                 model, sphere,
-                attack_mod.AttackConfig(mode="nearest", steps=cfg.probe.nearest_steps,
-                                        step_size=cfg.probe.nearest_step_size,
-                                        starts=cfg.probe.starts),
+                attack_mod.AttackConfig(mode="nearest", starts=cfg.probe.starts),
                 nearest_stream.child(event))
             dmean = None if stats.all_failed else stats.dmean
         return wl, dmean

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -233,22 +231,25 @@ def result_bytes(r) -> list:
 
 @pytest.mark.parametrize("mode", ["nearest", "worst"])
 def test_pooled_blocks_equal_a_serial_in_order_run_byte_for_byte(monkeypatch, mode):
+    # 123 starts make three blocks; 50 starts make one block, one pool job too.
     net, sphere = spike_net(20), SphereConfig(n=20)
-    cfg = AttackConfig(mode=mode, steps=300, step_size=0.01, starts=123)
-    pooled = run_attack(net, sphere, cfg, RngStream(41), shell="both")
-    blocks = []
+    for starts, split in ((123, [50, 50, 23]), (50, [50])):
+        cfg = AttackConfig(mode=mode, steps=300, step_size=0.01, starts=starts)
+        pooled = run_attack(net, sphere, cfg, RngStream(41), shell="both")
+        blocks = []
 
-    def serial_map(fn, jobs):
-        parts = [fn(job) for job in jobs]
-        blocks.extend(len(part) for part in parts)
-        return parts
+        def serial_map(fn, jobs):
+            parts = [fn(job) for job in jobs]
+            blocks.extend(len(part) for part in parts)
+            return parts
 
-    monkeypatch.setattr(attack, "_shard_map", serial_map)
-    serial = run_attack(net, sphere, cfg, RngStream(41), shell="both")
-    assert blocks == [50, 50, 23]
-    assert 0 < sum(r.found for r in pooled) < cfg.starts
-    assert len({r.steps_used for r in pooled}) > 2
-    assert [result_bytes(r) for r in pooled] == [result_bytes(r) for r in serial]
+        with monkeypatch.context() as patch:
+            patch.setattr(attack, "_shard_map", serial_map)
+            serial = run_attack(net, sphere, cfg, RngStream(41), shell="both")
+        assert blocks == split
+        assert 0 < sum(r.found for r in pooled) < cfg.starts
+        assert len({r.steps_used for r in pooled}) > 2
+        assert [result_bytes(r) for r in pooled] == [result_bytes(r) for r in serial]
 
 
 class ChildLog:
@@ -271,17 +272,25 @@ def test_saddle_jitter_is_keyed_by_the_row_of_the_whole_batch():
     log = ChildLog(RngStream(45))
     worst_case_loss(spike_net(n), xs, labels, cfg, log)
     assert set(log.asked) == {60}
-
-
-def test_one_block_of_starts_never_uses_the_pool(monkeypatch):
-    def no_jobs(fn, jobs):
-        raise AssertionError("a pool job was queued")
-
-    monkeypatch.setattr(attack, "_shard_map", no_jobs)
+@pytest.mark.parametrize("mode", ["nearest", "worst"])
+def test_pooled_blocks_equal_a_serial_in_order_run_byte_for_byte(monkeypatch, mode):
+    # 123 starts make three blocks; 50 starts make one block, one pool job too.
     net, sphere = spike_net(20), SphereConfig(n=20)
-    cfg = AttackConfig(mode="nearest", steps=5, step_size=0.01, starts=50)
-    assert len(run_attack(net, sphere, cfg, RngStream(47))) == 50
-    xs, ys = sample_batch(sphere, RngStream(49), 50)
-    worst_case_loss(net, xs, ys, dataclasses.replace(cfg, mode="worst"), RngStream(51))
-    with pytest.raises(AssertionError, match="pool job"):
-        run_attack(net, sphere, dataclasses.replace(cfg, starts=51), RngStream(47))
+    for starts, split in ((123, [50, 50, 23]), (50, [50])):
+        cfg = AttackConfig(mode=mode, steps=300, step_size=0.01, starts=starts)
+        pooled = run_attack(net, sphere, cfg, RngStream(41), shell="both")
+        blocks = []
+
+        def serial_map(fn, jobs):
+            parts = [fn(job) for job in jobs]
+            blocks.extend(len(part) for part in parts)
+            return parts
+
+        with monkeypatch.context() as patch:
+            patch.setattr(attack, "_shard_map", serial_map)
+            serial = run_attack(net, sphere, cfg, RngStream(41), shell="both")
+        assert blocks == split
+        assert 0 < sum(r.found for r in pooled) < cfg.starts
+        assert len({r.steps_used for r in pooled}) > 2
+        assert [result_bytes(r) for r in pooled] == [result_bytes(r) for r in serial]
+

@@ -128,7 +128,7 @@ def test_minimal_subspace_fraction_rejects_unreachable_and_invalid_targets():
     assert equalized_truncated_rate(500, 500, R)[1] == pytest.approx(1.3e-56, rel=0.05)
     with pytest.raises(InfeasibleTargetError, match="k=n=500"):
         minimal_subspace_fraction(500, 1e-300, R)
-    for target in (0.0, -1e-3, 0.5, 0.7):
+    for target in (0.0, -1e-3, 0.5, 0.7, float("nan"), "0.01", None, True):
         with pytest.raises(ValueError, match="target error"):
             minimal_subspace_fraction(500, target, R)
     with pytest.raises(ValueError, match="n >= 30"):
@@ -207,10 +207,10 @@ def test_bound_curve_draws_samples_normals_and_chisquares_whatever_the_mus(monke
 
 
 def test_bound_curve_of_no_mu_queues_no_job(monkeypatch):
-    def no_jobs(fn, jobs):
-        raise AssertionError("a pool job was queued")
+    def no_chunks(*args):
+        raise AssertionError("a chunk was drawn")
 
-    monkeypatch.setattr(geometry, "_shard_map", no_jobs)
+    monkeypatch.setattr(geometry, "_cap_distance_sums", no_chunks)
     curve = bound_curve(7, [], 10**4, RngStream(1))
     assert (curve.n, curve.samples, curve.points) == (7, 10**4, [])
 
@@ -238,10 +238,10 @@ def test_mc_cap_distance_exact_chord_matches_quadrature_at_n500():
 
 
 def test_mc_cap_distance_memory_stays_one_row_block_per_job(traced_peak):
-    # A whole 16384 x 500 chunk matrix is 65.5 MB; a chunk job holds a few
+    # A whole 16384 x 500 chunk matrix is 65.5 MB; a chunk holds a few
     # arrays of its 16384 values of x_1.
     stream = RngStream(20180108, 3)
-    bound_curve(500, [1e-2], 20_000, stream)  # warm the pool
+    bound_curve(500, [1e-2], 20_000, stream)  # warm up
     assert traced_peak(bound_curve, 500, [1e-2], 20_000, stream) < 8e6
 
 
@@ -258,7 +258,7 @@ def test_theorem_bound_is_the_gaussian_quantile_over_sqrt_n(mu, n):
     assert theorem_bound(mu, n) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("mu", [0.0, -1e-3, 0.5000001, 1.0, float("nan")])
+@pytest.mark.parametrize("mu", [0.0, -1e-3, 0.5000001, 1.0, float("nan"), "0.1", None, True])
 def test_cap_measure_outside_zero_half_rejected(mu):
     with pytest.raises(ValueError, match="cap measure"):
         theorem_bound(mu, 10)
@@ -279,10 +279,10 @@ def test_theorem_bound_accepts_the_closed_end_and_rejects_low_dimension():
 def test_exact_chord_rejects_a_cap_higher_than_the_pole(monkeypatch):
     # n = 7, mu = 1e-4: t = Phi^-1(1 - 1e-4)/sqrt(7) = 1.41 > 1, so the cap
     # boundary circle does not exist.
-    def no_jobs(fn, jobs):
-        raise AssertionError("a pool job was queued")
+    def no_chunks(*args):
+        raise AssertionError("a chunk was drawn")
 
-    monkeypatch.setattr(geometry, "_shard_map", no_jobs)
+    monkeypatch.setattr(geometry, "_cap_distance_sums", no_chunks)
     pattern = r"n = 7 .*mu = 0\.0001 .*t = 1\.406"
     with pytest.raises(ValueError, match=pattern):
         bound_curve(7, [1e-2, 1e-4], 10**4, RngStream(1))

@@ -93,25 +93,51 @@ def test_the_package_imports_only_the_standard_library_numpy_and_itself():
     assert {(name, module) for name, module in imports if module not in allowed} == set()
 
 
-def test_every_int_field_of_a_checked_dataclass_goes_through_require_ints():
-    # A class with a __post_init__ checks its fields; each one annotated
-    # ``int`` must be a keyword of a require_ints call there.
-    unchecked, checked_classes = {}, set()
+def checked_classes() -> dict[str, tuple[dict[str, str], ast.FunctionDef]]:
+    """Each class with a ``__post_init__``: its annotated fields (name -> type) and that method."""
+    found = {}
     for path in SRC.glob("*.py"):
         for cls in ast.walk(parse(path)):
             post_init = [f for f in cls.body if isinstance(f, ast.FunctionDef)
                          and f.name == "__post_init__"] if isinstance(cls, ast.ClassDef) else []
-            if not post_init:
-                continue
-            checked_classes.add(cls.name)
-            ints = {f.target.id for f in cls.body if isinstance(f, ast.AnnAssign)
-                    and getattr(f.annotation, "id", "") == "int"}
-            keywords = {kw.arg for call in ast.walk(post_init[0]) if isinstance(call, ast.Call)
-                        and getattr(call.func, "id", "") == "require_ints"
-                        for kw in call.keywords}
-            if ints - keywords:
-                unchecked[cls.name] = sorted(ints - keywords)
-    assert {"SphereConfig", "TrainConfig", "ProbeConfig", "AttackConfig"} <= checked_classes
+            if post_init:
+                fields = {f.target.id: getattr(f.annotation, "id", "") for f in cls.body
+                          if isinstance(f, ast.AnnAssign)}
+                found[cls.name] = fields, post_init[0]
+    return found
+
+
+def calls_to(post_init: ast.FunctionDef, *names: str) -> list[ast.Call]:
+    return [call for call in ast.walk(post_init) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", "") in names]
+
+
+def test_every_int_field_of_a_checked_dataclass_goes_through_require_ints():
+    # A class with a __post_init__ checks its fields; each one annotated
+    # ``int`` must be a keyword of a require_ints call there.
+    unchecked, classes = {}, checked_classes()
+    for name, (fields, post_init) in classes.items():
+        ints = {field for field, kind in fields.items() if kind == "int"}
+        keywords = {kw.arg for call in calls_to(post_init, "require_ints") for kw in call.keywords}
+        if ints - keywords:
+            unchecked[name] = sorted(ints - keywords)
+    assert {"SphereConfig", "TrainConfig", "ProbeConfig", "AttackConfig"} <= classes.keys()
+    assert unchecked == {}
+
+
+def test_every_float_field_of_a_checked_dataclass_goes_through_require_above():
+    # Each field annotated ``float`` must be passed as ``self.<field>`` to a
+    # require_above or require_radius call in the class's __post_init__.
+    unchecked, checked = {}, set()
+    for name, (fields, post_init) in checked_classes().items():
+        floats = {field for field, kind in fields.items() if kind == "float"}
+        passed = {arg.attr for call in calls_to(post_init, "require_above", "require_radius")
+                  for arg in call.args if isinstance(arg, ast.Attribute)
+                  and getattr(arg.value, "id", "") == "self"}
+        checked |= {f"{name}.{field}" for field in floats & passed}
+        if floats - passed:
+            unchecked[name] = sorted(floats - passed)
+    assert {"ProbeConfig.step_size", "TrainConfig.lr", "SphereConfig.R"} <= checked
     assert unchecked == {}
 
 

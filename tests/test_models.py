@@ -116,6 +116,14 @@ def test_alpha_spectrum_requires_negative_b():
         alpha_spectrum(net, R)
 
 
+def test_alpha_spectrum_refuses_a_nan_b():
+    # Parameters are set in place during training, past the constructor's check.
+    net = QuadraticNet(np.eye(3), 1.0, -1.0)
+    net.b[...] = np.nan
+    with pytest.raises(UnsupportedRegimeError, match="b=nan"):
+        alpha_spectrum(net, R)
+
+
 def test_alpha_spectrum_rejects_a_radius_outside_the_shells_rule():
     net = QuadraticNet(np.eye(3), 1.0, -1.0)
     for radius in (0.5, 1.0, float("nan"), float("inf")):
@@ -154,6 +162,13 @@ def test_is_perfect_counts_violations():
     assert is_perfect(bad) == (False, 1)
     boundary = AlphaSpectrum(np.array([1.0 / (R * R), 1.0]), R)
     assert is_perfect(boundary) == (True, 0)
+
+
+def test_a_nan_alpha_is_a_violation():
+    assert is_perfect(AlphaSpectrum(np.array([np.nan, 0.9]), 1.3)) == (False, 1)
+    net = QuadraticNet(np.eye(3), 1.0, -1.0)
+    net.w[...] = np.nan  # a diverged run: every alpha is NaN
+    assert is_perfect(alpha_spectrum(net, R)) == (False, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +233,11 @@ def test_perfect_init_validation():
         quad_perfect_init(10, 12, p_inner=0.6)
     with pytest.raises(ValueError):
         quad_perfect_init(10, 12, p_outer=0.4)
+    for bad in ("0.001", None, True, float("nan")):
+        with pytest.raises(ValueError, match="p_inner must be"):
+            quad_perfect_init(10, 12, p_inner=bad)
+        with pytest.raises(ValueError, match="p_outer must be"):
+            quad_perfect_init(10, 12, p_outer=bad)
     for radius in (1.0, 0.5, float("nan"), float("inf")):  # 1.0 divided by zero
         with pytest.raises(ValueError, match="outer radius must be finite and > 1"):
             quad_perfect_init(5, 5, R=radius)

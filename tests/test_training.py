@@ -131,31 +131,26 @@ def test_blocked_adam_equals_a_whole_array_reference_byte_for_byte():
 
 
 def test_pooled_adam_equals_a_serial_in_order_map_byte_for_byte(monkeypatch):
-    pooled_params, pooled, _ = adam_run(ADAM_SHAPES, steps=3)
-    firsts = []
+    # 34 blocks make 9 jobs, the last of two blocks; one job of blocks is
+    # one pool job too. Each is the same split every step.
+    one_job = {"job": (_ADAM_JOB * _ADAM_BLOCK,)}
+    for shapes, split in ((ADAM_SHAPES, list(range(0, 34, _ADAM_JOB))), (one_job, [0])):
+        pooled_params, pooled, _ = adam_run(shapes, steps=3)
+        firsts = []
 
-    def serial_map(fn, jobs):
-        firsts.append(list(jobs))
-        return [fn(job) for job in jobs]
+        def serial_map(fn, jobs):
+            firsts.append(list(jobs))
+            return [fn(job) for job in jobs]
 
-    monkeypatch.setattr(training, "_shard_map", serial_map)
-    params, state, _ = adam_run(ADAM_SHAPES, steps=3)
-    # 34 blocks make 9 jobs, the last of two blocks, the same split every step.
-    assert firsts == [list(range(0, 34, _ADAM_JOB))] * 3
-    assert state.t == pooled.t == 3
-    for k in ADAM_SHAPES:
-        assert params[k].tobytes() == pooled_params[k].tobytes(), k
-        assert state.m[k].tobytes() == pooled.m[k].tobytes(), k
-        assert state.v[k].tobytes() == pooled.v[k].tobytes(), k
-
-
-def test_one_job_of_adam_blocks_never_uses_the_pool(monkeypatch):
-    def no_jobs(fn, jobs):
-        raise AssertionError("a single job must run inline")
-
-    monkeypatch.setattr(training, "_shard_map", no_jobs)
-    params, state, _ = adam_run({"job": (_ADAM_JOB * _ADAM_BLOCK,)}, steps=2)
-    assert state.t == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_shard_map", serial_map)
+            params, state, _ = adam_run(shapes, steps=3)
+        assert firsts == [split] * 3
+        assert state.t == pooled.t == 3
+        for k in shapes:
+            assert params[k].tobytes() == pooled_params[k].tobytes(), k
+            assert state.m[k].tobytes() == pooled.m[k].tobytes(), k
+            assert state.v[k].tobytes() == pooled.v[k].tobytes(), k
 
 
 def test_adam_holds_one_block_of_scratch_per_running_job(monkeypatch, traced_peak):
@@ -360,6 +355,20 @@ def test_alpha_cadence_every_other_step_at_paper_scale():
     assert [(m.step, m.alpha_violations) for m in result.metrics] == [(0, 0), (2, 0), (4, 0)]
 
 
+def test_alpha_checks_on_an_mlp_are_refused_before_the_metrics_file_opens(
+        tmp_path, opened_writers):
+    path = tmp_path / "metrics.jsonl"
+    net = MlpNet.init_random(6, (8, 5), RngStream(11).child(3))
+    before = {k: v.copy() for k, v in net.state().items()}
+    cfg = TrainConfig(steps=6, batch_size=4, seed=11, alpha_every=2, stop_on_perfect=True,
+                      metrics_path=str(path))
+    with pytest.raises(ValueError, match="alpha_every > 0 needs a QuadraticNet"):
+        train(net, cfg, SphereConfig(n=6, seed=11))
+    assert opened_writers == []
+    assert not path.exists()
+    assert all(net.state()[k].tobytes() == v.tobytes() for k, v in before.items())
+
+
 def test_stop_on_perfect_requires_alpha_cadence():
     with pytest.raises(ValueError):
         TrainConfig(steps=10, stop_on_perfect=True)
@@ -380,18 +389,16 @@ def test_a_negative_run_seed_is_refused_when_the_config_is_built():
 
 @pytest.mark.parametrize("name,value,in_probe", [
     ("eval_batch", 0, False), ("error_eval_samples", -5, False), ("alpha_every", -3, False),
-    ("steps", 0, True), ("starts", 0, True), ("nearest_steps", 0, True),
+    ("steps", 0, True), ("starts", 0, True),
     ("step_size", -1.0, True), ("step_size", 0.0, True),
-    ("nearest_step_size", 0.0, True), ("nearest_step_size", float("nan"), True),
     ("lr", 0.0, False), ("lr", -1e-4, False), ("lr", float("nan"), False),
-    ("step_size", float("inf"), True), ("nearest_step_size", float("inf"), True),
-    ("lr", float("inf"), False), ("train_set_size", -1, False),
+    ("step_size", float("inf"), True), ("lr", float("inf"), False), ("train_set_size", -1, False),
     ("error_eval_samples", training._ERROR_SAMPLES_CAP + 1, False),
     ("steps", 3.5, False), ("steps", True, False), ("batch_size", 4.5, False),
     ("seed", 1.0, False), ("train_set_size", 40.5, False), ("metric_every", False, False),
     ("eval_batch", np.float64(8), False), ("error_eval_samples", 100.0, False),
     ("alpha_every", True, False), ("every", 2.5, True), ("starts", 4.0, True),
-    ("steps", True, True), ("nearest_steps", 10.5, True),
+    ("steps", True, True),
 ])
 def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
         name, value, in_probe, tmp_path, opened_writers):
@@ -419,13 +426,12 @@ def test_probe_cadence_and_worst_loss_metric():
 
 def test_nearest_probe_dmean_is_the_mean_distance_on_its_keyed_stream():
     sphere = SphereConfig(n=10, seed=8)
-    probe = ProbeConfig(every=10, starts=6, steps=20, step_size=0.01, nearest=True,
-                        nearest_steps=400, nearest_step_size=0.01)
+    probe = ProbeConfig(every=10, starts=6, steps=20, step_size=0.01, nearest=True)
     cfg = TrainConfig(steps=20, batch_size=4, seed=8, metric_every=10, probe=probe)
     result = train(small_quad(seed=8), cfg, sphere)
     probed = [m for m in result.metrics if m.worst_loss is not None]
     assert [m.step for m in probed] == [0, 10, 20]
-    attack_cfg = AttackConfig(mode="nearest", steps=400, step_size=0.01, starts=6)
+    attack_cfg = AttackConfig(mode="nearest", starts=6)
     nearest_stream = RngStream(8).child(CHILD_NEAREST_PROBE)
     for event, record in enumerate(probed):
         # The model as it was at the probe: the same run stopped at that step.
@@ -437,8 +443,7 @@ def test_nearest_probe_dmean_is_the_mean_distance_on_its_keyed_stream():
 
 
 def test_nearest_probe_omits_dmean_when_every_start_fails():
-    probe = ProbeConfig(every=2, starts=6, steps=10, nearest=True, nearest_steps=100,
-                        nearest_step_size=0.01)
+    probe = ProbeConfig(every=2, starts=6, steps=10, nearest=True)
     cfg = TrainConfig(steps=4, batch_size=4, seed=3, metric_every=2, alpha_every=2,
                       probe=probe)
     result = train(quad_perfect_init(10, 12), cfg, SphereConfig(n=10, seed=3))
@@ -519,8 +524,7 @@ def test_metrics_header_records_versions_simd_and_both_configs(tmp_path):
         "steps": 2, "batch_size": 4, "lr": 1e-4, "seed": 21,
         "train_set_size": 16, "metric_every": 2, "eval_batch": 1000,
         "error_eval_samples": 10, "alpha_every": 0, "stop_on_perfect": False,
-        "probe": {"every": 2, "starts": 2, "steps": 3, "step_size": 0.01, "nearest": False,
-                  "nearest_steps": 1000, "nearest_step_size": 0.001},
+        "probe": {"every": 2, "starts": 2, "steps": 3, "step_size": 0.01, "nearest": False},
         "metrics_path": str(path)}
 
 
@@ -528,7 +532,7 @@ def test_numpy_integer_sizes_train_as_ints_and_write_a_json_manifest(tmp_path):
     lines = []
     for i, ints in enumerate((int, np.int64)):
         path = tmp_path / f"metrics{i}.jsonl"
-        probe = ProbeConfig(every=ints(2), starts=ints(2), steps=ints(3), nearest_steps=ints(5))
+        probe = ProbeConfig(every=ints(2), starts=ints(2), steps=ints(3))
         cfg = TrainConfig(steps=ints(2), batch_size=ints(4), seed=ints(3), train_set_size=ints(16),
                           metric_every=ints(2), eval_batch=ints(8), error_eval_samples=ints(10),
                           alpha_every=ints(2), probe=probe, metrics_path=path)
@@ -853,18 +857,16 @@ def test_error_rate_counts_equal_a_serial_loop_over_the_child_layout():
     assert est.samples == samples
 
 
-@pytest.mark.parametrize("h", [12, 4])  # W1^T W1, and W1 W1^T padded with zeros
+@pytest.mark.parametrize("h", [12, 4])  # a full-rank and a rank-4 Gram matrix
 def test_eigenbasis_counts_equal_a_serial_loop_over_the_child_layout(h):
     # The chunks of the test above, at n = 10: a point errs by the sign of
     # r^2 (z^2 . c) / |z|^2 + b, z the normals its child draws and
-    # c = w lambda, lambda the eigenvalues of the smaller Gram matrix.
+    # c = w lambda, lambda the eigenvalues of W1^T W1.
     samples = 2 * (2 * 512 + 100) + 1
     sphere = SphereConfig(n=10)
     assert samples >= 8 * sphere.n
     net = quad_erring_on_both_shells(17, sphere.n, h)
-    gram = net.W1.T @ net.W1 if h >= sphere.n else net.W1 @ net.W1.T
-    lam = np.concatenate([np.linalg.eigvalsh(gram), np.zeros(sphere.n - len(gram))])
-    c = float(net.w) * lam
+    c = float(net.w) * np.linalg.eigvalsh(net.W1.T @ net.W1)
     stream = RngStream(17).child(5)
     expected = []
     for shell, total, radius in ((0, samples // 2, 1.0), (1, samples - samples // 2, sphere.R)):
