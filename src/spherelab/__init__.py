@@ -9,7 +9,9 @@ spherical-cap bounds and CLT estimates.
 import math
 import numbers
 
-__version__ = "0.4.0"
+import numpy as np
+
+__version__ = "0.5.0"
 
 
 def require_int(name: str, value, least: int) -> int:
@@ -35,6 +37,16 @@ def require_ints(config, **least: int) -> None:
     for name, low in least.items():
         # object.__setattr__ works on frozen dataclasses too
         object.__setattr__(config, name, require_int(name, getattr(config, name), low))
+
+
+def require_bool(name: str, value) -> bool:
+    """``value``, a ``bool`` or numpy bool, as a Python bool (JSON-serializable).
+
+    Anything else, ``'False'`` or 0 too, raises ``ValueError`` naming ``name``.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def require_above(name: str, value, low: float) -> None:

@@ -96,9 +96,15 @@ class ErrorSetStats:
 
     dmean: float
     failures: int
-    successes: int = 0
-    all_failed: bool = False
     distances: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    @property
+    def successes(self) -> int:
+        return int(self.distances.size)
+
+    @property
+    def all_failed(self) -> bool:
+        return self.distances.size == 0
 
 
 def _pgd_batch(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig,
@@ -219,13 +225,9 @@ def estimate_mean_distance(model, sphere: SphereConfig, cfg: AttackConfig,
         raise ValueError("distance estimation requires nearest mode")
     results = run_attack(model, sphere, cfg, stream, shell)
     distances = np.array([r.distance for r in results if r.found])
-    failures = sum(1 for r in results if not r.found)
-    all_failed = failures == len(results)
     return ErrorSetStats(
         dmean=float(distances.mean()) if distances.size else float("nan"),
-        failures=failures,
-        successes=int(distances.size),
-        all_failed=all_failed,
+        failures=len(results) - distances.size,
         distances=distances,
     )
 

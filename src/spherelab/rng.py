@@ -1,11 +1,19 @@
 """Deterministic random streams on top of the Philox counter generator.
 
 Every stochastic component of the library draws from an :class:`RngStream`.
-A stream is keyed by a ``(seed, stream_index)`` pair; distinct pairs select
-independent Philox-4x64 counter sequences, so substreams never overlap.
-Raw words, uniforms and coins are the counter words, shifted and scaled
-exactly (a uniform is the top 53 bits of one word), and replay
-bit-identically wherever numpy's Philox does.
+``RngStream(seed, *path)`` is keyed by a seed and a path of at most four
+child indices, each in [0, 2**64 - 2]; ``child(i)`` appends ``i``. Its
+Philox-4x64 key is ``[seed, path[0] + 1]`` and its initial counter
+``[0, path[1] + 1, path[2] + 1, path[3] + 1]``, 0 for a missing level, so
+distinct paths differ in key or counter. numpy's Philox advances counter
+word 0 first, so a stream keeps to its own counter range for 2**64 - 1
+blocks of four words: substreams are disjoint by construction, not just
+with high probability. The library's deepest path has four indices
+(nearest probes, probe event, PGD, jitter row). Version 0.5.0 moved the
+streams of depth 2 or more; the root (key ``[seed, 0]``) and depth-1
+(``[seed, 1 + k]``) streams kept their words. Raw words are the counter
+words; a uniform (numpy's ``Generator.random``, the top 53 bits of a word)
+and a coin take one word each.
 
 Normals are numpy's ziggurat (``Generator.standard_normal``) run over the
 stream's own Philox, so they and the raw words are consumed from one
@@ -68,8 +76,7 @@ from numpy.random import Philox
 from spherelab import require_above, require_int
 
 _U64 = np.uint64
-_INV_2_53 = 2.0**-53
-_CHILD_BASE = 65536  # children pack into base-65536 digits of the stream index
+_DEPTH = 4  # path levels: one in the key, three in the counter
 
 # Registry constants (see module docstring).
 CHILD_DATASET = 1
@@ -90,39 +97,34 @@ class RngStream:
     of them.
     """
 
-    def __init__(self, seed: int, stream: int = 0) -> None:
-        for name, value in (("seed", seed), ("stream index", stream)):
-            if require_int(name, value, 0) >= 2**64:
-                raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
-        self.seed, self.stream = int(seed), int(stream)
-        self._bits = Philox(key=np.array([self.seed, self.stream], dtype=_U64))
+    def __init__(self, seed: int, *path: int) -> None:
+        if require_int("seed", seed, 0) >= 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        if len(path) > _DEPTH:
+            raise ValueError(f"a stream path has at most {_DEPTH} child indices, got {len(path)}")
+        for index in path:
+            if require_int("child index", index, 0) > 2**64 - 2:
+                raise ValueError(f"child index must be in [0, 2**64 - 2], got {index}")
+        self.seed, self.path = int(seed), tuple(int(index) for index in path)
+        words = [index + 1 for index in self.path] + [0] * (_DEPTH - len(path))
+        self._bits = Philox(key=np.array([self.seed, words[0]], dtype=_U64),
+                            counter=np.array([0, *words[1:]], dtype=_U64))
         self._gen = np.random.Generator(self._bits)
 
     def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream={self.stream})"
+        return f"RngStream({', '.join(map(str, (self.seed, *self.path)))})"
 
     def child(self, index: int) -> "RngStream":
-        """Derive substream number ``index`` of this stream.
-
-        Child indices pack into base-65536 digits of the 64-bit stream
-        index, so distinct derivation paths (up to depth 4, fan-out 65535)
-        map to distinct Philox keys and therefore non-overlapping streams.
-        """
-        index = require_int("child index", index, 0)
-        if index >= _CHILD_BASE - 1:
-            raise ValueError(f"child index must be in [0, {_CHILD_BASE - 2}], got {index}")
-        packed = self.stream * _CHILD_BASE + 1 + index
-        if packed >= 2**64:
-            raise ValueError("substream nesting too deep: stream index overflows 64 bits")
-        return RngStream(self.seed, packed)
+        """Substream ``RngStream(seed, *path, index)``; a depth-4 stream has none."""
+        return RngStream(self.seed, *self.path, index)
 
     def raw(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words from the counter sequence."""
         return self._bits.random_raw(require_int("count", count, 0))
 
     def uniforms(self, count: int) -> np.ndarray:
-        """Uniform float64 in [0, 1), one word per draw."""
-        return (self.raw(count) >> _U64(11)) * _INV_2_53
+        """Uniform float64 in [0, 1), one word per draw: numpy's ``Generator.random``."""
+        return self._gen.random(require_int("count", count, 0))
 
     def coins(self, count: int) -> np.ndarray:
         """Fair boolean coin flips, one word per draw."""

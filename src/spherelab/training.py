@@ -9,10 +9,11 @@ train on the same points, whatever their ``TrainConfig.seed``. Metrics are
 emitted at a configured cadence as step-keyed records; a metrics file is
 JSON lines with a schema header. Record k (from 0) takes ``child(k)`` of
 the eval and error-MC streams; probe event k takes ``child(1 + k)`` of the
-probe stream (worst mode) and ``child(k)`` of the nearest-probe stream. A
-schedule that would pass the last child index is rejected up front. A
-non-finite training loss aborts the run, restoring the model's whole
-``state()`` (batch-norm statistics too) from the last metric point.
+probe stream (worst mode) and ``child(k)`` of the nearest-probe stream.
+A child index may reach 2**64 - 2 (see :mod:`spherelab.rng`), so no
+schedule runs out of keys. A non-finite training loss aborts the run,
+restoring the model's whole ``state()`` (batch-norm statistics too) from
+the last metric point.
 
 Minibatch k + 1 is drawn on a worker of the process-wide pool (see
 :func:`spherelab.rng.prefetch`) while step k runs its forward pass,
@@ -35,15 +36,13 @@ differ from those of the point-by-point path; their law does not.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations
 
 import numpy as np
 
 import spherelab
-from spherelab import attack as attack_mod, require_above, require_int, require_ints
+from spherelab import attack as attack_mod, require_above, require_bool, require_int, require_ints
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import (
     MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, sigmoid_ce_loss)
@@ -55,7 +54,6 @@ from spherelab.rng import (
     CHILD_NEAREST_PROBE,
     CHILD_PROBE,
     RngStream,
-    _CHILD_BASE,
     _shard_map,
     pool_workers,
     prefetch,
@@ -69,9 +67,6 @@ _EVAL_CHUNK = 512  # points per keyed chunk of evaluate_error_rate, one logits b
 # 2 cores at n = 500 the eigenbasis is faster from 4096 samples, for
 # h = 500 and for h = 1000.
 _EIGENBASIS_SAMPLES_PER_DIM = 8
-# Outer-shell chunk i of evaluate_error_rate keys child 2i + 1, so it may
-# have 32767 chunks; the odd sample goes to the outer shell.
-_ERROR_SAMPLES_CAP = 2 * (_CHILD_BASE // 2 - 1) * _EVAL_CHUNK
 _ADAM_BLOCK = 32768  # elements per block of adam_step: 256 KiB of float64
 _ADAM_JOB = 4  # consecutive blocks per pool job of adam_step
 _ADAM_BETA1 = 0.9  # Kingma & Ba's defaults
@@ -192,6 +187,7 @@ class ProbeConfig:
     def __post_init__(self) -> None:
         require_ints(self, every=1, starts=1, steps=1)
         require_above("step_size", self.step_size, 0)
+        object.__setattr__(self, "nearest", require_bool("nearest", self.nearest))
 
 
 @dataclass
@@ -222,9 +218,7 @@ class TrainConfig:
         require_ints(self, steps=0, batch_size=1, seed=0, train_set_size=0, metric_every=1,
                      eval_batch=1, error_eval_samples=0, alpha_every=0)
         require_above("lr", self.lr, 0)
-        if self.error_eval_samples > _ERROR_SAMPLES_CAP:
-            raise ValueError(f"error_eval_samples must be <= {_ERROR_SAMPLES_CAP}, "
-                             f"the samples evaluate_error_rate can key")
+        self.stop_on_perfect = require_bool("stop_on_perfect", self.stop_on_perfect)
         if self.stop_on_perfect and self.alpha_every <= 0:
             raise ValueError("stop_on_perfect needs alpha_every > 0")
 
@@ -345,15 +339,12 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
     activations of one 512-row ``logits`` block, so the memory of a call
     grows with the pool size, not with ``samples``.
 
-    The last child index caps ``samples`` at 33,553,408; more, a
+    ``samples`` has no cap: a child index may reach 2**64 - 2. A
     ``samples`` that is not an integer >= 1, or a model whose input
     dimension is not the sphere's, raises ``ValueError`` before any chunk
     runs.
     """
     samples = require_int("samples", samples, 1)
-    if samples > _ERROR_SAMPLES_CAP:
-        raise ValueError(f"{samples} samples need outer chunks past the last child index; "
-                         f"the cap is {_ERROR_SAMPLES_CAP} samples")
     if getattr(model, "n", None) != sphere.n:
         raise ValueError(f"model dim {getattr(model, 'n', None)} != sphere dim {sphere.n}")
     inner_total = samples // 2
@@ -402,27 +393,6 @@ def _alpha_violations(model: QuadraticNet, sphere: SphereConfig) -> int | None:
         return None  # spectrum undefined outside the b < 0 regime (NaN b too)
     _, violations = is_perfect(alpha_spectrum(model, sphere.R))
     return violations
-
-
-def _emit_count(steps: int, cadences: list[int]) -> int:
-    """Emits of a schedule: step 0, each multiple of a cadence up to ``steps``, the last step."""
-    hits = sum((-1) ** (r + 1) * (steps // math.lcm(*combo))
-               for r in range(1, len(cadences) + 1) for combo in combinations(cadences, r))
-    return 1 + hits + (steps > 0 and all(steps % c for c in cadences))
-
-
-def _check_schedule(cfg: TrainConfig) -> None:
-    """Reject a schedule whose record or probe-event keys pass the last child index."""
-    probe = [cfg.probe.every] if cfg.probe is not None else []
-    alpha = [cfg.alpha_every] if cfg.alpha_every > 0 else []
-    records = _emit_count(cfg.steps, [cfg.metric_every, *alpha, *probe])
-    probes = _emit_count(cfg.steps, probe) if probe else 0
-    if max(records - 1, probes) > _CHILD_BASE - 2:
-        raise ValueError(
-            f"{cfg.steps} steps at metric_every={cfg.metric_every}, alpha_every="
-            f"{cfg.alpha_every}, probe every={probe[0] if probe else None} key up to "
-            f"{records} records by child(k) and {probes} probes by child(1 + k), past the "
-            f"last child index {_CHILD_BASE - 2}")
 
 
 def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
@@ -480,7 +450,6 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         raise ValueError("batch-norm models need batch size >= 2")
     if cfg.alpha_every > 0 and not isinstance(model, QuadraticNet):
         raise ValueError("alpha_every > 0 needs a QuadraticNet: only it has an alpha spectrum")
-    _check_schedule(cfg)
 
     root = RngStream(cfg.seed)
     data_stream = root.child(CHILD_MINIBATCH)

@@ -10,9 +10,8 @@ import spherelab
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spherelab"
 TESTS = Path(__file__).resolve().parent
-# Private names one module may take from another: the shared thread pool and
-# the child-index base that schedules are checked against.
-ALLOWED_PRIVATE = {("spherelab.rng", "_shard_map"), ("spherelab.rng", "_CHILD_BASE")}
+# Private names one module may take from another: the shared thread pool.
+ALLOWED_PRIVATE = {("spherelab.rng", "_shard_map")}
 
 
 def parse(path: Path) -> ast.Module:
@@ -125,19 +124,30 @@ def test_every_int_field_of_a_checked_dataclass_goes_through_require_ints():
     assert unchecked == {}
 
 
-def test_every_float_field_of_a_checked_dataclass_goes_through_require_above():
-    # Each field annotated ``float`` must be passed as ``self.<field>`` to a
-    # require_above or require_radius call in the class's __post_init__.
+def fields_passed_to(kind: str, *checks: str) -> tuple[set[str], dict[str, list[str]]]:
+    """``Class.field`` of each field annotated ``kind`` that its ``__post_init__``
+    passes as ``self.<field>`` to one of ``checks``, and the fields it does not."""
     unchecked, checked = {}, set()
     for name, (fields, post_init) in checked_classes().items():
-        floats = {field for field, kind in fields.items() if kind == "float"}
-        passed = {arg.attr for call in calls_to(post_init, "require_above", "require_radius")
+        typed = {field for field, annotation in fields.items() if annotation == kind}
+        passed = {arg.attr for call in calls_to(post_init, *checks)
                   for arg in call.args if isinstance(arg, ast.Attribute)
                   and getattr(arg.value, "id", "") == "self"}
-        checked |= {f"{name}.{field}" for field in floats & passed}
-        if floats - passed:
-            unchecked[name] = sorted(floats - passed)
+        checked |= {f"{name}.{field}" for field in typed & passed}
+        if typed - passed:
+            unchecked[name] = sorted(typed - passed)
+    return checked, unchecked
+
+
+def test_every_float_field_of_a_checked_dataclass_goes_through_require_above():
+    checked, unchecked = fields_passed_to("float", "require_above", "require_radius")
     assert {"ProbeConfig.step_size", "TrainConfig.lr", "SphereConfig.R"} <= checked
+    assert unchecked == {}
+
+
+def test_every_bool_field_of_a_checked_dataclass_goes_through_require_bool():
+    checked, unchecked = fields_passed_to("bool", "require_bool")
+    assert {"ProbeConfig.nearest", "TrainConfig.stop_on_perfect"} <= checked
     assert unchecked == {}
 
 

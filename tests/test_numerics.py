@@ -140,7 +140,7 @@ def test_same_seed_identical_sequences():
 
 
 def test_raw_words_bit_identical():
-    assert (RngStream(7, 3).raw(64) == RngStream(7, 3).raw(64)).all()
+    assert (RngStream(7, 3, 1).raw(64) == RngStream(7, 3, 1).raw(64)).all()
 
 
 def test_chunking_does_not_change_the_stream():
@@ -155,16 +155,25 @@ def test_chunking_does_not_change_the_stream():
     assert c.tobytes() == RngStream(9).chisquares(499, 7).tobytes()
 
 
-def philox(seed: int, stream: int) -> Philox:
-    return Philox(key=np.array([seed, stream], dtype=np.uint64))
+def philox(seed: int, *path: int) -> Philox:
+    """The Philox of ``RngStream(seed, *path)``: key ``[seed, path[0] + 1]``, then
+    counter ``[0, path[1] + 1, path[2] + 1, path[3] + 1]``, 0 for a missing level."""
+    words = [index + 1 for index in path] + [0] * (4 - len(path))
+    return Philox(key=np.array([seed, words[0]], dtype=np.uint64),
+                  counter=np.array([0, *words[1:]], dtype=np.uint64))
+
+
+def key_and_counter(stream: RngStream) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    state = stream._bits.state["state"]
+    return tuple(map(int, state["key"])), tuple(map(int, state["counter"]))
 
 
 @pytest.mark.parametrize("count", [1, 16383, 49157])
 def test_normals_are_numpys_ziggurat_over_the_stream_philox(count):
-    s = RngStream(20180108, 5)
+    s = RngStream(20180108, 5, 0, 2)
     z = s.normals(count)
     assert z.dtype == np.float64 and z.shape == (count,)
-    bits = philox(20180108, 5)
+    bits = philox(20180108, 5, 0, 2)
     assert z.tobytes() == Generator(bits).standard_normal(count).tobytes()
     # The call consumed exactly the words of the reference draws.
     assert (s.raw(3) == bits.random_raw(3)).all()
@@ -184,17 +193,30 @@ def draw_interleaved(raw, uniforms, normals) -> list[np.ndarray]:
 
 
 def test_interleaved_raw_uniform_and_normal_draws_replay_in_order():
-    s = RngStream(7, 2)
+    s = RngStream(7, 2, 9)
     drawn = draw_interleaved(s.raw, s.uniforms, s.normals)
-    again = RngStream(7, 2)
+    again = RngStream(7, 2, 9)
     for a, b in zip(drawn, draw_interleaved(again.raw, again.uniforms, again.normals)):
         assert a.tobytes() == b.tobytes()
     # One Philox serves all three kinds, in call order; a uniform is the
     # generator's own double (the top 53 bits of one word).
-    bits = philox(7, 2)
+    bits = philox(7, 2, 9)
     gen = Generator(bits)
     for a, b in zip(drawn, draw_interleaved(bits.random_raw, gen.random, gen.standard_normal)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_uniforms_are_the_top_53_bits_of_one_word():
+    # The oracle is the formula itself, (word >> 11) * 2**-53, on a twin stream;
+    # raw words and normals between the calls keep the two in step.
+    s, twin = RngStream(11, 4, 2), RngStream(11, 4, 2)
+    for count in (0, 1, 3, 100_003):
+        u = s.uniforms(count)
+        assert u.tobytes() == ((twin.raw(count) >> np.uint64(11)) * 2.0**-53).tobytes()
+        assert (s.raw(3) == twin.raw(3)).all()
+        assert s.normals(5).tobytes() == twin.normals(5).tobytes()
+    assert key_and_counter(s) == key_and_counter(twin)
+    assert s._bits.state["buffer_pos"] == twin._bits.state["buffer_pos"]
 
 
 def test_normals_of_zero_draws_consume_nothing():
@@ -206,10 +228,10 @@ def test_normals_of_zero_draws_consume_nothing():
 @pytest.mark.parametrize("count", [1, 7, 16385])
 @pytest.mark.parametrize("df", [0.5, 4.0, 499])
 def test_chisquares_are_numpys_over_the_stream_philox(df, count):
-    s = RngStream(20180108, 12)
+    s = RngStream(20180108, 12, 3, 0, 1)
     x = s.chisquares(df, count)
     assert x.dtype == np.float64 and x.shape == (count,)
-    bits = philox(20180108, 12)
+    bits = philox(20180108, 12, 3, 0, 1)
     assert x.tobytes() == Generator(bits).chisquare(df, count).tobytes()
     assert (s.raw(3) == bits.random_raw(3)).all()
 
@@ -376,20 +398,38 @@ def test_substreams_are_distinct_and_reproducible():
     root = RngStream(42)
     a = root.child(1)
     b = root.child(2)
-    assert a.stream != b.stream
+    assert (a.path, b.path, a.child(3).path) == ((1,), (2,), (1, 3))
     assert not np.array_equal(a.raw(16), b.raw(16))
     assert (root.child(1).raw(16) == RngStream(42).child(1).raw(16)).all()
+    assert (root.child(1).child(3).raw(16) == RngStream(42, 1, 3).raw(16)).all()
 
 
 def test_child_paths_never_collide():
+    # Every path of depth <= 4 over these indices takes its own (key, counter),
+    # and drawing moves only counter word 0, so the streams stay apart.
+    indices = (0, 1, 65534, 65535, 2**64 - 2)
+    paths = [()]
+    for depth in range(4):
+        paths += [(*path, i) for path in paths if len(path) == depth for i in indices]
+    assert len(paths) == 1 + 5 + 25 + 125 + 625
     seen = set()
-    root = RngStream(0)
-    for i in range(40):
-        ci = root.child(i)
-        seen.add(ci.stream)
-        for j in range(40):
-            seen.add(ci.child(j).stream)
-    assert len(seen) == 40 + 40 * 40
+    for path in paths:
+        s = RngStream(0, *path)
+        seen.add(key_and_counter(s))
+        key, counter = key_and_counter(s)
+        s.raw(9)  # nine words take three blocks of four
+        assert key_and_counter(s) == (key, (3, *counter[1:]))
+    assert len(seen) == len(paths)
+
+
+@pytest.mark.parametrize("seed", [0, 20180108, 2**64 - 1])
+def test_root_and_depth_one_streams_keep_the_words_of_key_seed_and_one_plus_index(seed):
+    # The layout of version 0.4.0 keyed these streams the same way.
+    assert RngStream(seed).raw(9).tobytes() == Philox(
+        key=np.array([seed, 0], dtype=np.uint64)).random_raw(9).tobytes()
+    for k in (0, 1, 8, 65534):
+        assert RngStream(seed).child(k).normals(5).tobytes() == Generator(Philox(
+            key=np.array([seed, 1 + k], dtype=np.uint64))).standard_normal(5).tobytes()
 
 
 def test_stream_seed_index_and_child_index_must_be_integers_in_range():
@@ -397,21 +437,34 @@ def test_stream_seed_index_and_child_index_must_be_integers_in_range():
     for bad in (2.5, True):
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {bad}$"):
             RngStream(bad)
-        with pytest.raises(ValueError, match=f"^stream index must be an integer, got {bad}$"):
-            RngStream(1, bad)
+        with pytest.raises(ValueError, match=f"^child index must be an integer, got {bad}$"):
+            RngStream(1, 0, bad)
         with pytest.raises(ValueError, match=f"^child index must be an integer, got {bad}$"):
             RngStream(1).child(bad)
     assert (RngStream(1).child(np.int64(2)).raw(8) == RngStream(1).child(2).raw(8)).all()
+    path = RngStream(1, np.uint64(3)).path
+    assert path == (3,) and type(path[0]) is int
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         RngStream(-1)
     with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
         RngStream(2**64)
-    with pytest.raises(ValueError, match="stream index must be an unsigned 64-bit integer"):
-        RngStream(1, 2**64)
     with pytest.raises(ValueError, match="child index must be >= 0, got -1"):
         RngStream(1).child(-1)
-    with pytest.raises(ValueError, match=r"child index must be in \[0, 65534\], got 65535"):
-        RngStream(1).child(65535)
+    last = RngStream(1, 2**64 - 2, 2**64 - 2, 2**64 - 2).child(2**64 - 2)
+    assert last.path == (2**64 - 2,) * 4
+    out_of_range = r"^child index must be in \[0, 2\*\*64 - 2\], got 18446744073709551615$"
+    with pytest.raises(ValueError, match=out_of_range):
+        RngStream(1, 2**64 - 1)
+    s = RngStream(1, 0)
+    with pytest.raises(ValueError, match=out_of_range):
+        s.child(2**64 - 1)
+    with pytest.raises(ValueError, match="^a stream path has at most 4 child indices, got 5$"):
+        last.child(0)
+    # A refused child draws nothing, from its parent or anywhere else.
+    assert (s.raw(4) == RngStream(1, 0).raw(4)).all()
+    assert (last.raw(4) == RngStream(1, *last.path).raw(4)).all()
+    with pytest.raises(ValueError, match="at most 4 child indices"):
+        RngStream(1, 0, 0, 0, 0, 0)
 
 
 def test_uniform_bounds():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spherelab
-from spherelab import rng, training
+from spherelab import require_bool, rng, training
 from spherelab.attack import AttackConfig, estimate_mean_distance
 from spherelab.training import _ADAM_BLOCK, _ADAM_JOB
 from spherelab.dataset import SphereConfig, sample_batch
@@ -393,12 +393,11 @@ def test_a_negative_run_seed_is_refused_when_the_config_is_built():
     ("step_size", -1.0, True), ("step_size", 0.0, True),
     ("lr", 0.0, False), ("lr", -1e-4, False), ("lr", float("nan"), False),
     ("step_size", float("inf"), True), ("lr", float("inf"), False), ("train_set_size", -1, False),
-    ("error_eval_samples", training._ERROR_SAMPLES_CAP + 1, False),
     ("steps", 3.5, False), ("steps", True, False), ("batch_size", 4.5, False),
     ("seed", 1.0, False), ("train_set_size", 40.5, False), ("metric_every", False, False),
     ("eval_batch", np.float64(8), False), ("error_eval_samples", 100.0, False),
     ("alpha_every", True, False), ("every", 2.5, True), ("starts", 4.0, True),
-    ("steps", True, True),
+    ("steps", True, True), ("nearest", "no", True), ("nearest", 0, True), ("nearest", None, True),
 ])
 def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
         name, value, in_probe, tmp_path, opened_writers):
@@ -455,36 +454,36 @@ def test_nearest_probe_omits_dmean_when_every_start_fails():
     assert all(m.alpha_violations == 0 for m in result.metrics)
 
 
-def test_schedule_past_the_last_child_index_is_rejected_before_the_metrics_file_opens(
-        tmp_path):
-    # A paper-length run probed every 10 steps needs 100001 keyed probe streams.
+def test_a_paper_length_run_probed_every_ten_steps_trains():
+    # 10^6 steps key up to 10^6 + 1 records and 100001 probe events.
+    cfg = TrainConfig(steps=1_000_000, metric_every=1, alpha_every=1, stop_on_perfect=True,
+                      probe=ProbeConfig(every=10, starts=2, steps=2))
+    result = train(quad_perfect_init(10, 12), cfg, SphereConfig(n=10, seed=1))
+    assert result.completed_steps == result.first_perfect_step == 1
+    assert [m.step for m in result.metrics] == [0, 1]
+    assert all(m.worst_loss is not None for m in result.metrics)
+
+
+def test_bool_fields_take_a_bool_or_numpy_bool_and_store_a_bool(tmp_path):
+    # 'False' once stopped a run at its first perfect step, and 'no' turned
+    # nearest probes on.
+    with pytest.raises(ValueError, match="^stop_on_perfect must be a bool, got 'False'$"):
+        TrainConfig(steps=50, batch_size=4, alpha_every=1, stop_on_perfect="False")
+    with pytest.raises(ValueError, match="^nearest must be a bool, got 'no'$"):
+        ProbeConfig(nearest="no")
+    for bad in (np.float64(1.0), np.int8(0), [True]):
+        with pytest.raises(ValueError, match="^flag must be a bool"):
+            require_bool("flag", bad)
+    assert require_bool("flag", np.True_) is True and require_bool("flag", False) is False
     path = tmp_path / "metrics.jsonl"
-    cfg = TrainConfig(steps=1_000_000, seed=1, probe=ProbeConfig(every=10),
+    cfg = TrainConfig(steps=1, batch_size=4, alpha_every=1, stop_on_perfect=np.True_,
+                      probe=ProbeConfig(every=1, starts=2, steps=2, nearest=np.False_),
                       metrics_path=str(path))
-    with pytest.raises(ValueError, match="probe every=10"):
-        train(small_quad(), cfg, SphereConfig(n=10, seed=1))
-    assert not path.exists()
-    last = 65534  # the last child index of RngStream.child
-    training._check_schedule(TrainConfig(steps=last, metric_every=1))
-    with pytest.raises(ValueError, match="metric_every=1"):
-        training._check_schedule(TrainConfig(steps=last + 1, metric_every=1))
-    # Cadences that coincide emit one record, not one each.
-    training._check_schedule(TrainConfig(steps=2 * last, metric_every=2, alpha_every=2,
-                                         probe=ProbeConfig(every=4)))
-    # Probe event k draws from child(1 + k), so probes run out one event early.
-    with pytest.raises(ValueError, match="probe every=1"):
-        training._check_schedule(TrainConfig(steps=last, metric_every=last,
-                                             probe=ProbeConfig(every=1)))
-
-
-def test_schedule_count_is_the_number_of_records_and_probe_events():
-    cfg = TrainConfig(steps=17, batch_size=4, seed=2, metric_every=3, alpha_every=4,
-                      probe=ProbeConfig(every=5, starts=2, steps=2))
-    result = train(small_quad(seed=2), cfg, SphereConfig(n=10, seed=2))
-    probed = [m.step for m in result.metrics if m.worst_loss is not None]
-    assert probed == [0, 5, 10, 15, 17]
-    assert len(probed) == training._emit_count(17, [5])
-    assert len(result.metrics) == training._emit_count(17, [3, 4, 5]) == 12
+    assert cfg.stop_on_perfect is True and cfg.probe.nearest is False
+    train(small_quad(), cfg, SphereConfig(n=10))
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["train"]["stop_on_perfect"] is True
+    assert header["train"]["probe"]["nearest"] is False
 
 
 def test_metrics_file_schema_and_records(tmp_path):
@@ -601,7 +600,7 @@ def minibatch_draws(monkeypatch):
 
     def counted(stream, fn, *args):
         if (draws["running"] or draws["seed"] is None  # the coins inside a sample_batch
-                or stream.stream != RngStream(draws["seed"]).child(CHILD_MINIBATCH).stream):
+                or stream.path != RngStream(draws["seed"]).child(CHILD_MINIBATCH).path):
             return fn(*args)
         draws["running"] += 1
         try:
@@ -993,28 +992,27 @@ def test_paper_size_training_loop_holds_moments_snapshot_eval_points_and_one_blo
     assert peak < bound
 
 
-def test_error_rate_cap_keys_the_last_child_and_more_raises_before_any_job(monkeypatch):
-    cap = training._ERROR_SAMPLES_CAP
-    assert cap == 33_553_408
+def test_error_rate_keys_chunks_past_the_old_child_limit_and_checks_arguments_first(
+        monkeypatch):
+    # Chunk i of a shell keys child 2i + shell, so 10^8 samples key children
+    # up to 195313, past 65534, the last child index before version 0.5.0.
     queued = []
 
     def record(fn, jobs):
         queued.extend(jobs)
+        assert isinstance(fn(jobs[-1]), int)  # a chunk past the old limit draws and counts
         return [0] * len(jobs)
 
     monkeypatch.setattr(training, "_shard_map", record)
-    est = evaluate_error_rate(small_quad(), SphereConfig(n=10), cap, RngStream(20))
-    assert est.errors == 0
-    # Outer chunk 32766 is full and takes child 65533; one more sample would
-    # open outer chunk 32767 on child 65535, past the last index 65534.
-    assert max(queued) == (65533, 512)
+    est = evaluate_error_rate(small_quad(), SphereConfig(n=10), 10**8, RngStream(20))
+    assert est.samples == 10**8 and est.errors == 0
+    assert sorted(child for child, _ in queued) == list(range(195314))
+    assert max(queued) == (195313, 128) and sum(count for _, count in queued) == 10**8
 
     def refuse(fn, jobs):
         raise AssertionError("a job was queued")
 
     monkeypatch.setattr(training, "_shard_map", refuse)
-    with pytest.raises(ValueError, match=f"the cap is {cap} samples"):
-        evaluate_error_rate(small_quad(), SphereConfig(n=10), cap + 1, RngStream(20))
     for samples in (1000.5, 1000.0, "1000"):
         with pytest.raises(ValueError, match="samples must be an integer"):
             evaluate_error_rate(small_quad(), SphereConfig(n=10), samples, RngStream(20))
