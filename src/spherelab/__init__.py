@@ -66,7 +66,5 @@ def require_radius(R) -> None:
     require_above("outer radius", R, 1)
 
 
-# After the argument rule, which ``spherelab.rng`` imports from here.
-from spherelab.rng import RngStream
-from spherelab.special import normal_cdf, normal_quantile
+# Re-exported because perfbench's tracer test reads ``spherelab.singular_values``.
 from spherelab.linalg import singular_values

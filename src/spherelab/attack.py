@@ -237,9 +237,17 @@ def worst_case_loss(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig
     """Max attack loss over a probe batch (worst-mode search per row).
 
     ``cfg`` must be in worst mode; every row of ``X0`` is a start, whatever
-    ``cfg.starts`` says.
+    ``cfg.starts`` says. An ``X0`` that is not a nonempty 2-D batch, or
+    ``labels`` that are not one per row, raise ``ValueError`` before any
+    PGD job runs.
     """
     if cfg.mode != "worst":
         raise ValueError("worst_case_loss requires worst mode")
+    X0 = np.asarray(X0)
+    if X0.ndim != 2 or X0.shape[0] == 0:
+        raise ValueError(f"X0 must be a nonempty 2-D batch of rows, got shape {X0.shape}")
+    if np.shape(labels) != X0.shape[:1]:
+        raise ValueError(f"labels must be one per row of X0 ({X0.shape[0]} rows), "
+                         f"got shape {np.shape(labels)}")
     results = _pgd_batch(model, X0, labels, cfg, stream)
     return max(r.final_loss for r in results)

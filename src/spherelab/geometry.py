@@ -12,8 +12,10 @@ Gaussian-approximation conventions used throughout:
   ``P(X > 0) = Phi(mu_hat/sigma_hat)`` and the outer rate is
   ``P(X < 0) = Phi(-mu_hat/sigma_hat)``. Each is evaluated directly, never
   as one minus the other, so rates far below 1e-16 keep their relative
-  accuracy. A zero sigma_hat degenerates to an exact 0/1 by the sign of
-  mu_hat.
+  accuracy. A zero sigma_hat gives a rate of 0: a float ``gamma_i - 1`` is
+  0 or at least 2^-53 in size, so its square cannot underflow, and
+  sigma_hat is 0 only when every gamma_i is exactly 1. Then X is 0 at
+  every point, which lies on the boundary and errs on neither shell.
 
 Two Monte Carlo cap-distance formulas ship side by side: the
 ``sqrt(2) * (t - x_1)`` form and the exact chord to the cap boundary
@@ -34,6 +36,7 @@ of 16384 points, summed one after another on the caller thread.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import warnings
@@ -75,9 +78,7 @@ def clt_error_rate(spec: AlphaSpectrum, shell: str) -> float:
     mu_hat = float(centered.sum())
     sigma_hat = math.sqrt(2.0 * float((centered * centered).sum()))
     if sigma_hat == 0.0:
-        if shell == "inner":
-            return 1.0 if mu_hat > 0 else 0.0
-        return 1.0 if mu_hat < 0 else 0.0
+        return 0.0  # every gamma is exactly 1 (see the module docstring)
     z = mu_hat / sigma_hat
     return normal_cdf(z) if shell == "inner" else normal_cdf(-z)
 
@@ -225,14 +226,9 @@ def minimal_subspace_fraction(n: int, target_error: float, R: float) -> Subspace
     if full_rate > target_error:
         raise InfeasibleTargetError(
             f"even k=n={n} only reaches rate {full_rate:.3e} > {target_error:.3e}")
-    lo, hi = 1, n  # rate at hi is feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
-        _, rate = _equalized_rates(n, mid, R)
-        if rate <= target_error:
-            hi = mid
-        else:
-            lo = mid + 1
-    b, rate = _equalized_rates(n, lo, R)
-    return SubspaceResult(k=lo, b=b, fraction=lo / n, achieved_rate=rate)
+    # k = n is feasible, so the search runs over k = 1, ..., n - 1.
+    k = 1 + bisect.bisect_left(range(1, n), True,
+                               key=lambda k: _equalized_rates(n, k, R)[1] <= target_error)
+    b, rate = _equalized_rates(n, k, R)
+    return SubspaceResult(k=k, b=b, fraction=k / n, achieved_rate=rate)
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spherelab import require_above, require_int, require_radius
+from spherelab import require_int, require_radius
 from spherelab.linalg import singular_values
 from spherelab.rng import RngStream
 
@@ -61,14 +61,14 @@ BN_MOMENTUM = 0.99
 # error-rate chunk is one block and keeps the GEMMs (and bits) of an
 # unblocked pass. Its eigenbasis path, for quadratic nets, calls no logits.
 _LOGIT_BLOCK = 512
+# The logits of ``quad_perfect_init``'s outer-class probabilities 0.0016 on
+# the inner shell and 0.9994 on the outer one.
+_LOGIT_INNER = np.log(0.0016 / (1.0 - 0.0016))
+_LOGIT_OUTER = np.log(0.9994 / (1.0 - 0.9994))
 
 
 class UnsupportedRegimeError(ValueError):
     """Alpha spectrum requested for a net outside the b < 0 regime."""
-
-
-class InfeasibleInitError(ValueError):
-    """Perfect initialization targets put alpha outside [1/R^2, 1]."""
 
 
 def _blocked_logits(X: np.ndarray, block_logits) -> np.ndarray:
@@ -208,7 +208,7 @@ class QuadraticNet:
         return (2.0 * float(self.w)) * ((H * dl[:, None]) @ self.W1)
 
 
-def alpha_spectrum(net: QuadraticNet, R: float = 1.3) -> AlphaSpectrum:
+def alpha_spectrum(net: QuadraticNet, R: float) -> AlphaSpectrum:
     """Ellipsoid coefficients alpha_i = w s_i^2 / (-b), descending in s_i.
 
     Requires b < 0 (not NaN) and an outer radius ``R`` that is finite and
@@ -220,51 +220,32 @@ def alpha_spectrum(net: QuadraticNet, R: float = 1.3) -> AlphaSpectrum:
     if not b < 0:
         raise UnsupportedRegimeError(f"alpha spectrum requires b < 0, got b={b}")
     s = singular_values(net.W1)
-    alphas = float(net.w) * s * s / (-b)
-    padded = False
-    if net.h < net.n:
-        alphas = np.concatenate([alphas, np.zeros(net.n - net.h)])
-        padded = True
-    alphas = np.sort(alphas)[::-1]
-    return AlphaSpectrum(alphas=alphas, R=R, padded=padded)
+    alphas = np.zeros(net.n)
+    alphas[:s.size] = float(net.w) * s * s / (-b)
+    return AlphaSpectrum(alphas=np.sort(alphas)[::-1], R=R, padded=net.h < net.n)
 
 
-def quad_perfect_init(
-    n: int,
-    h: int,
-    R: float = 1.3,
-    p_inner: float = 0.0016,
-    p_outer: float = 0.9994,
-) -> QuadraticNet:
+def quad_perfect_init(n: int, h: int, R: float = 1.3) -> QuadraticNet:
     """Quadratic net with zero classification error but nonzero gradients.
 
     W1 gets orthonormal rows scaled by s (rows beyond the first n are
     zero, hence h >= n is required), with w s^2 and b solving
 
-        w s^2       + b = logit(p_inner)
-        w s^2 R^2   + b = logit(p_outer)
+        w s^2       + b = logit(0.0016)
+        w s^2 R^2   + b = logit(0.9994)
 
-    so the sigmoid probability of the outer class is exactly p_inner on
-    the inner shell and p_outer on the outer shell. ``R`` must be finite
-    and > 1.
+    so the sigmoid probability of the outer class is exactly 0.0016 on
+    the inner shell and 0.9994 on the outer shell. ``R`` must be finite
+    and > 1. Since -b = w s^2 - logit(0.0016) > 0, every alpha
+    w s^2 / (-b) is at most 1 because logit(0.0016) < 0, and R^2 alpha =
+    1 + logit(0.9994) / (-b) is at least 1 because logit(0.9994) > 0: the
+    net is perfect for every R.
     """
-    n, h = require_int("n", n, 1), require_int("h", h, 1)
+    n = require_int("n", n, 1)
+    h = require_int("h", h, n)
     require_radius(R)
-    if h < n:
-        raise ValueError(f"perfect init needs h >= n, got h={h} < n={n}")
-    require_above("p_inner", p_inner, 0)
-    require_above("p_outer", p_outer, 0)
-    if not p_inner < 0.5 < p_outer < 1.0:
-        raise ValueError("need 0 < p_inner < 0.5 < p_outer < 1")
-    logit_in = np.log(p_inner / (1.0 - p_inner))
-    logit_out = np.log(p_outer / (1.0 - p_outer))
-    ws2 = (logit_out - logit_in) / (R * R - 1.0)
-    b = logit_in - ws2
-    alpha = ws2 / (-b)
-    if not (1.0 / (R * R) <= alpha <= 1.0):
-        raise InfeasibleInitError(
-            f"targets give alpha={alpha:.6f} outside [1/R^2, 1] = "
-            f"[{1.0 / (R * R):.6f}, 1]")
+    ws2 = (_LOGIT_OUTER - _LOGIT_INNER) / (R * R - 1.0)
+    b = _LOGIT_INNER - ws2
     W1 = np.zeros((h, n))
     np.fill_diagonal(W1, np.sqrt(ws2))
     return QuadraticNet(W1, 1.0, b)

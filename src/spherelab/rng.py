@@ -222,7 +222,10 @@ def prefetch(fn, count: int):
     the pending call and drops its item, so no call outlives the
     generator. Like :func:`_shard_map`, it refuses to run inside a pool
     job (``RuntimeError``, raised here rather than at the first item).
+    A ``count`` that is not an integer >= 0 raises ``ValueError`` before
+    any call is made.
     """
+    count = require_int("count", count, 0)
     pool = _pool_for("prefetch")
 
     def items():

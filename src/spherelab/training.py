@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -404,10 +404,6 @@ def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
     built against and the worker count of the shared pool. The probe
     config is written as a dict and the metrics path as a string.
     """
-    train_cfg = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    train_cfg["metrics_path"] = os.fspath(cfg.metrics_path)
-    if cfg.probe is not None:
-        train_cfg["probe"] = asdict(cfg.probe)
     numpy_config = np.show_config(mode="dicts")
     blas = numpy_config["Build Dependencies"]["blas"]
     return {"seed": cfg.seed, "steps": cfg.steps,
@@ -415,7 +411,8 @@ def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
             "numpy_simd_found": numpy_config["SIMD Extensions"]["found"],
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "pool_workers": pool_workers(),
-            "sphere": asdict(sphere), "train": train_cfg}
+            "sphere": asdict(sphere),
+            "train": asdict(cfg) | {"metrics_path": os.fspath(cfg.metrics_path)}}
 
 
 def _minibatches(cfg: TrainConfig, sphere: SphereConfig, stream: RngStream):

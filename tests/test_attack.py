@@ -220,6 +220,20 @@ def test_worst_case_loss_refuses_a_nearest_mode_config():
                         RngStream(27))
 
 
+def test_worst_case_loss_refuses_a_malformed_batch_before_any_job(monkeypatch):
+    xs, ys = sample_batch(SphereConfig(n=5), RngStream(25), 4)
+    cfg = AttackConfig(mode="worst", steps=5)
+    jobs = []
+    monkeypatch.setattr(attack, "_shard_map", lambda fn, items: jobs.append(items))
+    for X0, labels, match in ((xs[:0], ys[:0], "X0 must be a nonempty 2-D batch"),
+                              (xs[0], ys[:1], "X0 must be a nonempty 2-D batch"),
+                              (xs, ys[:3], "labels must be one per row of X0"),
+                              (xs, ys[:, None], "labels must be one per row of X0")):
+        with pytest.raises(ValueError, match=match):
+            worst_case_loss(spike_net(5), X0, labels, cfg, RngStream(27))
+    assert jobs == []
+
+
 # ---------------------------------------------------------------------------
 # Blocks of starts on the pool
 

@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 import os
 import zipfile
@@ -191,6 +192,63 @@ def test_missing_header_raises_checkpoint_error(tmp_path):
     del members["header"]
     write_members(path, members)
     with pytest.raises(CheckpointError, match="no 'header' member"):
+        load_checkpoint(path)
+
+
+def npy_bytes(a: np.ndarray, version=None) -> bytes:
+    out = io.BytesIO()
+    np.lib.format.write_array(out, a, version=version)
+    return out.getvalue()
+
+
+def replace_member(path, name: str, raw: bytes) -> None:
+    """Rewrite the archive at ``path`` with member ``name`` holding ``raw`` bytes."""
+    with zipfile.ZipFile(path) as z:
+        members = {member: z.read(member) for member in z.namelist()}
+    members[f"{name}.npy"] = raw
+    with zipfile.ZipFile(path, "w") as z:
+        for member, data in members.items():
+            z.writestr(member, data)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (npy_bytes(np.frombuffer(b'{"a": 1}', dtype=np.uint8).reshape(2, 4)),
+     "'header' is not a flat uint8 array"),
+    (npy_bytes(np.arange(3.0)), "'header' is not a flat uint8 array"),
+    (npy_bytes(np.frombuffer(b"\xff{}", dtype=np.uint8)), "'header' is not UTF-8 JSON"),
+    (npy_bytes(np.frombuffer(b"[1, 2]", dtype=np.uint8)), "'header' is not a JSON object"),
+    (b"not an npy array", "member 'header' is not an npy array"),
+], ids=["2-d", "float64", "not-utf8", "json-list", "not-npy"])
+def test_a_malformed_header_raises_checkpoint_error(tmp_path, raw, message):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, quad_net())
+    replace_member(path, "header", raw)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (npy_bytes(np.zeros(5 * 7), version=(2, 0)), r"npy format version \(2, 0\)"),
+    (npy_bytes(np.zeros(5 * 7))[:-8], "the member ends before its values do"),
+], ids=["npy-2.0", "short-data"])
+def test_a_state_member_of_npy_version_2_or_cut_short_raises_checkpoint_error(
+        tmp_path, raw, message):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, quad_net())
+    replace_member(path, "W1", raw)
+    with pytest.raises(CheckpointError, match=f"member 'W1' cannot be read: {message}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("family, dims", [
+    ("quadratic", {"n": 7}), ("quadratic", {"n": 7, "h": -5}), ("quadratic", [7, 5]),
+    ("mlp", {"n": 7, "hidden": []}), ("mlp", {"n": 7, "hidden": 6}),
+])
+def test_dims_that_describe_no_net_raise_checkpoint_error(tmp_path, family, dims):
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(path, quad_net() if family == "quadratic" else mlp_net())
+    rewrite(path, dims=dims)
+    with pytest.raises(CheckpointError, match=f"do not describe a {family} net"):
         load_checkpoint(path)
 
 

@@ -58,6 +58,20 @@ def test_clt_error_rate_tails_of_one_statistic_sum_to_one():
     assert abs(inner + outer - 1.0) <= 1e-15
 
 
+def test_clt_error_rate_of_a_boundary_on_the_shell_is_zero():
+    # gamma = 1 everywhere gives sigma_hat = 0: alpha = 1 on the inner shell,
+    # and R^2 alpha = 4 * 0.25 on the outer shell of radius 2.
+    assert clt_error_rate(AlphaSpectrum(np.ones(40), 2.0), "inner") == 0.0
+    assert clt_error_rate(AlphaSpectrum(np.full(40, 0.25), 2.0), "outer") == 0.0
+
+
+def test_clt_error_rate_warns_below_thirty_dimensions_and_names_the_two_shells():
+    with pytest.warns(UserWarning, match="n=29 < 30"):
+        clt_error_rate(AlphaSpectrum(np.full(29, 0.9), R), "inner")
+    with pytest.raises(ValueError, match="shell must be 'inner' or 'outer', got 'both'"):
+        clt_error_rate(AlphaSpectrum(np.full(40, 0.9), R), "both")
+
+
 def mc_error_rate(alphas, R, shell, samples, stream):
     """Sampling oracle for shell error rates, serial.
 

@@ -1,6 +1,7 @@
 """Static checks of the package layout, read from the source with ``ast``."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -149,6 +150,40 @@ def test_every_bool_field_of_a_checked_dataclass_goes_through_require_bool():
     checked, unchecked = fields_passed_to("bool", "require_bool")
     assert {"ProbeConfig.nearest", "TrainConfig.stop_on_perfect"} <= checked
     assert unchecked == {}
+
+
+def exception_classes() -> set[str]:
+    """Each class of the package that derives, through its bases, from a builtin exception."""
+    bases = {cls.name: [getattr(base, "id", "") for base in cls.bases]
+             for path in SRC.glob("*.py") for cls in ast.walk(parse(path))
+             if isinstance(cls, ast.ClassDef)}
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(is_exception(base) for base in bases.get(name, ()))
+
+    return {name for name in bases if is_exception(name)}
+
+
+def raised_in_tests() -> set[str]:
+    """Every name a test passes to ``pytest.raises``, alone or in a tuple."""
+    names = set()
+    for path in TESTS.glob("*.py"):
+        for node in ast.walk(parse(path)):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "raises"
+                    and node.args):
+                first = node.args[0]
+                for arg in first.elts if isinstance(first, ast.Tuple) else [first]:
+                    names.add(getattr(arg, "id", getattr(arg, "attr", "")))
+    return names
+
+
+def test_every_exception_class_of_the_package_is_raised_in_a_test():
+    defined = exception_classes()
+    assert {"CheckpointError", "InfeasibleTargetError", "UnsupportedRegimeError"} <= defined
+    assert sorted(defined - raised_in_tests()) == []
 
 
 def test_the_package_version_is_the_project_version():

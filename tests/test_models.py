@@ -6,7 +6,6 @@ from spherelab import models, training
 from spherelab.linalg import singular_values
 from spherelab.models import (
     AlphaSpectrum,
-    InfeasibleInitError,
     MlpNet,
     QuadraticNet,
     UnsupportedRegimeError,
@@ -46,6 +45,15 @@ def test_quad_logit_boundary_point():
 def test_quad_logit_hand_arithmetic():
     net = QuadraticNet(np.diag([2.0, 1.0]), 1.0, -1.0)
     assert float(net.logits(np.array([1.0, 0.0])[None])[0]) == pytest.approx(3.0, abs=1e-15)
+
+
+def test_quadratic_net_refuses_a_flat_w1_and_non_finite_parameters():
+    with pytest.raises(ValueError, match=r"W1 must be 2-D, got shape \(3,\)"):
+        QuadraticNet(np.ones(3), 1.0, -1.0)
+    for W1, w, b in ((np.array([[np.inf]]), 1.0, -1.0), (np.eye(2), np.nan, -1.0),
+                     (np.eye(2), 1.0, -np.inf)):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            QuadraticNet(W1, w, b)
 
 
 def test_quad_logit_dimension_mismatch():
@@ -210,6 +218,12 @@ def test_perfect_init_outer_probability():
 def test_perfect_init_is_perfect():
     net = quad_perfect_init(50, 80)
     assert is_perfect(alpha_spectrum(net, R)) == (True, 0)
+    # The two target logits have opposite signs, so alpha = w s^2 / (-b) lies
+    # in [1/R^2, 1] whatever R is: from the float after 1 up to 1e8.
+    for radius in (np.nextafter(1.0, 2.0), *np.geomspace(1.0 + 1e-12, 1e8, 400)):
+        ws2, b, _, _ = solve_perfect_targets(float(radius))
+        assert float(quad_perfect_init(2, 3, float(radius)).b) == b
+        assert 1.0 / (radius * radius) <= ws2 / -b <= 1.0
 
 
 def test_perfect_init_has_nonzero_gradients():
@@ -223,21 +237,12 @@ def test_perfect_init_has_nonzero_gradients():
 
 
 def test_perfect_init_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="h must be >= 10, got 5"):
         quad_perfect_init(10, 5)
     with pytest.raises(ValueError, match="h must be an integer"):
         quad_perfect_init(10, 12.0)
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         QuadraticNet.init_random(0, 3, RngStream(1))
-    with pytest.raises(ValueError):
-        quad_perfect_init(10, 12, p_inner=0.6)
-    with pytest.raises(ValueError):
-        quad_perfect_init(10, 12, p_outer=0.4)
-    for bad in ("0.001", None, True, float("nan")):
-        with pytest.raises(ValueError, match="p_inner must be"):
-            quad_perfect_init(10, 12, p_inner=bad)
-        with pytest.raises(ValueError, match="p_outer must be"):
-            quad_perfect_init(10, 12, p_outer=bad)
     for radius in (1.0, 0.5, float("nan"), float("inf")):  # 1.0 divided by zero
         with pytest.raises(ValueError, match="outer radius must be finite and > 1"):
             quad_perfect_init(5, 5, R=radius)
@@ -308,6 +313,8 @@ def test_mlp_rejects_singleton_train_batch():
         MlpNet(5, (2.5,))
     with pytest.raises(ValueError, match=r"hidden\[0\] must be >= 1, got 0"):
         MlpNet(5, (0,))
+    with pytest.raises(ValueError, match="at least one hidden layer"):
+        MlpNet(5, ())
 
 
 def moved_mlp(n, hidden, seed) -> MlpNet:

@@ -354,6 +354,15 @@ def test_prefetch_yields_every_call_in_order_on_the_pool():
     assert list(prefetch(calls, 0)) == [] and calls.count == 7
 
 
+def test_prefetch_refuses_a_count_that_is_not_an_integer_at_least_zero():
+    calls = Calls()
+    for bad, match in ((2.5, "must be an integer"), (True, "must be an integer"),
+                       ("3", "must be an integer"), (-1, "must be >= 0")):
+        with pytest.raises(ValueError, match=f"count {match}"):
+            prefetch(calls, bad)
+    assert calls.count == 0
+
+
 def test_prefetch_runs_one_call_ahead_and_never_past_count():
     calls = Calls()
     items = prefetch(calls, 3)
@@ -430,6 +439,10 @@ def test_root_and_depth_one_streams_keep_the_words_of_key_seed_and_one_plus_inde
     for k in (0, 1, 8, 65534):
         assert RngStream(seed).child(k).normals(5).tobytes() == Generator(Philox(
             key=np.array([seed, 1 + k], dtype=np.uint64))).standard_normal(5).tobytes()
+
+
+def test_a_stream_repr_names_its_seed_and_path():
+    assert repr(RngStream(5, 1, 2)) == "RngStream(5, 1, 2)" == repr(RngStream(5).child(1).child(2))
 
 
 def test_stream_seed_index_and_child_index_must_be_integers_in_range():

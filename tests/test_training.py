@@ -182,6 +182,14 @@ def test_adam_rejects_a_bad_gradient_before_updating_anything(bad_grads, match):
             == {k: v.tobytes() for k, v in then.items()}
 
 
+def test_adam_rejects_a_parameter_without_moments():
+    params = {"a": np.arange(3.0), "b": np.arange(2.0)}
+    state = AdamState.for_params({"a": params["a"]})
+    with pytest.raises(ValueError, match="no Adam moments for parameter 'b'"):
+        adam_step(params, {"a": np.ones(3), "b": np.ones(2)}, state)
+    assert state.t == 0 and params["a"].tolist() == [0.0, 1.0, 2.0]
+
+
 def test_adam_rejects_a_parameter_it_cannot_update_in_place():
     params = {"p": np.zeros((4, 3)).T}
     with pytest.raises(ValueError, match="C-contiguous"):
@@ -283,16 +291,20 @@ def test_fixed_large_n_matches_online_statistically():
     assert np.abs(a - b).max() <= max(3 * sem, 0.02)
 
 
-def test_abort_on_nonfinite_loss_restores_snapshot():
+def test_abort_on_nonfinite_loss_restores_snapshot(tmp_path):
+    path = tmp_path / "metrics.jsonl"
     net = small_quad(seed=6)
     net.W1 *= 1e200  # first forward overflows
     w1 = net.W1.copy()
-    cfg = TrainConfig(steps=10, batch_size=4, seed=6)
+    cfg = TrainConfig(steps=10, batch_size=4, seed=6, metrics_path=path)
     with pytest.warns(RuntimeWarning, match="invalid value"):
         result = train(net, cfg, SphereConfig(n=10, seed=6))
     assert result.aborted
-    assert "step 1" in result.abort_reason
+    assert result.abort_reason == "non-finite training loss at step 1"
     assert (net.W1 == w1).all()
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [line.get("step") for line in lines[1:]] == [0, 1]
+    assert lines[-1] == {"step": 1, "event": "aborted", "reason": result.abort_reason}
 
 
 def test_abort_with_an_eigenbasis_sized_error_eval_restores_snapshot():
@@ -337,6 +349,16 @@ def test_alpha_cadence_and_early_stop():
     assert result.first_perfect_step == 1
     assert result.completed_steps == 1
     assert result.metrics[-1].alpha_violations == 0
+
+
+def test_alpha_checks_of_a_net_with_b_at_least_zero_record_none():
+    # The spectrum is defined for b < 0 only; b stays near 0.5 over 3 steps.
+    net = QuadraticNet(RngStream(7).normal_matrix(12, 10), 1.0, 0.5)
+    cfg = TrainConfig(steps=3, batch_size=4, seed=7, alpha_every=1, metric_every=1)
+    result = train(net, cfg, SphereConfig(n=10, seed=7))
+    assert [m.step for m in result.metrics] == [0, 1, 2, 3]
+    assert [m.alpha_violations for m in result.metrics] == [None] * 4
+    assert result.first_perfect_step is None and float(net.b) > 0
 
 
 def test_perfect_init_stops_at_step_one_at_paper_scale():
@@ -893,8 +915,10 @@ def test_eight_samples_per_dimension_select_the_eigenbasis_for_a_quadratic_net_o
     monkeypatch.setattr(training, "sample_batch", counting)
     sphere = SphereConfig(n=10)
     mlp = MlpNet.init_random(10, (6,), RngStream(3))
+    nan_b = small_quad()
+    nan_b.b[...] = np.nan  # set in place, past the constructor's check, as in a diverged run
     for model, samples, default_path in ((small_quad(), 80, False), (small_quad(), 79, True),
-                                         (mlp, 80, True)):
+                                         (mlp, 80, True), (nan_b, 80, True)):
         batches.clear()
         evaluate_error_rate(model, sphere, samples, RngStream(4))
         assert sum(batches) == (samples if default_path else 0)
