@@ -37,6 +37,7 @@ of 16384 points, summed one after another on the caller thread.
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 import math
 import warnings
@@ -222,13 +223,15 @@ def minimal_subspace_fraction(n: int, target_error: float, R: float) -> Subspace
     n = require_int("n", n, 1)
     if n < _CLT_MIN_DIM:
         raise ValueError(f"need n >= {_CLT_MIN_DIM} for the CLT estimate")
-    _, full_rate = _equalized_rates(n, n, R)
+    # The bisection always evaluates the k it returns, so the memo hands it back.
+    equalized = functools.cache(lambda k: _equalized_rates(n, k, R))
+    _, full_rate = equalized(n)
     if full_rate > target_error:
         raise InfeasibleTargetError(
             f"even k=n={n} only reaches rate {full_rate:.3e} > {target_error:.3e}")
     # k = n is feasible, so the search runs over k = 1, ..., n - 1.
     k = 1 + bisect.bisect_left(range(1, n), True,
-                               key=lambda k: _equalized_rates(n, k, R)[1] <= target_error)
-    b, rate = _equalized_rates(n, k, R)
+                               key=lambda k: equalized(k)[1] <= target_error)
+    b, rate = equalized(k)
     return SubspaceResult(k=k, b=b, fraction=k / n, achieved_rate=rate)
 

@@ -56,10 +56,12 @@ from spherelab.rng import RngStream
 
 BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.99
-# Rows per block of ``logits``. It equals the keyed chunk of
-# ``training.evaluate_error_rate``, so on that function's default path an
-# error-rate chunk is one block and keeps the GEMMs (and bits) of an
-# unblocked pass. Its eigenbasis path, for quadratic nets, calls no logits.
+# Rows per block of ``logits``. It equals the directions of a keyed chunk of
+# ``training.evaluate_error_rate``, so on that function's default path each
+# of a chunk's two ``logits`` calls (its inner rows, then all its rows
+# scaled to the outer shell) is one block and keeps the GEMMs (and bits)
+# of an unblocked pass. Its eigenbasis path, for quadratic nets, calls no
+# logits.
 _LOGIT_BLOCK = 512
 # The logits of ``quad_perfect_init``'s outer-class probabilities 0.0016 on
 # the inner shell and 0.9994 on the outer one.

@@ -30,14 +30,19 @@ The error-rate Monte Carlo of a quadratic net with at least 8 samples per
 input dimension runs in the eigenbasis of its quadric, from one n x n
 eigensolve per call, and forms no shell point (see
 :func:`evaluate_error_rate`). Since version 0.4.0 the counts of such calls
-differ from those of the point-by-point path; their law does not.
+differ from those of the point-by-point path; their law does not. Since
+version 0.6.0 each drawn direction serves one inner and one outer sample,
+so a call draws half the normals it did; each shell's count keeps its
+binomial law.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -60,12 +65,13 @@ from spherelab.rng import (
 )
 
 METRICS_SCHEMA = "spherelab-metrics/1"
-_EVAL_CHUNK = 512  # points per keyed chunk of evaluate_error_rate, one logits block
+_EVAL_CHUNK = 512  # directions per keyed chunk of evaluate_error_rate, one logits block
 # A quadratic net's error rate is counted in its quadric's eigenbasis from
 # this many samples per input dimension. The one n x n Gram matrix and
-# eigensolve of a call then cost less than the h x n GEMMs they save: on
-# 2 cores at n = 500 the eigenbasis is faster from 4096 samples, for
-# h = 500 and for h = 1000.
+# eigensolve of a call then cost no more than the h x n GEMMs they save:
+# on 2 cores with 1 BLAS thread at n = 500 (version 0.6.0, medians of 15
+# calls) the eigenbasis breaks even at 4000 samples for h = 500, wins from
+# 3000 for h = 1000, and loses at 2048 for both.
 _EIGENBASIS_SAMPLES_PER_DIM = 8
 _ADAM_BLOCK = 32768  # elements per block of adam_step: 256 KiB of float64
 _ADAM_JOB = 4  # consecutive blocks per pool job of adam_step
@@ -264,6 +270,15 @@ class ErrorRateEstimate:
     a statistical upper bound rather than a point estimate; otherwise it
     is the normal-approximation upper confidence limit. Either is clipped
     at 1, which a rate cannot exceed.
+
+    :func:`evaluate_error_rate` draws the inner and the outer sample of a
+    pair from one direction, so their errors may covary. For a quadratic
+    net, with q = w |W1 u|^2 on a unit direction u, the inner sample errs
+    when q + b > 0 and the outer one when R^2 q + b <= 0: both at once
+    only where q < 0 < b. So for b <= 0, or w >= 0 (q >= 0), the two
+    errors exclude each other, the pair covariance is <= 0, and the limit,
+    which assumes none, stays conservative. For other models the pair
+    covariance has no known sign, and the limit assumes it is <= 0.
     """
 
     samples: int
@@ -306,28 +321,38 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
                         stream: RngStream) -> ErrorRateEstimate:
     """Misclassification counts over half-inner half-outer shell samples.
 
-    Chunk i of a shell (0 inner, 1 outer) holds up to 512 points, keyed by
-    ``stream.child(2 * i + shell)``; the odd sample goes to the outer
-    shell. A chunk counts the points whose
-    :func:`spherelab.models.classify` label differs from their shell, on
-    one of two paths:
+    A uniform point of the outer shell is R times one of the inner shell,
+    so one drawn direction serves one sample of each. The call draws
+    ``samples - samples // 2`` directions: each is one outer sample, and
+    the first ``samples // 2`` of them are also the inner samples, so an
+    odd total gives the outer shell the extra sample. Chunk i holds up to
+    512 directions, keyed by ``stream.child(i)``. A chunk counts the
+    samples whose :func:`spherelab.models.classify` label differs from
+    their shell, on one of two paths:
 
-    - By default a chunk is one :func:`spherelab.dataset.sample_batch` on
-      its shell, labelled through ``model.logits``.
+    - By default a chunk is one ``sample_batch`` of its directions on the
+      inner shell (:func:`spherelab.dataset.sample_batch`), labelled
+      through ``model.logits``: its first rows as the inner samples, then
+      all rows, scaled by R in place, as the outer ones. Those are the
+      bits ``sample_batch(..., "outer")`` returns on the same child.
     - A :class:`spherelab.models.QuadraticNet` called with at least 8
       samples per input dimension (``samples >= 8 * n``) is counted in the
       eigenbasis of its quadric. For x = r u/|u| with u Gaussian, the logit
-      ``w |W1 x|^2 + b`` has the law of ``r^2 (z^2 . c) / |z|^2 + b`` with
-      z Gaussian and c = w lambda, lambda the eigenvalues of W1^T W1. One
-      ``eigvalsh`` of that n x n Gram matrix gives lambda, on the caller
-      thread, whatever the hidden width h. A chunk takes the
+      ``w |W1 x|^2 + b`` has the law of ``r^2 q + b``, q = (z^2 . c) / |z|^2
+      with z Gaussian and c = w lambda, lambda the eigenvalues of W1^T W1.
+      One ``eigvalsh`` of that n x n Gram matrix gives lambda, on the
+      caller thread, whatever the hidden width h. A chunk takes the
       ``normal_matrix(count, n)`` that ``sample_batch`` would have drawn
-      as its z, and forms no point. A net whose Gram matrix, c or b is not
-      finite takes the default path.
+      as its z, forms q once for both shells, and forms no point. A net
+      whose Gram matrix, c or b is not finite takes the default path.
 
     The two paths draw the same normals from the same children but read
     them in different bases, so their counts differ while their law is the
-    same (a stream change of version 0.4.0).
+    same (a stream change of version 0.4.0). Each shell's count is
+    binomial, as with independent draws per shell; only the pairing of an
+    inner and an outer sample on one direction is new (a stream change of
+    version 0.6.0, see :class:`ErrorRateEstimate` for what it does to
+    ``upper95``).
 
     The chunks run on the process-wide pool of
     :func:`spherelab.rng._shard_map`, one worker per CPU this process may
@@ -348,34 +373,35 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
     if getattr(model, "n", None) != sphere.n:
         raise ValueError(f"model dim {getattr(model, 'n', None)} != sphere dim {sphere.n}")
     inner_total = samples // 2
-    jobs = [(2 * i + outer, min(_EVAL_CHUNK, total - done))
-            for outer, total in ((0, inner_total), (1, samples - inner_total))
-            for i, done in enumerate(range(0, total, _EVAL_CHUNK))]
+    directions = samples - inner_total
+    # (child, directions, how many of them are also inner samples)
+    jobs = [(i, min(_EVAL_CHUNK, directions - start), min(_EVAL_CHUNK, max(0, inner_total - start)))
+            for i, start in enumerate(range(0, directions, _EVAL_CHUNK))]
     weights = None
     if isinstance(model, QuadraticNet) and samples >= _EIGENBASIS_SAMPLES_PER_DIM * model.n:
         weights = _quadric_weights(model)
 
-    def errors(job: tuple[int, int]) -> int:
-        child, count = job
-        shell = child % 2
+    def errors(job: tuple[int, int, int]) -> tuple[int, int]:
+        child, count, inner = job
         if weights is None:
-            xs, labels = sample_batch(sphere, stream.child(child), count,
-                                      ("inner", "outer")[shell])
-            return int((classify(model.logits(xs)) != labels).sum())
+            xs, _ = sample_batch(sphere, stream.child(child), count, "inner")
+            inner_errors = int(classify(model.logits(xs[:inner])).sum())
+            xs *= sphere.R
+            return inner_errors, int((classify(model.logits(xs)) == 0).sum())
         z = stream.child(child).normal_matrix(count, sphere.n)
         z *= z  # squared coordinates in the eigenbasis
         length2 = z.sum(axis=1)
         if not length2.all():
             raise ValueError(f"a row of {sphere.n} exact zero normals has no direction")
-        radius2 = sphere.R * sphere.R if shell else 1.0
-        logits = radius2 * (z @ weights) / length2 + float(model.b)
-        return int((classify(logits) != shell).sum())
+        q = (z @ weights) / length2
+        b = float(model.b)
+        return (int(classify(q[:inner] + b).sum()),
+                int((classify((sphere.R * sphere.R) * q + b) == 0).sum()))
 
     counts = _shard_map(errors, jobs)
-    return ErrorRateEstimate(
-        samples=samples,
-        errors_inner=sum(c for (child, _), c in zip(jobs, counts) if child % 2 == 0),
-        errors_outer=sum(c for (child, _), c in zip(jobs, counts) if child % 2))
+    return ErrorRateEstimate(samples=samples,
+                             errors_inner=sum(inner for inner, _ in counts),
+                             errors_outer=sum(outer for _, outer in counts))
 
 
 @dataclass
@@ -395,14 +421,32 @@ def _alpha_violations(model: QuadraticNet, sphere: SphereConfig) -> int | None:
     return violations
 
 
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS bundled with numpy will use, or None when it cannot be asked.
+
+    The count is read, never set, through the library's own query.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            query = getattr(handle, symbol, None)
+            if query is not None:
+                query.restype = ctypes.c_int
+                return int(query())
+    return None
+
+
 def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
     """The metrics header: versions, BLAS, pool size and both configs.
 
     Normals are bit-identical only for one numpy version (see
     :mod:`spherelab.rng`), so the header names it, with the SIMD
     extensions numpy found on this CPU. It also names the BLAS numpy was
-    built against and the worker count of the shared pool. The probe
-    config is written as a dict and the metrics path as a string.
+    built against, the threads that BLAS runs (None when it cannot be
+    asked) and the worker count of the shared pool. The probe config is
+    written as a dict and the metrics path as a string.
     """
     numpy_config = np.show_config(mode="dicts")
     blas = numpy_config["Build Dependencies"]["blas"]
@@ -410,6 +454,7 @@ def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
             "spherelab_version": spherelab.__version__, "numpy_version": np.__version__,
             "numpy_simd_found": numpy_config["SIMD Extensions"]["found"],
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": _blas_threads(),
             "pool_workers": pool_workers(),
             "sphere": asdict(sphere),
             "train": asdict(cfg) | {"metrics_path": os.fspath(cfg.metrics_path)}}

@@ -137,6 +137,23 @@ def test_minimal_subspace_fraction_is_the_smallest_k_meeting_the_target(target, 
     assert result.achieved_rate == pytest.approx(rate, rel=1e-9)
 
 
+def test_minimal_subspace_fraction_equalizes_each_k_once(monkeypatch):
+    # k = n, then 9 bisection steps over k = 1, ..., 499; the chosen k is
+    # one of them, and its value is reused rather than computed again.
+    calls = []
+    equalize = geometry._equalized_rates
+
+    def counting(n, k, radius):
+        calls.append(k)
+        return equalize(n, k, radius)
+
+    expected = equalize(500, 126, R)
+    monkeypatch.setattr(geometry, "_equalized_rates", counting)
+    result = minimal_subspace_fraction(500, 1e-2, R)
+    assert (result.k, result.b, result.achieved_rate) == (126, *expected)
+    assert len(calls) == 10 == len(set(calls)) and calls[0] == 500 and 126 in calls
+
+
 def test_minimal_subspace_fraction_rejects_unreachable_and_invalid_targets():
     # k = n reaches only about 1.3e-56 at n = 500.
     assert equalized_truncated_rate(500, 500, R)[1] == pytest.approx(1.3e-56, rel=0.05)

@@ -537,6 +537,9 @@ def test_metrics_header_records_versions_simd_and_both_configs(tmp_path):
     blas = numpy_config["Build Dependencies"]["blas"]
     assert header["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert all(isinstance(v, str) and v for v in header["blas"].values())
+    # numpy's wheel bundles OpenBLAS, so its thread count can be asked.
+    assert type(header["blas_threads"]) is int and header["blas_threads"] >= 1
+    assert header["blas_threads"] == training._blas_threads()
     # The pool that train() used has the worker count the header names.
     assert header["pool_workers"] == pool_workers() == rng._pool._max_workers
     sphere_dict = {"n": 10, "R": 1.4, "seed": 21}
@@ -547,6 +550,14 @@ def test_metrics_header_records_versions_simd_and_both_configs(tmp_path):
         "error_eval_samples": 10, "alpha_every": 0, "stop_on_perfect": False,
         "probe": {"every": 2, "starts": 2, "steps": 3, "step_size": 0.01, "nearest": False},
         "metrics_path": str(path)}
+
+
+def test_metrics_header_records_no_blas_threads_when_openblas_cannot_be_asked(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    path = tmp_path / "metrics.jsonl"
+    train(small_quad(), TrainConfig(steps=0, metrics_path=path), SphereConfig(n=10))
+    assert json.loads(path.read_text().splitlines()[0])["blas_threads"] is None
 
 
 def test_numpy_integer_sizes_train_as_ints_and_write_a_json_manifest(tmp_path):
@@ -852,56 +863,123 @@ def quad_erring_on_both_shells(seed, n, h):
     return net
 
 
+def serial_error_flags(sphere, samples, stream, logit):
+    """Per-sample error flags (inner, outer) of a serial loop over the paired layout.
+
+    Chunk i draws the normals of up to 512 directions from ``stream.child(i)``;
+    each direction is one outer sample, and the first ``samples // 2`` are also
+    the inner samples. ``logit(z, r)`` labels the rows of normals ``z`` on the
+    shell of radius ``r``.
+    """
+    inner, outer = [], []
+    directions = samples - samples // 2
+    for chunk, start in enumerate(range(0, directions, 512)):
+        count = min(512, directions - start)
+        z = stream.child(chunk).normals(count * sphere.n).reshape(count, sphere.n)
+        inner.append(logit(z, 1.0) > 0.0)
+        outer.append(logit(z, sphere.R) <= 0.0)
+    return np.concatenate(inner)[:samples // 2], np.concatenate(outer)
+
+
+def shell_points_logit(net):
+    """``logit`` of :func:`serial_error_flags` through the net's shell points."""
+    return lambda z, r: net.logits(r * (z / np.sqrt((z * z).sum(axis=1))[:, None]))
+
+
+def eigenbasis_logit(net):
+    """``logit`` of :func:`serial_error_flags` in the quadric's eigenbasis:
+    r^2 (z^2 . c) / |z|^2 + b with c = w lambda, lambda the eigenvalues of W1^T W1."""
+    c = float(net.w) * np.linalg.eigvalsh(net.W1.T @ net.W1)
+    return lambda z, r: (r * r) * ((z * z) @ c / (z * z).sum(axis=1)) + float(net.b)
+
+
 def test_error_rate_counts_equal_a_serial_loop_over_the_child_layout():
-    # 3 inner and 3 outer chunks of 512, the last ones partial, and an odd
-    # total: the outer shell gets the extra sample. At n = 282 the call is
-    # below 8 samples per dimension, so it takes the default path.
+    # 3 chunks of directions, the last one partial (101 directions, 100 of
+    # them also inner samples), and an odd total: the outer shell gets the
+    # extra sample. At n = 282 the call is below 8 samples per dimension,
+    # so it takes the default path.
     samples = 2 * (2 * 512 + 100) + 1
     sphere = SphereConfig(n=282)
     assert samples < 8 * sphere.n
     net = quad_erring_on_both_shells(17, sphere.n, 12)
     stream = RngStream(17).child(5)
-    expected = []
-    for shell, total, radius in ((0, samples // 2, 1.0), (1, samples - samples // 2, sphere.R)):
-        errors = 0
-        for chunk, start in enumerate(range(0, total, 512)):
-            count = min(512, total - start)
-            z = stream.child(2 * chunk + shell).normals(count * sphere.n)
-            z = z.reshape(count, sphere.n)
-            z = radius * (z / np.sqrt((z * z).sum(axis=1))[:, None])
-            logits = net.logits(z)
-            errors += int((logits <= 0.0).sum() if shell else (logits > 0.0).sum())
-        expected.append(errors)
+    inner, outer = serial_error_flags(sphere, samples, stream, shell_points_logit(net))
+    assert (inner.size, outer.size) == (samples // 2, samples - samples // 2)
+    expected = (int(inner.sum()), int(outer.sum()))
     est = evaluate_error_rate(net, sphere, samples, stream)
     assert 0 < expected[0] < samples // 2 and 0 < expected[1] < samples // 2
-    assert (est.errors_inner, est.errors_outer) == tuple(expected)
+    assert (est.errors_inner, est.errors_outer) == expected
     assert est.samples == samples
 
 
 @pytest.mark.parametrize("h", [12, 4])  # a full-rank and a rank-4 Gram matrix
 def test_eigenbasis_counts_equal_a_serial_loop_over_the_child_layout(h):
-    # The chunks of the test above, at n = 10: a point errs by the sign of
-    # r^2 (z^2 . c) / |z|^2 + b, z the normals its child draws and
-    # c = w lambda, lambda the eigenvalues of W1^T W1.
+    # The chunks of the test above, at n = 10: a sample errs by the sign of
+    # r^2 (z^2 . c) / |z|^2 + b, z the normals of its direction.
     samples = 2 * (2 * 512 + 100) + 1
     sphere = SphereConfig(n=10)
     assert samples >= 8 * sphere.n
     net = quad_erring_on_both_shells(17, sphere.n, h)
-    c = float(net.w) * np.linalg.eigvalsh(net.W1.T @ net.W1)
     stream = RngStream(17).child(5)
-    expected = []
-    for shell, total, radius in ((0, samples // 2, 1.0), (1, samples - samples // 2, sphere.R)):
-        errors = 0
-        for chunk, start in enumerate(range(0, total, 512)):
-            count = min(512, total - start)
-            z = stream.child(2 * chunk + shell).normals(count * sphere.n)
-            z = z.reshape(count, sphere.n) ** 2
-            logits = (radius * radius) * (z @ c) / z.sum(axis=1) + float(net.b)
-            errors += int((logits <= 0.0).sum() if shell else (logits > 0.0).sum())
-        expected.append(errors)
+    inner, outer = serial_error_flags(sphere, samples, stream, eigenbasis_logit(net))
+    expected = (int(inner.sum()), int(outer.sum()))
     est = evaluate_error_rate(net, sphere, samples, stream)
     assert 0 < expected[0] < samples // 2 and 0 < expected[1] < samples // 2
-    assert (est.errors_inner, est.errors_outer) == tuple(expected)
+    assert (est.errors_inner, est.errors_outer) == expected
+
+
+def test_no_direction_errs_on_both_shells_of_a_net_with_b_below_zero():
+    # An inner error needs q > -b and an outer one R^2 q <= -b, which
+    # cannot both hold when b < 0. So the paired counts covary by at most
+    # 0, and upper95 stays conservative.
+    samples = 2 * (2 * 512 + 100) + 1
+    for sphere, h, logit in ((SphereConfig(n=282), 12, shell_points_logit),
+                             (SphereConfig(n=10), 12, eigenbasis_logit),
+                             (SphereConfig(n=10), 4, eigenbasis_logit)):
+        net = quad_erring_on_both_shells(17, sphere.n, h)
+        assert float(net.b) < 0
+        inner, outer = serial_error_flags(sphere, samples, RngStream(17).child(5), logit(net))
+        assert inner.any() and outer[:inner.size].any()
+        assert not (inner & outer[:inner.size]).any()
+
+
+def test_default_path_outer_points_are_the_outer_batch_of_the_same_child(monkeypatch):
+    # Chunk 0 has 512 directions and chunk 1 has 4, 3 of them also inner
+    # samples. The rows an MlpNet labels are those of sample_batch on the
+    # chunk's child: the inner batch's first rows, then the outer batch.
+    monkeypatch.setattr(training, "_shard_map", lambda fn, jobs: [fn(job) for job in jobs])
+    sphere = SphereConfig(n=10)
+    mlp = MlpNet.init_random(10, (6,), RngStream(3))
+    seen = []
+    monkeypatch.setattr(mlp, "logits", lambda xs: seen.append(xs.copy()) or np.ones(len(xs)))
+    samples = 2 * (512 + 3) + 1
+    est = evaluate_error_rate(mlp, sphere, samples, RngStream(22))
+    assert (est.errors_inner, est.errors_outer) == (samples // 2, 0)
+    stream = RngStream(22)
+    assert len(seen) == 4
+    for chunk, (count, inner) in enumerate([(512, 512), (4, 3)]):
+        inner_xs, outer_xs = seen[2 * chunk:2 * chunk + 2]
+        expected_inner = sample_batch(sphere, stream.child(chunk), count, "inner")[0]
+        expected_outer = sample_batch(sphere, stream.child(chunk), count, "outer")[0]
+        assert inner_xs.tobytes() == expected_inner[:inner].tobytes()
+        assert outer_xs.tobytes() == expected_outer.tobytes()
+
+
+@pytest.mark.parametrize("n,h,samples", [(10, 12, 80), (10, 12, 79), (500, 12, 20_000),
+                                         (500, 12, 3999)])  # eigenbasis, default path
+def test_error_rate_draws_one_direction_per_outer_sample(monkeypatch, n, h, samples):
+    # A 20 000-sample call at n = 500 draws 5 * 10^6 normals, not 10^7.
+    net = small_quad(n=n, h=h)
+    drawn = []
+    normals = RngStream.normals
+
+    def counting(self, count):
+        drawn.append(count)
+        return normals(self, count)
+
+    monkeypatch.setattr(RngStream, "normals", counting)
+    evaluate_error_rate(net, SphereConfig(n=n), samples, RngStream(23))
+    assert sum(drawn) == (samples - samples // 2) * n
 
 
 def test_eight_samples_per_dimension_select_the_eigenbasis_for_a_quadratic_net_only(
@@ -921,7 +999,7 @@ def test_eight_samples_per_dimension_select_the_eigenbasis_for_a_quadratic_net_o
                                          (mlp, 80, True), (nan_b, 80, True)):
         batches.clear()
         evaluate_error_rate(model, sphere, samples, RngStream(4))
-        assert sum(batches) == (samples if default_path else 0)
+        assert sum(batches) == (samples - samples // 2 if default_path else 0)
 
 
 def test_a_net_whose_gram_matrix_overflows_keeps_the_default_path(monkeypatch):
@@ -1018,20 +1096,23 @@ def test_paper_size_training_loop_holds_moments_snapshot_eval_points_and_one_blo
 
 def test_error_rate_keys_chunks_past_the_old_child_limit_and_checks_arguments_first(
         monkeypatch):
-    # Chunk i of a shell keys child 2i + shell, so 10^8 samples key children
-    # up to 195313, past 65534, the last child index before version 0.5.0.
+    # Chunk i keys child i and holds up to 512 directions, so 10^8 samples
+    # (5 * 10^7 directions, each also an inner sample) key children up to
+    # 97656, past 65534, the last child index before version 0.5.0.
     queued = []
 
     def record(fn, jobs):
         queued.extend(jobs)
-        assert isinstance(fn(jobs[-1]), int)  # a chunk past the old limit draws and counts
-        return [0] * len(jobs)
+        counts = fn(jobs[-1])  # a chunk past the old limit draws and counts both shells
+        assert len(counts) == 2 and all(type(count) is int for count in counts)
+        return [(0, 0)] * len(jobs)
 
     monkeypatch.setattr(training, "_shard_map", record)
     est = evaluate_error_rate(small_quad(), SphereConfig(n=10), 10**8, RngStream(20))
     assert est.samples == 10**8 and est.errors == 0
-    assert sorted(child for child, _ in queued) == list(range(195314))
-    assert max(queued) == (195313, 128) and sum(count for _, count in queued) == 10**8
+    assert [child for child, _, _ in queued] == list(range(97657))
+    assert queued[-1] == (97656, 128, 128)
+    assert sum(count for _, count, _ in queued) == sum(inner for *_, inner in queued) == 5 * 10**7
 
     def refuse(fn, jobs):
         raise AssertionError("a job was queued")
