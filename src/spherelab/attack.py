@@ -24,6 +24,21 @@ no model pass is made after the loop. Misclassified means
 label (a logit of exactly zero is inner). Starts come from
 :func:`spherelab.dataset.sample_batch` on the chosen shell.
 
+On a quadratic net the logit is ``w * sum(lambda z^2) + b`` in z = V^T x,
+V the orthonormal eigenbasis of W1^T W1, and V keeps norms and inner
+products: the tangent step and the projection onto the sphere are the
+same map in z as in x, and a step costs O(n) per start in z against three
+n x h GEMM passes in x. So :func:`run_attack` (and with it
+:func:`estimate_mean_distance`) runs a :class:`spherelab.models.QuadraticNet`
+in z when its budget, ``starts * steps``, reaches
+``_EIGENBASIS_START_STEPS`` and its Gram matrix is finite. It pays one
+``eigh``, rotates the starts once, runs the same blocks on the net's
+:class:`spherelab.models.Quadric` and rotates each kept iterate back.
+Results move from the x-space ones by rounding only (since version
+0.7.0), and saddle jitter is drawn in z, with the same law since V is
+orthonormal. A smaller budget, any other model and
+:func:`worst_case_loss` (the training probes) run in x.
+
 Starts run in blocks of 50 consecutive rows, one job per block on the
 thread pool of :func:`spherelab.rng._shard_map`, even when there is one.
 A start's result depends on its own block only, never on the pool size,
@@ -40,7 +55,7 @@ import numpy as np
 
 from spherelab import require_above, require_ints
 from spherelab.dataset import SphereConfig, sample_batch
-from spherelab.models import classify, sigmoid_ce_loss
+from spherelab.models import Quadric, QuadraticNet, classify, quadric_gram, sigmoid_ce_loss
 from spherelab.rng import RngStream, _shard_map
 
 _ZERO_GRAD = 1e-300
@@ -48,6 +63,12 @@ _ZERO_GRAD = 1e-300
 # at n = h = 500 on 2 cores; at least the 10 starts of a training probe, so
 # a probe is one pool job.
 _ATTACK_BLOCK = 50
+# Start-steps (starts x steps) from which run_attack on a QuadraticNet runs
+# in its quadric's eigenbasis. At n = 500 on 2 cores with 1 BLAS thread
+# (medians of 7 calls) the Gram matrix and eigh cost about 33 ms, and the
+# paths break even near 500 start-steps for h = 500 (10 starts x 50 steps:
+# 39 ms in x, 40 ms in z) and near 250 for h = 1000 (10 x 30: 43 ms, 38 ms).
+_EIGENBASIS_START_STEPS = 500
 
 NEAREST_STEP_SIZE = 0.001  # distance-estimation preset
 WORST_STEP_SIZE = 0.01  # worst-case-search preset
@@ -209,9 +230,30 @@ def _pgd_block(model, X0: np.ndarray, y: np.ndarray, cfg: AttackConfig,
 
 def run_attack(model, sphere: SphereConfig, cfg: AttackConfig, stream: RngStream,
                shell: str = "inner") -> list[AttackResult]:
-    """PGD from ``cfg.starts`` points that ``sample_batch`` draws on ``shell``."""
+    """PGD from ``cfg.starts`` points that ``sample_batch`` draws on ``shell``.
+
+    A :class:`spherelab.models.QuadraticNet` with a budget of at least
+    ``_EIGENBASIS_START_STEPS`` start-steps and a finite Gram matrix runs
+    in the eigenbasis of its quadric: the starts are rotated once
+    (Z0 = X0 V), ``_pgd_batch`` runs on the :class:`spherelab.models.Quadric`,
+    and each kept iterate is rotated back (x = V z), its distance taken in
+    x from the drawn start. A kept iterate that is its own start maps back
+    to that start exactly.
+    """
     xs, labels = sample_batch(sphere, stream.child(0), cfg.starts, shell)
-    return _pgd_batch(model, xs, labels, cfg, stream.child(1))
+    gram = None
+    if isinstance(model, QuadraticNet) and cfg.starts * cfg.steps >= _EIGENBASIS_START_STEPS:
+        gram = quadric_gram(model)
+    if gram is None:
+        return _pgd_batch(model, xs, labels, cfg, stream.child(1))
+    quadric = Quadric(model, gram)
+    results = _pgd_batch(quadric, xs @ quadric.V, labels, cfg, stream.child(1))
+    for x0, r in zip(xs, results):
+        if r.x_adv is not None:
+            r.x_adv = x0.copy() if np.array_equal(r.x_adv, r.x_start) else quadric.V @ r.x_adv
+            r.distance = float(np.linalg.norm(r.x_adv - x0))
+        r.x_start = x0
+    return results
 
 
 def estimate_mean_distance(model, sphere: SphereConfig, cfg: AttackConfig,

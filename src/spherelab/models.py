@@ -16,6 +16,13 @@ zero-mean Gaussians with variance 2/fan-in, the readout and the quadratic
 net's W1 use 1/fan-in, biases start at zero, and the quadratic scalars
 start at w=1, b=-1. All arithmetic is float64.
 
+:func:`quadric_gram` forms the Gram matrix W1^T W1 of a quadratic net
+(or None when it is not finite), the one source of its eigenvalues and
+eigenvectors. :class:`Quadric` is the net in that matrix's eigenbasis
+V: a ``QuadraticNet`` whose hidden map ``Z * sqrt(lambda)`` replaces
+``X W1^T`` for z = V^T x, so its inherited ``logits`` and ``input_grad``
+cost O(n) per row. The attack runs there (see :mod:`spherelab.attack`).
+
 Both families expose the same surface, one pass per purpose:
 ``forward(X)`` is the training pass, returning (logits, cache), with the
 MLP normalizing by batch statistics and moving its running ones;
@@ -172,9 +179,17 @@ class QuadraticNet:
 
     state = params  # the parameters are the quadratic net's whole state
 
+    def _hidden(self, X: np.ndarray) -> np.ndarray:
+        """The hidden map X W1^T."""
+        return X @ self.W1.T
+
+    def _hidden_t(self, D: np.ndarray) -> np.ndarray:
+        """The transpose of the hidden map, D W1: it takes hidden rows back to inputs."""
+        return D @ self.W1
+
     def _pass(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Hidden activations H = X W1^T, S = sum(H^2) per row, and the logits."""
-        H = X @ self.W1.T
+        """Hidden activations H = ``_hidden(X)``, S = sum(H^2) per row, and the logits."""
+        H = self._hidden(X)
         S = np.einsum("ij,ij->i", H, H)
         return H, S, float(self.w) * S + float(self.b)
 
@@ -207,7 +222,50 @@ class QuadraticNet:
         y = np.asarray(labels, dtype=np.float64)
         H, _, logits = self._pass(X)
         dl = sigmoid(logits) - y
-        return (2.0 * float(self.w)) * ((H * dl[:, None]) @ self.W1)
+        return (2.0 * float(self.w)) * self._hidden_t(H * dl[:, None])
+
+
+def quadric_gram(net: QuadraticNet) -> np.ndarray | None:
+    """The Gram matrix W1^T W1 of the net's quadric, or None, without a warning, if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = net.W1.T @ net.W1
+    return gram if np.isfinite(gram).all() else None
+
+
+class Quadric(QuadraticNet):
+    """A quadratic net in the eigenbasis of its Gram matrix W1^T W1 = V diag(lambda) V^T.
+
+    In z = V^T x the logit is ``w * sum(lambda z^2) + b``, so the hidden
+    map is ``Z * s`` with s = sqrt(lambda) (eigenvalues rounded below 0
+    count as 0), and its transpose is ``D * s``. ``logits`` and
+    ``input_grad`` are the net's, taken in z; an input gradient in z is
+    V^T times the one in x. ``forward`` gives the logits in z too. The
+    quadric holds no W1, so the parameter surface (``params``, ``state``,
+    ``backward``, ``init_random``) raises ``TypeError``.
+    """
+
+    def __init__(self, net: QuadraticNet, gram: np.ndarray) -> None:
+        lam, self.V = np.linalg.eigh(gram)
+        self.s = np.sqrt(np.maximum(lam, 0.0))
+        self.w, self.b = net.w.copy(), net.b.copy()
+
+    @property
+    def n(self) -> int:
+        return self.s.size
+
+    h = n  # one hidden unit per eigenvector
+
+    def _hidden(self, Z: np.ndarray) -> np.ndarray:
+        return Z * self.s
+
+    def _hidden_t(self, D: np.ndarray) -> np.ndarray:
+        return D * self.s
+
+    def _refuse(*_args, **_kwargs):
+        raise TypeError("a Quadric has no parameters; train or save the QuadraticNet")
+
+    params = state = backward = _refuse
+    init_random = classmethod(_refuse)
 
 
 def alpha_spectrum(net: QuadraticNet, R: float) -> AlphaSpectrum:

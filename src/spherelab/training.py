@@ -50,7 +50,7 @@ import spherelab
 from spherelab import attack as attack_mod, require_above, require_bool, require_int, require_ints
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import (
-    MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, sigmoid_ce_loss)
+    MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, quadric_gram, sigmoid_ce_loss)
 from spherelab.rng import (
     CHILD_DATASET,
     CHILD_ERROR_MC,
@@ -304,13 +304,14 @@ class ErrorRateEstimate:
 def _quadric_weights(model: QuadraticNet) -> np.ndarray | None:
     """The eigenbasis weights c = w lambda of :func:`evaluate_error_rate`.
 
-    lambda are the eigenvalues of W1^T W1, whatever the hidden width. None,
-    without a warning, when the Gram matrix, c or b is not finite.
+    lambda are the eigenvalues of :func:`spherelab.models.quadric_gram`,
+    whatever the hidden width. None, without a warning, when the Gram
+    matrix, c or b is not finite.
     """
+    gram = quadric_gram(model)
+    if gram is None:
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = model.W1.T @ model.W1
-        if not np.isfinite(gram).all():
-            return None
         c = float(model.w) * np.linalg.eigvalsh(gram)
     if not (np.isfinite(c).all() and np.isfinite(model.b)):
         return None

@@ -9,7 +9,7 @@ from spherelab.attack import (
     worst_case_loss,
 )
 from spherelab.dataset import SphereConfig, sample_batch
-from spherelab.models import QuadraticNet, quad_perfect_init
+from spherelab.models import QuadraticNet, Quadric, quad_perfect_init, quadric_gram
 from spherelab.rng import RngStream
 
 R = 1.3
@@ -92,18 +92,20 @@ def test_iterate_norms_preserved():
 def test_zero_gradient_start_is_stationary_not_found(mode):
     # w = 0: the logit is -1 everywhere, so inner starts are correct and
     # the input gradient is exactly zero; no step is ever taken.
+    # One step per start runs in x, a budget at the threshold in the eigenbasis.
     m = 12
     net = QuadraticNet(np.eye(m), 0.0, -1.0)
-    cfg = AttackConfig(mode=mode, steps=50, starts=6)
-    for r in run_attack(net, SphereConfig(n=m), cfg, RngStream(31)):
-        assert r.stationary
-        assert not r.found
-        assert r.steps_used == 0
-        assert r.norm_drift == 0.0
-        if mode == "nearest":
-            assert r.x_adv is None and r.distance is None
-        else:
-            assert np.array_equal(r.x_adv, r.x_start) and r.distance == 0.0
+    for steps in (1, attack._EIGENBASIS_START_STEPS):
+        cfg = AttackConfig(mode=mode, steps=steps, starts=6)
+        for r in run_attack(net, SphereConfig(n=m), cfg, RngStream(31)):
+            assert r.stationary
+            assert not r.found
+            assert r.steps_used == 0
+            assert r.norm_drift == 0.0
+            if mode == "nearest":
+                assert r.x_adv is None and r.distance is None
+            else:
+                assert np.array_equal(r.x_adv, r.x_start) and r.distance == 0.0
 
 
 def test_worst_mode_found_is_the_sign_of_the_kept_iterates_logit():
@@ -246,8 +248,11 @@ def result_bytes(r) -> list:
 @pytest.mark.parametrize("mode", ["nearest", "worst"])
 def test_pooled_blocks_equal_a_serial_in_order_run_byte_for_byte(monkeypatch, mode):
     # 123 starts make three blocks; 50 starts make one block, one pool job too.
+    # Each split runs in x (threshold out of reach) and in the eigenbasis.
     net, sphere = spike_net(20), SphereConfig(n=20)
-    for starts, split in ((123, [50, 50, 23]), (50, [50])):
+    for starts, split, threshold in ((123, [50, 50, 23], 10**9), (50, [50], 10**9),
+                                     (123, [50, 50, 23], 1), (50, [50], 1)):
+        monkeypatch.setattr(attack, "_EIGENBASIS_START_STEPS", threshold)
         cfg = AttackConfig(mode=mode, steps=300, step_size=0.01, starts=starts)
         pooled = run_attack(net, sphere, cfg, RngStream(41), shell="both")
         blocks = []
@@ -286,25 +291,94 @@ def test_saddle_jitter_is_keyed_by_the_row_of_the_whole_batch():
     log = ChildLog(RngStream(45))
     worst_case_loss(spike_net(n), xs, labels, cfg, log)
     assert set(log.asked) == {60}
+
+
+# ---------------------------------------------------------------------------
+# Quadratic nets in the quadric's eigenbasis
+
+
+def uneven_quad(n: int = 12, h: int = 8) -> QuadraticNet:
+    """A random quadratic net with h < n: distinct eigenvalues and a null space."""
+    return QuadraticNet.init_random(n, h, RngStream(51))
+
+
+@pytest.mark.parametrize("shell", ["inner", "outer"])
 @pytest.mark.parametrize("mode", ["nearest", "worst"])
-def test_pooled_blocks_equal_a_serial_in_order_run_byte_for_byte(monkeypatch, mode):
-    # 123 starts make three blocks; 50 starts make one block, one pool job too.
-    net, sphere = spike_net(20), SphereConfig(n=20)
-    for starts, split in ((123, [50, 50, 23]), (50, [50])):
-        cfg = AttackConfig(mode=mode, steps=300, step_size=0.01, starts=starts)
-        pooled = run_attack(net, sphere, cfg, RngStream(41), shell="both")
-        blocks = []
+def test_eigenbasis_pgd_follows_x_space_pgd_from_the_same_starts(monkeypatch, mode, shell):
+    net = uneven_quad()
+    lam = np.linalg.eigvalsh(net.W1.T @ net.W1)
+    assert len(np.unique(np.round(lam, 8))) >= 3 and net.h != net.n
+    sphere = SphereConfig(n=net.n)
+    cfg = AttackConfig(mode=mode, steps=50, step_size=0.01, starts=40)
+    monkeypatch.setattr(attack, "_EIGENBASIS_START_STEPS", 1)
+    in_z = run_attack(net, sphere, cfg, RngStream(53), shell)
+    xs, labels = sample_batch(sphere, RngStream(53).child(0), cfg.starts, shell)
+    in_x = attack._pgd_batch(net, xs, labels, cfg, RngStream(53).child(1))
+    # No start of these draws ties: the two paths take the same steps.
+    assert [r.found for r in in_z] == [r.found for r in in_x]
+    assert 0 < sum(r.found for r in in_x) < cfg.starts
+    assert [r.steps_used for r in in_z] == [r.steps_used for r in in_x]
+    for z, x in zip(in_z, in_x):
+        assert z.x_start.tobytes() == x.x_start.tobytes()
+        assert (z.x_adv is None) == (x.x_adv is None)
+        if x.x_adv is not None:
+            assert abs(z.distance - x.distance) <= 1e-12 * x.distance
+            np.testing.assert_allclose(z.x_adv, x.x_adv, rtol=0, atol=1e-12)
 
-        def serial_map(fn, jobs):
-            parts = [fn(job) for job in jobs]
-            blocks.extend(len(part) for part in parts)
-            return parts
 
-        with monkeypatch.context() as patch:
-            patch.setattr(attack, "_shard_map", serial_map)
-            serial = run_attack(net, sphere, cfg, RngStream(41), shell="both")
-        assert blocks == split
-        assert 0 < sum(r.found for r in pooled) < cfg.starts
-        assert len({r.steps_used for r in pooled}) > 2
-        assert [result_bytes(r) for r in pooled] == [result_bytes(r) for r in serial]
+def test_run_attack_picks_its_path_by_budget(monkeypatch):
+    net, sphere = uneven_quad(), SphereConfig(n=12)
+    threshold = attack._EIGENBASIS_START_STEPS
+    eighs = []
+    eigh = np.linalg.eigh
 
+    def counted(a):
+        eighs.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    xs, labels = sample_batch(sphere, RngStream(55).child(0), 1, "inner")
+    below = AttackConfig(mode="worst", steps=threshold - 1, step_size=0.01, starts=1)
+    at = AttackConfig(mode="worst", steps=threshold, step_size=0.01, starts=1)
+
+    def ran(cfg) -> list:
+        return list(map(result_bytes, run_attack(net, sphere, cfg, RngStream(55))))
+
+    def in_x(cfg) -> list:
+        return list(map(result_bytes, attack._pgd_batch(net, xs, labels, cfg,
+                                                        RngStream(55).child(1))))
+
+    assert ran(below) == in_x(below)
+    with monkeypatch.context() as patch:
+        patch.setattr(attack, "quadric_gram", lambda _net: None)  # a Gram matrix not finite
+        assert ran(at) == in_x(at)
+    assert eighs == []
+
+    def never(*_args):
+        raise AssertionError("the net's own pass ran on the eigenbasis path")
+
+    monkeypatch.setattr(net, "logits", never)
+    monkeypatch.setattr(net, "input_grad", never)
+    for steps, starts in ((threshold, 1), (1, threshold)):
+        for mode in ("nearest", "worst"):
+            cfg = AttackConfig(mode=mode, steps=steps, step_size=0.01, starts=starts)
+            eighs.clear()
+            run_attack(net, sphere, cfg, RngStream(55))
+            assert eighs == [(12, 12)]
+
+
+def test_spike_net_saddle_start_escapes_on_the_eigenbasis_path(monkeypatch):
+    n = 50
+    e2 = np.eye(n)[1:2]
+    monkeypatch.setattr(attack, "sample_batch", lambda *_args: (e2.copy(), np.zeros(1)))
+    cfg = AttackConfig(mode="nearest", steps=1000, step_size=0.01, starts=1)
+    assert cfg.starts * cfg.steps >= attack._EIGENBASIS_START_STEPS
+    net = spike_net(n)
+    # e2 is an axis of the quadric's eigenbasis too, so the jitter breaks it in z.
+    assert np.count_nonzero(e2 @ Quadric(net, quadric_gram(net)).V) == 1
+    res = run_attack(net, SphereConfig(n=n), cfg, RngStream(9))[0]
+    assert res.found and res.x_start.tobytes() == e2[0].tobytes()
+    c = crossing_coordinate(2.0, 0.7572)
+    assert res.distance <= chord_from_e2(c) + 0.02
+    assert abs(res.x_adv[0]) >= c - 1e-6
+    assert res.distance == float(np.linalg.norm(res.x_adv - e2[0]))

@@ -51,6 +51,18 @@ def test_every_public_function_is_called_by_a_test(module):
     assert sorted(set(public) - called_names()) == []
 
 
+def test_no_test_module_defines_a_top_level_name_twice():
+    # A second ``def test_x`` shadows the first, and pytest collects only one.
+    twice = {}
+    for path in TESTS.glob("*.py"):
+        names = [node.name for node in parse(path).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            twice[path.name] = repeated
+    assert twice == {}
+
+
 def private_imports(path: Path) -> set[tuple[str, str]]:
     """``(module, name)`` of each ``_`` name ``path`` takes from another spherelab module."""
     found = set()

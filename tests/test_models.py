@@ -8,11 +8,13 @@ from spherelab.models import (
     AlphaSpectrum,
     MlpNet,
     QuadraticNet,
+    Quadric,
     UnsupportedRegimeError,
     alpha_spectrum,
     classify,
     is_perfect,
     quad_perfect_init,
+    quadric_gram,
     sigmoid,
     sigmoid_ce_loss,
 )
@@ -84,6 +86,39 @@ def test_quad_logit_permutation_invariance_for_isotropic_w1():
     perm = np.array([3, 1, 4, 0, 2])
     logit, permuted = net.logits(np.stack([x, x[perm]]))
     assert permuted == pytest.approx(logit, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [7, 15])  # narrower and wider than the input
+def test_quadric_passes_in_z_equal_the_nets_in_x(h):
+    net = QuadraticNet.init_random(11, h, RngStream(19))
+    net.w[...], net.b[...] = 1.7, -0.9
+    quadric = Quadric(net, quadric_gram(net))
+    X = RngStream(21).normal_matrix(30, 11)
+    y = (np.arange(30) % 2).astype(float)
+    Z = X @ quadric.V
+    assert (quadric.n, quadric.h) == (11, 11)
+    np.testing.assert_allclose(quadric.logits(Z), net.logits(X), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(quadric.forward(Z)[0], net.logits(X), rtol=1e-12, atol=0)
+    g_x = net.input_grad(X, y)
+    g_back = quadric.input_grad(Z, y) @ quadric.V.T
+    assert (np.linalg.norm(g_back - g_x, axis=1) <= 1e-12 * np.linalg.norm(g_x, axis=1)).all()
+
+
+def test_quadric_refuses_the_parameter_surface_it_does_not_have():
+    net = QuadraticNet.init_random(6, 4, RngStream(19))
+    quadric = Quadric(net, quadric_gram(net))
+    _, cache = quadric.forward(np.eye(6))
+    for call in (quadric.params, quadric.state, lambda: quadric.backward(cache, np.zeros(6)),
+                 lambda: Quadric.init_random(6, 4, RngStream(1))):
+        with pytest.raises(TypeError, match="a Quadric has no parameters"):
+            call()
+
+
+def test_quadric_gram_is_none_when_the_gram_matrix_overflows():
+    net = QuadraticNet.init_random(6, 4, RngStream(19))
+    assert quadric_gram(net).tobytes() == (net.W1.T @ net.W1).tobytes()
+    net.W1 *= 1e200
+    assert quadric_gram(net) is None
 
 
 # ---------------------------------------------------------------------------
