@@ -11,7 +11,7 @@ import numbers
 
 import numpy as np
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 
 def require_int(name: str, value, least: int) -> int:

@@ -30,13 +30,13 @@ products: the tangent step and the projection onto the sphere are the
 same map in z as in x, and a step costs O(n) per start in z against three
 n x h GEMM passes in x. So :func:`run_attack` (and with it
 :func:`estimate_mean_distance`) runs a :class:`spherelab.models.QuadraticNet`
-in z when its budget, ``starts * steps``, reaches
-``_EIGENBASIS_START_STEPS`` and its Gram matrix is finite. It pays one
+in z when its steps reach ``_EIGENBASIS_STEPS``, whatever the number of
+starts (since version 0.8.0), and its Gram matrix is finite. It pays one
 ``eigh``, rotates the starts once, runs the same blocks on the net's
 :class:`spherelab.models.Quadric` and rotates each kept iterate back.
 Results move from the x-space ones by rounding only (since version
 0.7.0), and saddle jitter is drawn in z, with the same law since V is
-orthonormal. A smaller budget, any other model and
+orthonormal. Fewer steps, any other model and
 :func:`worst_case_loss` (the training probes) run in x.
 
 Starts run in blocks of 50 consecutive rows, one job per block on the
@@ -63,12 +63,24 @@ _ZERO_GRAD = 1e-300
 # at n = h = 500 on 2 cores; at least the 10 starts of a training probe, so
 # a probe is one pool job.
 _ATTACK_BLOCK = 50
-# Start-steps (starts x steps) from which run_attack on a QuadraticNet runs
-# in its quadric's eigenbasis. At n = 500 on 2 cores with 1 BLAS thread
-# (medians of 7 calls) the Gram matrix and eigh cost about 33 ms, and the
-# paths break even near 500 start-steps for h = 500 (10 starts x 50 steps:
-# 39 ms in x, 40 ms in z) and near 250 for h = 1000 (10 x 30: 43 ms, 38 ms).
-_EIGENBASIS_START_STEPS = 500
+# Steps from which run_attack on a QuadraticNet runs in its quadric's
+# eigenbasis, whatever the number of starts: a block's starts share each
+# step's GEMMs in x, while the eigenbasis pays one Gram matrix and eigh
+# (about 35 ms). Worst mode at n = 500 on 2 cores with 1 BLAS thread,
+# medians of 11 alternating calls, ms in x / in z:
+#
+#   h     starts  5 steps  10       15       20        30        50
+#   500   10      7 / 47   12 / 43  15 / 42  18 / 39   25 / 40   40 / 41
+#   500   50      12 / 40  22 / 42  32 / 45  43 / 48   67 / 56   134 / 72
+#   500   100     31 / 62  58 / 69  49 / 65  60 / 68   79 / 77   144 / 94
+#   1000  10      10 / 47  21 / 51  31 / 52  32 / 51   54 / 53   93 / 49
+#   1000  50      25 / 57  53 / 60  75 / 64  97 / 68   144 / 74  230 / 83
+#   1000  100     29 / 64  50 / 57  69 / 68  103 / 77  149 / 91  250 / 112
+#
+# At 30 the slower path is taken for 6 of these 36 budgets, losing 1-29 ms
+# each (82 ms in all); the rule of version 0.7.0, starts x steps >= 500,
+# took it for 12, losing 1-36 ms each (158 ms in all).
+_EIGENBASIS_STEPS = 30
 
 NEAREST_STEP_SIZE = 0.001  # distance-estimation preset
 WORST_STEP_SIZE = 0.01  # worst-case-search preset
@@ -232,8 +244,8 @@ def run_attack(model, sphere: SphereConfig, cfg: AttackConfig, stream: RngStream
                shell: str = "inner") -> list[AttackResult]:
     """PGD from ``cfg.starts`` points that ``sample_batch`` draws on ``shell``.
 
-    A :class:`spherelab.models.QuadraticNet` with a budget of at least
-    ``_EIGENBASIS_START_STEPS`` start-steps and a finite Gram matrix runs
+    A :class:`spherelab.models.QuadraticNet` with at least
+    ``_EIGENBASIS_STEPS`` steps and a finite Gram matrix runs
     in the eigenbasis of its quadric: the starts are rotated once
     (Z0 = X0 V), ``_pgd_batch`` runs on the :class:`spherelab.models.Quadric`,
     and each kept iterate is rotated back (x = V z), its distance taken in
@@ -242,7 +254,7 @@ def run_attack(model, sphere: SphereConfig, cfg: AttackConfig, stream: RngStream
     """
     xs, labels = sample_batch(sphere, stream.child(0), cfg.starts, shell)
     gram = None
-    if isinstance(model, QuadraticNet) and cfg.starts * cfg.steps >= _EIGENBASIS_START_STEPS:
+    if isinstance(model, QuadraticNet) and cfg.steps >= _EIGENBASIS_STEPS:
         gram = quadric_gram(model)
     if gram is None:
         return _pgd_batch(model, xs, labels, cfg, stream.child(1))
@@ -279,9 +291,9 @@ def worst_case_loss(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig
     """Max attack loss over a probe batch (worst-mode search per row).
 
     ``cfg`` must be in worst mode; every row of ``X0`` is a start, whatever
-    ``cfg.starts`` says. An ``X0`` that is not a nonempty 2-D batch, or
-    ``labels`` that are not one per row, raise ``ValueError`` before any
-    PGD job runs.
+    ``cfg.starts`` says. An ``X0`` that is not a nonempty 2-D batch of
+    finite nonzero rows, or ``labels`` that are not one 0 or 1 per row,
+    raise ``ValueError`` before any PGD job runs.
     """
     if cfg.mode != "worst":
         raise ValueError("worst_case_loss requires worst mode")
@@ -291,5 +303,10 @@ def worst_case_loss(model, X0: np.ndarray, labels: np.ndarray, cfg: AttackConfig
     if np.shape(labels) != X0.shape[:1]:
         raise ValueError(f"labels must be one per row of X0 ({X0.shape[0]} rows), "
                          f"got shape {np.shape(labels)}")
+    bad = ~(np.isfinite(X0).all(axis=1) & X0.any(axis=1))
+    if bad.any():
+        raise ValueError(f"X0 row {int(np.argmax(bad))} is not a finite nonzero point")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must each be 0 or 1")
     results = _pgd_batch(model, X0, labels, cfg, stream)
     return max(r.final_loss for r in results)

@@ -44,9 +44,7 @@ this process may run on; no caller special-cases a lone job. numpy
 releases the GIL in the Philox generator, the ufuncs and BLAS, so the
 jobs run in parallel and, being keyed or elementwise, give the same bits
 in any order. (The cap-distance Monte Carlo sums its keyed chunks on the
-caller thread.) Training draws each next minibatch on the same pool with
-:func:`prefetch`, one draw ahead of the step that uses it, in order and
-from one stream, so the words drawn are those of a serial loop.
+caller thread.)
 
 Stream-index registry (children of a root stream, see :meth:`RngStream.child`):
 
@@ -186,57 +184,20 @@ def pool_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_for(caller: str) -> ThreadPoolExecutor:
-    """The process-wide pool of :func:`pool_workers` threads, created on first use.
+def _shard_map(fn, jobs) -> list:
+    """``[fn(job) for job in jobs]``, run on the process-wide thread pool.
 
-    A job waiting on jobs queued behind it could deadlock the pool, so a
-    call from a job raises ``RuntimeError``.
+    The pool has :func:`pool_workers` threads and is created on first use.
+    Results come back in job order. A job waiting on jobs queued behind it
+    could deadlock the pool, so ``fn`` must not call ``_shard_map`` itself:
+    a nested call raises ``RuntimeError``.
     """
     global _pool
     if getattr(_worker, "active", False):
-        raise RuntimeError(f"{caller} called from inside a sharded job")
+        raise RuntimeError("_shard_map called from inside a sharded job")
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(max_workers=pool_workers(), initializer=_mark_worker,
                                        thread_name_prefix="spherelab-shard")
-        return _pool
-
-
-def _shard_map(fn, jobs) -> list:
-    """``[fn(job) for job in jobs]``, run on the process-wide thread pool.
-
-    Results come back in job order. ``fn`` must not call ``_shard_map`` or
-    :func:`prefetch` itself: a nested call raises ``RuntimeError``.
-    """
-    return list(_pool_for("_shard_map").map(fn, jobs))
-
-
-def prefetch(fn, count: int):
-    """Yield ``fn()`` ``count`` times, each call made one item ahead on the pool.
-
-    Call ``k + 1`` runs on a worker of the process-wide pool while the
-    caller holds item ``k``, and it is submitted only after call ``k`` has
-    returned, so the calls run one at a time and in order, and never more
-    than ``count`` of them. An exception from a call is raised where its
-    item would have been yielded. Closing the generator early waits for
-    the pending call and drops its item, so no call outlives the
-    generator. Like :func:`_shard_map`, it refuses to run inside a pool
-    job (``RuntimeError``, raised here rather than at the first item).
-    A ``count`` that is not an integer >= 0 raises ``ValueError`` before
-    any call is made.
-    """
-    count = require_int("count", count, 0)
-    pool = _pool_for("prefetch")
-
-    def items():
-        pending = pool.submit(fn) if count > 0 else None
-        try:
-            for k in range(count):
-                item = pending.result()
-                pending = pool.submit(fn) if k + 1 < count else None
-                yield item
-        finally:
-            if pending is not None:
-                pending.exception()  # waits; neither the item nor its error is wanted
-
-    return items()
+        pool = _pool
+    return list(pool.map(fn, jobs))

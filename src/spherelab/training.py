@@ -15,12 +15,9 @@ schedule runs out of keys. A non-finite training loss aborts the run,
 restoring the model's whole ``state()`` (batch-norm statistics too) from
 the last metric point.
 
-Minibatch k + 1 is drawn on a worker of the process-wide pool (see
-:func:`spherelab.rng.prefetch`) while step k runs its forward pass,
-backward pass and Adam update, so the minibatch stream is always one
-batch ahead of the model: a resume must save that stream's state as it
-was before the drawn-ahead batch, and a run that stops early has drawn at
-most that one batch past its last step.
+Each minibatch is drawn on the caller thread when its step begins, so
+after step k the minibatch stream has drawn exactly k batches, and that
+is the stream state a resume saves.
 
 Quadratic nets additionally report their ellipsoid-coefficient violation
 count at a separate (coarser) cadence, since each check costs an SVD of
@@ -61,7 +58,6 @@ from spherelab.rng import (
     RngStream,
     _shard_map,
     pool_workers,
-    prefetch,
 )
 
 METRICS_SCHEMA = "spherelab-metrics/1"
@@ -227,6 +223,9 @@ class TrainConfig:
         self.stop_on_perfect = require_bool("stop_on_perfect", self.stop_on_perfect)
         if self.stop_on_perfect and self.alpha_every <= 0:
             raise ValueError("stop_on_perfect needs alpha_every > 0")
+        path = self.metrics_path
+        if path is not None and not (isinstance(path, (str, os.PathLike)) and os.fspath(path)):
+            raise ValueError(f"metrics_path must be None or a non-empty path, got {path!r}")
 
 
 @dataclass
@@ -462,27 +461,22 @@ def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
 
 
 def _minibatches(cfg: TrainConfig, sphere: SphereConfig, stream: RngStream):
-    """The ``cfg.steps`` training minibatches, each drawn during the step before it.
+    """Yield the ``cfg.steps`` training minibatches, each drawn when it is asked for.
 
     An online batch is one :func:`spherelab.dataset.sample_batch`. With
     ``cfg.train_set_size`` N > 0 the set is one ``sample_batch`` of N
-    points on the dataset child of the sphere seed, built here, and a
-    batch indexes it with one uniform per row. Only the pool worker of
-    :func:`spherelab.rng.prefetch` touches ``stream``, one draw at a time
-    and in step order, so the words drawn are those of a serial loop and
-    no draw passes ``cfg.steps``.
+    points on the dataset child of the sphere seed, built at the first
+    batch, and a batch indexes it with one uniform per row.
     """
     size = cfg.train_set_size
     if size:
         xs, labels = sample_batch(sphere, RngStream(sphere.seed).child(CHILD_DATASET), size)
-
-    def draw() -> tuple[np.ndarray, np.ndarray]:
+    for _ in range(cfg.steps):
         if not size:
-            return sample_batch(sphere, stream, cfg.batch_size)
-        idx = (stream.uniforms(cfg.batch_size) * size).astype(np.int64)
-        return xs[idx], labels[idx]
-
-    return prefetch(draw, cfg.steps)
+            yield sample_batch(sphere, stream, cfg.batch_size)
+        else:
+            idx = (stream.uniforms(cfg.batch_size) * size).astype(np.int64)
+            yield xs[idx], labels[idx]
 
 
 def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
@@ -558,14 +552,13 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     aborted = False
     abort_reason = None
     completed = 0
-    batches = _minibatches(cfg, sphere, data_stream)
     writer = MetricsWriter(cfg.metrics_path, _manifest(cfg, sphere)) \
         if cfg.metrics_path else None
     try:
         alpha0 = _alpha_violations(model, sphere) if cfg.alpha_every > 0 else None
         emit(0, None, alpha0, do_probe=cfg.probe is not None)
 
-        for step, (xs, ys) in enumerate(batches, start=1):
+        for step, (xs, ys) in enumerate(_minibatches(cfg, sphere, data_stream), start=1):
             logits, cache = model.forward(xs)
             batch_loss = float(np.mean(sigmoid_ce_loss(logits, ys)))
             if not np.isfinite(batch_loss):
@@ -600,7 +593,6 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
             if stopping:
                 break
     finally:
-        batches.close()
         if writer:
             writer.close()
     return TrainResult(model=model, metrics=metrics, completed_steps=completed,

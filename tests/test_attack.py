@@ -92,10 +92,10 @@ def test_iterate_norms_preserved():
 def test_zero_gradient_start_is_stationary_not_found(mode):
     # w = 0: the logit is -1 everywhere, so inner starts are correct and
     # the input gradient is exactly zero; no step is ever taken.
-    # One step per start runs in x, a budget at the threshold in the eigenbasis.
+    # One step runs in x, the threshold's steps in the eigenbasis.
     m = 12
     net = QuadraticNet(np.eye(m), 0.0, -1.0)
-    for steps in (1, attack._EIGENBASIS_START_STEPS):
+    for steps in (1, attack._EIGENBASIS_STEPS):
         cfg = AttackConfig(mode=mode, steps=steps, starts=6)
         for r in run_attack(net, SphereConfig(n=m), cfg, RngStream(31)):
             assert r.stationary
@@ -225,12 +225,19 @@ def test_worst_case_loss_refuses_a_nearest_mode_config():
 def test_worst_case_loss_refuses_a_malformed_batch_before_any_job(monkeypatch):
     xs, ys = sample_batch(SphereConfig(n=5), RngStream(25), 4)
     cfg = AttackConfig(mode="worst", steps=5)
+    rows = np.arange(4)[:, None]
     jobs = []
     monkeypatch.setattr(attack, "_shard_map", lambda fn, items: jobs.append(items))
     for X0, labels, match in ((xs[:0], ys[:0], "X0 must be a nonempty 2-D batch"),
                               (xs[0], ys[:1], "X0 must be a nonempty 2-D batch"),
                               (xs, ys[:3], "labels must be one per row of X0"),
-                              (xs, ys[:, None], "labels must be one per row of X0")):
+                              (xs, ys[:, None], "labels must be one per row of X0"),
+                              (np.where(rows == 1, 0.0, xs), ys, "X0 row 1 is not a finite"),
+                              (np.where(rows == 2, np.nan, xs), ys, "X0 row 2 is not a finite"),
+                              (np.where(rows == 0, np.inf, xs), ys, "X0 row 0 is not a finite"),
+                              (xs, np.where(rows[:, 0] == 3, 2.0, ys), "labels must each be 0"),
+                              (xs, np.where(rows[:, 0] == 0, np.nan, ys), "labels must each be 0"),
+                              (xs, ys - 0.5, "labels must each be 0")):
         with pytest.raises(ValueError, match=match):
             worst_case_loss(spike_net(5), X0, labels, cfg, RngStream(27))
     assert jobs == []
@@ -252,7 +259,7 @@ def test_pooled_blocks_equal_a_serial_in_order_run_byte_for_byte(monkeypatch, mo
     net, sphere = spike_net(20), SphereConfig(n=20)
     for starts, split, threshold in ((123, [50, 50, 23], 10**9), (50, [50], 10**9),
                                      (123, [50, 50, 23], 1), (50, [50], 1)):
-        monkeypatch.setattr(attack, "_EIGENBASIS_START_STEPS", threshold)
+        monkeypatch.setattr(attack, "_EIGENBASIS_STEPS", threshold)
         cfg = AttackConfig(mode=mode, steps=300, step_size=0.01, starts=starts)
         pooled = run_attack(net, sphere, cfg, RngStream(41), shell="both")
         blocks = []
@@ -310,7 +317,7 @@ def test_eigenbasis_pgd_follows_x_space_pgd_from_the_same_starts(monkeypatch, mo
     assert len(np.unique(np.round(lam, 8))) >= 3 and net.h != net.n
     sphere = SphereConfig(n=net.n)
     cfg = AttackConfig(mode=mode, steps=50, step_size=0.01, starts=40)
-    monkeypatch.setattr(attack, "_EIGENBASIS_START_STEPS", 1)
+    monkeypatch.setattr(attack, "_EIGENBASIS_STEPS", 1)
     in_z = run_attack(net, sphere, cfg, RngStream(53), shell)
     xs, labels = sample_batch(sphere, RngStream(53).child(0), cfg.starts, shell)
     in_x = attack._pgd_batch(net, xs, labels, cfg, RngStream(53).child(1))
@@ -327,8 +334,9 @@ def test_eigenbasis_pgd_follows_x_space_pgd_from_the_same_starts(monkeypatch, mo
 
 
 def test_run_attack_picks_its_path_by_budget(monkeypatch):
+    # The steps pick the path, whatever the number of starts.
     net, sphere = uneven_quad(), SphereConfig(n=12)
-    threshold = attack._EIGENBASIS_START_STEPS
+    threshold = attack._EIGENBASIS_STEPS
     eighs = []
     eigh = np.linalg.eigh
 
@@ -337,21 +345,23 @@ def test_run_attack_picks_its_path_by_budget(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    xs, labels = sample_batch(sphere, RngStream(55).child(0), 1, "inner")
-    below = AttackConfig(mode="worst", steps=threshold - 1, step_size=0.01, starts=1)
-    at = AttackConfig(mode="worst", steps=threshold, step_size=0.01, starts=1)
 
     def ran(cfg) -> list:
         return list(map(result_bytes, run_attack(net, sphere, cfg, RngStream(55))))
 
     def in_x(cfg) -> list:
+        xs, labels = sample_batch(sphere, RngStream(55).child(0), cfg.starts, "inner")
         return list(map(result_bytes, attack._pgd_batch(net, xs, labels, cfg,
                                                         RngStream(55).child(1))))
 
-    assert ran(below) == in_x(below)
+    def worst(steps, starts):
+        return AttackConfig(mode="worst", steps=steps, step_size=0.01, starts=starts)
+
+    for cfg in (worst(threshold - 1, 1), worst(10, 100), worst(1, threshold)):
+        assert ran(cfg) == in_x(cfg)
     with monkeypatch.context() as patch:
         patch.setattr(attack, "quadric_gram", lambda _net: None)  # a Gram matrix not finite
-        assert ran(at) == in_x(at)
+        assert ran(worst(threshold, 1)) == in_x(worst(threshold, 1))
     assert eighs == []
 
     def never(*_args):
@@ -359,9 +369,9 @@ def test_run_attack_picks_its_path_by_budget(monkeypatch):
 
     monkeypatch.setattr(net, "logits", never)
     monkeypatch.setattr(net, "input_grad", never)
-    for steps, starts in ((threshold, 1), (1, threshold)):
+    for starts in (1, 100):
         for mode in ("nearest", "worst"):
-            cfg = AttackConfig(mode=mode, steps=steps, step_size=0.01, starts=starts)
+            cfg = AttackConfig(mode=mode, steps=threshold, step_size=0.01, starts=starts)
             eighs.clear()
             run_attack(net, sphere, cfg, RngStream(55))
             assert eighs == [(12, 12)]
@@ -372,7 +382,7 @@ def test_spike_net_saddle_start_escapes_on_the_eigenbasis_path(monkeypatch):
     e2 = np.eye(n)[1:2]
     monkeypatch.setattr(attack, "sample_batch", lambda *_args: (e2.copy(), np.zeros(1)))
     cfg = AttackConfig(mode="nearest", steps=1000, step_size=0.01, starts=1)
-    assert cfg.starts * cfg.steps >= attack._EIGENBASIS_START_STEPS
+    assert cfg.steps >= attack._EIGENBASIS_STEPS
     net = spike_net(n)
     # e2 is an axis of the quadric's eigenbasis too, so the jitter breaks it in z.
     assert np.count_nonzero(e2 @ Quadric(net, quadric_gram(net)).V) == 1

@@ -92,17 +92,29 @@ def test_modules_share_only_the_allowed_private_names():
     assert {name: found for name, found in extra.items() if found} == {}
 
 
-def test_the_package_imports_only_the_standard_library_numpy_and_itself():
-    # numpy is the one runtime dependency; scipy and the rest are test-only.
-    allowed = set(sys.stdlib_module_names) | {"numpy", "spherelab"}
-    imports = set()  # (file, top-level module)
+def top_level_imports() -> set[tuple[str, str]]:
+    """``(file name, top-level module)`` of every absolute import in the package."""
+    imports = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.Import):
                 imports |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imports.add((path.name, node.module.split(".")[0]))
-    assert {(name, module) for name, module in imports if module not in allowed} == set()
+    return imports
+
+
+def test_the_package_imports_only_the_standard_library_numpy_and_itself():
+    # numpy is the one runtime dependency; scipy and the rest are test-only.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "spherelab"}
+    assert {(name, module) for name, module in top_level_imports()
+            if module not in allowed} == set()
+
+
+def test_only_rng_imports_threads():
+    # rng._shard_map is the library's one concurrency point.
+    assert {name for name, module in top_level_imports()
+            if module in ("threading", "concurrent")} == {"rng.py"}
 
 
 def checked_classes() -> dict[str, tuple[dict[str, str], ast.FunctionDef]]:

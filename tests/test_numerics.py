@@ -2,7 +2,6 @@ import math
 import os
 import signal
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from numpy.random import Generator, Philox
 from scipy import integrate, stats
 
 from spherelab.linalg import singular_values
-from spherelab.rng import RngStream, _shard_map, prefetch
+from spherelab.rng import RngStream, _shard_map
 from spherelab.special import normal_cdf, normal_quantile
 
 
@@ -319,88 +318,6 @@ def test_shard_map_works_in_a_forked_child():
 def test_shard_map_refuses_nested_jobs():
     with pytest.raises(RuntimeError, match="inside a sharded job"):
         _shard_map(lambda _: _shard_map(abs, [1]), [0])
-
-
-class Calls:
-    """A job for ``prefetch``: returns 0, 1, 2, ... and logs which thread ran each call."""
-
-    def __init__(self, fail_at=None, sleep=0.0):
-        self.count = 0
-        self.running = 0
-        self.threads = []
-        self.fail_at = fail_at
-        self.sleep = sleep
-
-    def __call__(self):
-        self.running += 1
-        try:
-            assert self.running == 1, "two calls ran at once"
-            self.threads.append(threading.current_thread().name)
-            time.sleep(self.sleep)
-            k = self.count
-            self.count += 1
-            if k == self.fail_at:
-                raise ValueError(f"call {k} failed")
-            return k
-        finally:
-            self.running -= 1
-
-
-def test_prefetch_yields_every_call_in_order_on_the_pool():
-    calls = Calls()
-    assert list(prefetch(calls, 7)) == list(range(7))
-    assert calls.count == 7
-    assert all(name.startswith("spherelab-shard") for name in calls.threads)
-    assert list(prefetch(calls, 0)) == [] and calls.count == 7
-
-
-def test_prefetch_refuses_a_count_that_is_not_an_integer_at_least_zero():
-    calls = Calls()
-    for bad, match in ((2.5, "must be an integer"), (True, "must be an integer"),
-                       ("3", "must be an integer"), (-1, "must be >= 0")):
-        with pytest.raises(ValueError, match=f"count {match}"):
-            prefetch(calls, bad)
-    assert calls.count == 0
-
-
-def test_prefetch_runs_one_call_ahead_and_never_past_count():
-    calls = Calls()
-    items = prefetch(calls, 3)
-    assert calls.count == 0  # nothing runs before the first item is asked for
-    assert next(items) == 0
-    deadline = time.monotonic() + 10
-    while calls.count < 2 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    time.sleep(0.05)
-    assert calls.count == 2  # the next call ran while the caller held item 0, and no more
-    assert list(items) == [1, 2]
-    assert calls.count == 3
-
-
-def test_prefetch_raises_at_the_failing_item_and_submits_no_more():
-    calls = Calls(fail_at=2)
-    items = prefetch(calls, 5)
-    assert [next(items), next(items)] == [0, 1]
-    with pytest.raises(ValueError, match="call 2 failed"):
-        next(items)
-    time.sleep(0.05)
-    assert calls.count == 3
-    assert list(items) == []
-
-
-def test_closing_prefetch_early_waits_for_the_pending_call():
-    calls = Calls(sleep=0.2)
-    items = prefetch(calls, 10)
-    assert next(items) == 0
-    items.close()
-    assert calls.count == 2 and calls.running == 0
-
-
-def test_prefetch_refuses_to_run_inside_a_pool_job():
-    with pytest.raises(RuntimeError, match="prefetch called from inside a sharded job"):
-        _shard_map(lambda _: prefetch(int, 1), [0])
-    with pytest.raises(RuntimeError, match="inside a sharded job"):
-        list(prefetch(lambda: _shard_map(abs, [1]), 1))
 
 
 def test_substreams_are_distinct_and_reproducible():

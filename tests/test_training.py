@@ -2,7 +2,6 @@ import json
 import math
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -420,6 +419,8 @@ def test_a_negative_run_seed_is_refused_when_the_config_is_built():
     ("eval_batch", np.float64(8), False), ("error_eval_samples", 100.0, False),
     ("alpha_every", True, False), ("every", 2.5, True), ("starts", 4.0, True),
     ("steps", True, True), ("nearest", "no", True), ("nearest", 0, True), ("nearest", None, True),
+    ("metrics_path", 1, False), ("metrics_path", True, False), ("metrics_path", 2.5, False),
+    ("metrics_path", 0, False), ("metrics_path", "", False), ("metrics_path", b"m.jsonl", False),
 ])
 def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
         name, value, in_probe, tmp_path, opened_writers):
@@ -624,11 +625,11 @@ def test_metrics_file_closed_when_a_step_raises(tmp_path, opened_writers):
 def minibatch_draws(monkeypatch):
     """Draws made on a run's minibatch stream: ``sample_batch`` calls online, ``uniforms`` fixed.
 
-    ``draws["seed"]`` picks the run. Each draw sleeps ``draws["sleep"]``
-    seconds, then logs the name of the thread it runs on in ``draws["made"]``;
-    draw number ``draws["fail_at"]`` (counted from 1) raises instead.
+    ``draws["seed"]`` picks the run. Each draw logs the name of the thread
+    it runs on in ``draws["made"]``; draw number ``draws["fail_at"]``
+    (counted from 1) raises instead.
     """
-    draws = {"seed": None, "made": [], "running": 0, "sleep": 0.0, "fail_at": None}
+    draws = {"seed": None, "made": [], "running": 0, "fail_at": None}
     sample, uniforms = training.sample_batch, RngStream.uniforms
 
     def counted(stream, fn, *args):
@@ -637,7 +638,6 @@ def minibatch_draws(monkeypatch):
             return fn(*args)
         draws["running"] += 1
         try:
-            time.sleep(draws["sleep"])
             draws["made"].append(threading.current_thread().name)
             if len(draws["made"]) == draws["fail_at"]:
                 raise FloatingPointError("injected draw failure")
@@ -655,28 +655,28 @@ def minibatch_draws(monkeypatch):
 @pytest.mark.parametrize("fixed", [False, True])
 def test_minibatches_are_drawn_on_the_pool_and_never_past_the_last_step(fixed,
                                                                         minibatch_draws):
+    # Every batch is drawn on the caller thread, one per step.
     sphere = SphereConfig(n=10, seed=13)
     minibatch_draws["seed"] = 13
     cfg = TrainConfig(steps=9, batch_size=4, seed=13, train_set_size=64 if fixed else 0,
                       metric_every=4)
     result = train(small_quad(seed=13), cfg, sphere)
     assert result.completed_steps == 9
-    assert len(minibatch_draws["made"]) == 9
-    assert all(name.startswith("spherelab-shard") for name in minibatch_draws["made"])
+    assert minibatch_draws["made"] == [threading.current_thread().name] * 9
 
 
 def test_an_early_stop_draws_one_batch_past_its_last_step(minibatch_draws):
+    # The run stops after step 1, and only step 1's batch was drawn.
     minibatch_draws["seed"] = 7
     cfg = TrainConfig(steps=100, batch_size=4, seed=7, alpha_every=1,
                       stop_on_perfect=True, metric_every=50)
     result = train(quad_perfect_init(10, 12), cfg, SphereConfig(n=10, seed=7))
     assert result.completed_steps == 1
-    assert len(minibatch_draws["made"]) == 2
+    assert minibatch_draws["made"] == [threading.current_thread().name]
 
 
 def test_an_abort_draws_one_batch_past_the_aborted_step(minibatch_draws):
-    # The overflow is seen at step 1, whose batch was drawn; batch 2 was
-    # drawn during step 1, as every batch is drawn during the step before it.
+    # The overflow is seen at step 1, and only step 1's batch was drawn.
     net = small_quad(seed=6)
     net.W1 *= 1e200
     minibatch_draws["seed"] = 6
@@ -684,27 +684,7 @@ def test_an_abort_draws_one_batch_past_the_aborted_step(minibatch_draws):
         result = train(net, TrainConfig(steps=10, batch_size=4, seed=6),
                        SphereConfig(n=10, seed=6))
     assert result.aborted and result.completed_steps == 0
-    assert len(minibatch_draws["made"]) == 2
-
-
-@pytest.mark.parametrize("family,fixed", [("quadratic", False), ("quadratic", True),
-                                          ("mlp", False), ("mlp", True)])
-def test_drawing_ahead_gives_the_bits_of_a_serial_loop(family, fixed, monkeypatch):
-    sphere = SphereConfig(n=10, seed=14)
-    cfg = TrainConfig(steps=12, batch_size=6, seed=14, metric_every=5, error_eval_samples=100,
-                      train_set_size=40 if fixed else 0)
-
-    def run():
-        stream = RngStream(14).child(3)
-        net = (small_quad(seed=14) if family == "quadratic"
-               else MlpNet.init_random(10, (8, 5), stream))
-        result = train(net, cfg, sphere)
-        return ([m.to_dict() for m in result.metrics],
-                {k: v.tobytes() for k, v in net.state().items()})
-
-    ahead = run()
-    monkeypatch.setattr(training, "prefetch", lambda fn, count: (fn() for _ in range(count)))
-    assert run() == ahead
+    assert minibatch_draws["made"] == [threading.current_thread().name]
 
 
 def test_a_failing_drawn_ahead_batch_propagates_and_leaves_no_draw_running(
@@ -717,27 +697,13 @@ def test_a_failing_drawn_ahead_batch_propagates_and_leaves_no_draw_running(
     assert len(opened_writers) == 1 and opened_writers[0]._f.closed
     records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
     assert [r["step"] for r in records] == [0, 2]
-    time.sleep(0.05)
     assert len(minibatch_draws["made"]) == 4 and minibatch_draws["running"] == 0
-
-
-def test_a_failing_step_waits_for_the_batch_drawn_ahead(minibatch_draws):
-    net = small_quad(seed=9)
-
-    def failing_backward(cache, ys):
-        raise FloatingPointError("injected")
-
-    net.backward = failing_backward
-    minibatch_draws.update(seed=9, sleep=0.2)
-    with pytest.raises(FloatingPointError, match="injected"):
-        train(net, TrainConfig(steps=6, batch_size=4, seed=9), SphereConfig(n=10, seed=9))
-    assert len(minibatch_draws["made"]) == 2 and minibatch_draws["running"] == 0
 
 
 def test_concurrent_train_calls_share_the_pool_and_agree():
     # 100 x 1400 first-layer weights are 5 Adam blocks, so every step maps 2
-    # jobs on the pool while the other callers' draws and jobs queue there
-    # too; more callers than cores and a short switch interval interleave them.
+    # jobs on the pool while the other callers' jobs queue there too; more
+    # callers than cores and a short switch interval interleave them.
     sphere = SphereConfig(n=100, seed=15)
     cfg = TrainConfig(steps=6, batch_size=8, seed=15, metric_every=3)
 
