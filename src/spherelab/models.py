@@ -154,6 +154,8 @@ class QuadraticNet:
         W1 = np.asarray(W1, dtype=np.float64)
         if W1.ndim != 2:
             raise ValueError(f"W1 must be 2-D, got shape {W1.shape}")
+        require_int("h", W1.shape[0], 1)
+        require_int("n", W1.shape[1], 1)
         if not (np.isfinite(W1).all() and np.isfinite(w) and np.isfinite(b)):
             raise ValueError("parameters must be finite")
         self.W1 = W1.copy()

@@ -17,7 +17,9 @@ the last metric point.
 
 Each minibatch is drawn on the caller thread when its step begins, so
 after step k the minibatch stream has drawn exactly k batches, and that
-is the stream state a resume saves.
+is the stream state a resume saves. The loop keeps no counter outside
+its records: probe event k is the number of earlier records with a
+``worst_loss``, and ``train_loss`` averages the steps since the last record.
 
 Quadratic nets additionally report their ellipsoid-coefficient violation
 count at a separate (coarser) cadence, since each check costs an SVD of
@@ -223,6 +225,8 @@ class TrainConfig:
         self.stop_on_perfect = require_bool("stop_on_perfect", self.stop_on_perfect)
         if self.stop_on_perfect and self.alpha_every <= 0:
             raise ValueError("stop_on_perfect needs alpha_every > 0")
+        if self.probe is not None and not isinstance(self.probe, ProbeConfig):
+            raise ValueError(f"probe must be None or a ProbeConfig, got {self.probe!r}")
         path = self.metrics_path
         if path is not None and not (isinstance(path, (str, os.PathLike)) and os.fspath(path)):
             raise ValueError(f"metrics_path must be None or a non-empty path, got {path!r}")
@@ -409,9 +413,12 @@ class TrainResult:
     model: object
     metrics: list[MetricsRecord]
     completed_steps: int
-    aborted: bool = False
     abort_reason: str | None = None
     first_perfect_step: int | None = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
 
 def _alpha_violations(model: QuadraticNet, sphere: SphereConfig) -> int | None:
@@ -499,36 +506,25 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     state = model.state()
     snapshot = {k: np.empty_like(v) for k, v in state.items()}  # filled at each record
     adam = AdamState.for_params(params, lr=cfg.lr)
-    metrics: list[MetricsRecord] = []
-    probe_batch = None
-    probe_events = 0
-
+    result = TrainResult(model=model, metrics=[], completed_steps=0)
     if cfg.probe is not None:
         probe_batch = sample_batch(sphere, probe_stream.child(0), cfg.probe.starts)
 
-    def probe_now() -> tuple[float | None, float | None]:
-        nonlocal probe_events
-        event = probe_events
-        probe_events += 1
-        xs, ys = probe_batch
-        wl = attack_mod.worst_case_loss(
-            model, xs, ys,
-            attack_mod.AttackConfig(mode="worst", steps=cfg.probe.steps,
-                                    step_size=cfg.probe.step_size, starts=len(ys)),
-            probe_stream.child(1 + event))
-        dmean = None
-        if cfg.probe.nearest:
-            stats = attack_mod.estimate_mean_distance(
-                model, sphere,
-                attack_mod.AttackConfig(mode="nearest", starts=cfg.probe.starts),
-                nearest_stream.child(event))
-            dmean = None if stats.all_failed else stats.dmean
-        return wl, dmean
-
-    def emit(step: int, train_loss: float | None, alpha: int | None,
-             do_probe: bool) -> None:
-        wl, dmean = probe_now() if do_probe else (None, None)
-        record = len(metrics)
+    def emit(step: int, train_loss: float | None, alpha: int | None, probe: bool) -> None:
+        wl = dmean = None
+        if probe:
+            event = sum(m.worst_loss is not None for m in result.metrics)
+            xs, ys = probe_batch
+            worst = attack_mod.AttackConfig(mode="worst", steps=cfg.probe.steps,
+                                            step_size=cfg.probe.step_size, starts=len(ys))
+            wl = attack_mod.worst_case_loss(model, xs, ys, worst, probe_stream.child(1 + event))
+            if cfg.probe.nearest:
+                stats = attack_mod.estimate_mean_distance(
+                    model, sphere,
+                    attack_mod.AttackConfig(mode="nearest", starts=cfg.probe.starts),
+                    nearest_stream.child(event))
+                dmean = None if stats.all_failed else stats.dmean
+        record = len(result.metrics)
         rate = upper = None
         if cfg.error_eval_samples > 0:
             est = evaluate_error_rate(model, sphere, cfg.error_eval_samples,
@@ -537,26 +533,20 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         xs, ys = sample_batch(sphere, eval_stream.child(record), cfg.eval_batch)
         rec = MetricsRecord(step=step, train_loss=train_loss,
                             eval_loss=float(np.mean(sigmoid_ce_loss(model.logits(xs), ys))),
-                            error_rate=rate, error_upper95=upper,
-                            attack_dmean=dmean, worst_loss=wl,
-                            alpha_violations=alpha)
-        metrics.append(rec)
+                            error_rate=rate, error_upper95=upper, attack_dmean=dmean,
+                            worst_loss=wl, alpha_violations=alpha)
+        result.metrics.append(rec)
         if writer:
             writer.write(rec)
         for k, v in state.items():
             np.copyto(snapshot[k], v)
 
-    first_perfect: int | None = None
     loss_sum = 0.0
-    loss_count = 0
-    aborted = False
-    abort_reason = None
-    completed = 0
     writer = MetricsWriter(cfg.metrics_path, _manifest(cfg, sphere)) \
         if cfg.metrics_path else None
     try:
         alpha0 = _alpha_violations(model, sphere) if cfg.alpha_every > 0 else None
-        emit(0, None, alpha0, do_probe=cfg.probe is not None)
+        emit(0, None, alpha0, probe=cfg.probe is not None)
 
         for step, (xs, ys) in enumerate(_minibatches(cfg, sphere, data_stream), start=1):
             logits, cache = model.forward(xs)
@@ -564,37 +554,32 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
             if not np.isfinite(batch_loss):
                 for k, v in state.items():
                     np.copyto(v, snapshot[k])
-                aborted = True
-                abort_reason = f"non-finite training loss at step {step}"
+                result.abort_reason = f"non-finite training loss at step {step}"
                 if writer:
                     writer.write_event({"step": step, "event": "aborted",
-                                        "reason": abort_reason})
+                                        "reason": result.abort_reason})
                 break
             loss_sum += batch_loss
-            loss_count += 1
             grads = model.backward(cache, ys)
             del logits, cache
             adam_step(params, grads, adam)
             del grads  # one gradient set alive: none during the next step or an eval
-            completed = step
+            result.completed_steps = step
 
             alpha = None
             if cfg.alpha_every > 0 and step % cfg.alpha_every == 0:
                 alpha = _alpha_violations(model, sphere)
-                if alpha == 0 and first_perfect is None:
-                    first_perfect = step
-            stopping = cfg.stop_on_perfect and first_perfect is not None
+                if alpha == 0 and result.first_perfect_step is None:
+                    result.first_perfect_step = step
+            stopping = cfg.stop_on_perfect and alpha == 0
             final = step == cfg.steps or stopping
-            do_probe = cfg.probe is not None and (step % cfg.probe.every == 0 or final)
-            if step % cfg.metric_every == 0 or final or alpha is not None or do_probe:
-                emit(step, loss_sum / loss_count, alpha, do_probe)
+            probe = cfg.probe is not None and (step % cfg.probe.every == 0 or final)
+            if step % cfg.metric_every == 0 or final or alpha is not None or probe:
+                emit(step, loss_sum / (step - result.metrics[-1].step), alpha, probe)
                 loss_sum = 0.0
-                loss_count = 0
             if stopping:
                 break
     finally:
         if writer:
             writer.close()
-    return TrainResult(model=model, metrics=metrics, completed_steps=completed,
-                       aborted=aborted, abort_reason=abort_reason,
-                       first_perfect_step=first_perfect)
+    return result

@@ -243,6 +243,7 @@ def test_a_state_member_of_npy_version_2_or_cut_short_raises_checkpoint_error(
 @pytest.mark.parametrize("family, dims", [
     ("quadratic", {"n": 7}), ("quadratic", {"n": 7, "h": -5}), ("quadratic", [7, 5]),
     ("mlp", {"n": 7, "hidden": []}), ("mlp", {"n": 7, "hidden": 6}),
+    ("quadratic", {"n": 7, "h": 0}),
 ])
 def test_dims_that_describe_no_net_raise_checkpoint_error(tmp_path, family, dims):
     path = tmp_path / "net.ckpt"

@@ -52,6 +52,10 @@ def test_quad_logit_hand_arithmetic():
 def test_quadratic_net_refuses_a_flat_w1_and_non_finite_parameters():
     with pytest.raises(ValueError, match=r"W1 must be 2-D, got shape \(3,\)"):
         QuadraticNet(np.ones(3), 1.0, -1.0)
+    with pytest.raises(ValueError, match="h must be >= 1, got 0"):
+        QuadraticNet(np.zeros((0, 5)), 1.0, -1.0)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        QuadraticNet(np.zeros((3, 0)), 1.0, -1.0)
     for W1, w, b in ((np.array([[np.inf]]), 1.0, -1.0), (np.eye(2), np.nan, -1.0),
                      (np.eye(2), 1.0, -np.inf)):
         with pytest.raises(ValueError, match="parameters must be finite"):

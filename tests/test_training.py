@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import spherelab
-from spherelab import require_bool, rng, training
-from spherelab.attack import AttackConfig, estimate_mean_distance
+from spherelab import attack, require_bool, rng, training
+from spherelab.attack import AttackConfig, estimate_mean_distance, worst_case_loss
 from spherelab.training import _ADAM_BLOCK, _ADAM_JOB
 from spherelab.dataset import SphereConfig, sample_batch
-from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init
+from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init, sigmoid_ce_loss
 from spherelab.rng import (
-    CHILD_DATASET, CHILD_MINIBATCH, CHILD_NEAREST_PROBE, RngStream, pool_workers)
+    CHILD_DATASET, CHILD_MINIBATCH, CHILD_NEAREST_PROBE, CHILD_PROBE, RngStream, pool_workers)
 from spherelab.training import (
     METRICS_SCHEMA,
     AdamState,
@@ -421,6 +421,7 @@ def test_a_negative_run_seed_is_refused_when_the_config_is_built():
     ("steps", True, True), ("nearest", "no", True), ("nearest", 0, True), ("nearest", None, True),
     ("metrics_path", 1, False), ("metrics_path", True, False), ("metrics_path", 2.5, False),
     ("metrics_path", 0, False), ("metrics_path", "", False), ("metrics_path", b"m.jsonl", False),
+    ("probe", {"every": 2}, False), ("probe", 2, False), ("probe", "every", False),
 ])
 def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
         name, value, in_probe, tmp_path, opened_writers):
@@ -462,6 +463,63 @@ def test_nearest_probe_dmean_is_the_mean_distance_on_its_keyed_stream():
         stats = estimate_mean_distance(net, sphere, attack_cfg, nearest_stream.child(event))
         assert stats.successes > 0
         assert record.attack_dmean == stats.dmean
+
+
+def test_worst_probe_event_k_runs_on_probe_child_one_plus_k_over_the_child_zero_batch(
+        monkeypatch):
+    # Probes every 2 steps and at the final step 7, records every 3: the
+    # record at step 3 carries no worst_loss, so event k != record index.
+    sphere = SphereConfig(n=10, seed=8)
+    probe = ProbeConfig(every=2, starts=4, steps=20, step_size=0.01)
+    cfg = TrainConfig(steps=7, batch_size=4, seed=8, metric_every=3, probe=probe)
+    calls = []
+
+    def spy(model, X0, labels, attack_cfg, stream):
+        calls.append((X0, labels, stream.path))
+        return worst_case_loss(model, X0, labels, attack_cfg, stream)
+
+    monkeypatch.setattr(attack, "worst_case_loss", spy)
+    result = train(small_quad(seed=8), cfg, sphere)
+    assert [m.step for m in result.metrics] == [0, 2, 3, 4, 6, 7]
+    probed = [m for m in result.metrics if m.worst_loss is not None]
+    assert [m.step for m in probed] == [0, 2, 4, 6, 7]
+    probe_stream = RngStream(8).child(CHILD_PROBE)
+    xs, ys = sample_batch(sphere, probe_stream.child(0), 4)
+    attack_cfg = AttackConfig(mode="worst", steps=20, step_size=0.01, starts=4)
+    assert len(calls) == len(probed)
+    for event, (record, (X0, labels, path)) in enumerate(zip(probed, calls)):
+        assert path == probe_stream.child(1 + event).path
+        assert (X0 == xs).all() and (labels == ys).all()
+        # The model as it was at the probe: the same run stopped at that step.
+        net = small_quad(seed=8)
+        train(net, TrainConfig(steps=record.step, batch_size=4, seed=8), sphere)
+        assert record.worst_loss == worst_case_loss(net, xs, ys, attack_cfg,
+                                                    probe_stream.child(1 + event))
+
+
+def test_train_loss_is_the_mean_batch_loss_since_the_previous_record():
+    # Records fall at metric_every 6, alpha_every 5, probe every 4 and the
+    # final step 13, so their windows are 4, 1, 1, 2, 2, 2 and 1 steps.
+    sphere = SphereConfig(n=10, seed=5)
+    net = small_quad(seed=5)
+    losses = []
+
+    def forward(xs):
+        logits, cache = QuadraticNet.forward(net, xs)
+        ys = (np.linalg.norm(xs, axis=1) > (1 + sphere.R) / 2).astype(np.uint8)
+        losses.append(float(np.mean(sigmoid_ce_loss(logits, ys))))
+        return logits, cache
+
+    net.forward = forward
+    cfg = TrainConfig(steps=13, batch_size=4, seed=5, metric_every=6, alpha_every=5,
+                      probe=ProbeConfig(every=4, starts=2, steps=2))
+    result = train(net, cfg, sphere)
+    steps = [m.step for m in result.metrics]
+    assert steps == [0, 4, 5, 6, 8, 10, 12, 13] and len(losses) == 13
+    assert result.metrics[0].train_loss is None
+    for previous, record in zip(steps, result.metrics[1:]):
+        window = losses[previous:record.step]
+        assert record.train_loss == pytest.approx(sum(window) / len(window), rel=1e-12)
 
 
 def test_nearest_probe_omits_dmean_when_every_start_fails():
@@ -653,8 +711,7 @@ def minibatch_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("fixed", [False, True])
-def test_minibatches_are_drawn_on_the_pool_and_never_past_the_last_step(fixed,
-                                                                        minibatch_draws):
+def test_minibatches_are_drawn_on_the_caller_thread_one_per_step(fixed, minibatch_draws):
     # Every batch is drawn on the caller thread, one per step.
     sphere = SphereConfig(n=10, seed=13)
     minibatch_draws["seed"] = 13
@@ -665,7 +722,7 @@ def test_minibatches_are_drawn_on_the_pool_and_never_past_the_last_step(fixed,
     assert minibatch_draws["made"] == [threading.current_thread().name] * 9
 
 
-def test_an_early_stop_draws_one_batch_past_its_last_step(minibatch_draws):
+def test_an_early_stop_draws_no_batch_past_its_last_step(minibatch_draws):
     # The run stops after step 1, and only step 1's batch was drawn.
     minibatch_draws["seed"] = 7
     cfg = TrainConfig(steps=100, batch_size=4, seed=7, alpha_every=1,
@@ -675,7 +732,7 @@ def test_an_early_stop_draws_one_batch_past_its_last_step(minibatch_draws):
     assert minibatch_draws["made"] == [threading.current_thread().name]
 
 
-def test_an_abort_draws_one_batch_past_the_aborted_step(minibatch_draws):
+def test_an_abort_draws_no_batch_past_the_aborted_step(minibatch_draws):
     # The overflow is seen at step 1, and only step 1's batch was drawn.
     net = small_quad(seed=6)
     net.W1 *= 1e200
@@ -687,7 +744,7 @@ def test_an_abort_draws_one_batch_past_the_aborted_step(minibatch_draws):
     assert minibatch_draws["made"] == [threading.current_thread().name]
 
 
-def test_a_failing_drawn_ahead_batch_propagates_and_leaves_no_draw_running(
+def test_a_failing_batch_draw_propagates_and_leaves_no_draw_running(
         tmp_path, opened_writers, minibatch_draws):
     path = tmp_path / "metrics.jsonl"
     minibatch_draws.update(seed=9, fail_at=4)
