@@ -11,7 +11,7 @@ import numbers
 
 import numpy as np
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 
 def require_int(name: str, value, least: int) -> int:
@@ -39,6 +39,13 @@ def require_ints(config, **least: int) -> None:
         object.__setattr__(config, name, require_int(name, getattr(config, name), low))
 
 
+def require_seed(seed) -> int:
+    """``seed`` as a Python int, or ``ValueError`` unless it is an unsigned 64-bit integer."""
+    if require_int("seed", seed, 0) >= 2**64:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return int(seed)
+
+
 def require_bool(name: str, value) -> bool:
     """``value``, a ``bool`` or numpy bool, as a Python bool (JSON-serializable).
 
@@ -49,14 +56,15 @@ def require_bool(name: str, value) -> bool:
     return bool(value)
 
 
-def require_above(name: str, value, low: float) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is a real number, finite and > ``low``.
-
-    As in :func:`require_int`, a ``bool`` is not a number here; a numpy
-    float or integer is.
-    """
+def require_real(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a real number other than a ``bool``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def require_above(name: str, value, low: float) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a real number, finite and > ``low``."""
+    require_real(name, value)
     if not (math.isfinite(value) and value > low):
         raise ValueError(f"{name} must be finite and > {low}, got {value!r}")
 

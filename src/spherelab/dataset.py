@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spherelab import require_int, require_ints, require_radius
+from spherelab import require_int, require_ints, require_radius, require_seed
 from spherelab.rng import RngStream
 
 _SPHERE_BLOCK = 32768  # draws per row block of sphere_points: 256 KiB of float64
@@ -37,6 +37,7 @@ class SphereConfig:
 
     def __post_init__(self) -> None:
         require_ints(self, n=2, seed=0)
+        require_seed(self.seed)
         require_radius(self.R)
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spherelab import require_int, require_radius
+from spherelab import require_int, require_radius, require_real
 from spherelab.linalg import singular_values
 from spherelab.rng import RngStream
 
@@ -156,6 +156,9 @@ class QuadraticNet:
             raise ValueError(f"W1 must be 2-D, got shape {W1.shape}")
         require_int("h", W1.shape[0], 1)
         require_int("n", W1.shape[1], 1)
+        w, b = (v[()] if isinstance(v, np.ndarray) else v for v in (w, b))  # a net's w, b are 0-d
+        require_real("w", w)
+        require_real("b", b)
         if not (np.isfinite(W1).all() and np.isfinite(w) and np.isfinite(b)):
             raise ValueError("parameters must be finite")
         self.W1 = W1.copy()
@@ -242,8 +245,8 @@ class Quadric(QuadraticNet):
     count as 0), and its transpose is ``D * s``. ``logits`` and
     ``input_grad`` are the net's, taken in z; an input gradient in z is
     V^T times the one in x. ``forward`` gives the logits in z too. The
-    quadric holds no W1, so the parameter surface (``params``, ``state``,
-    ``backward``, ``init_random``) raises ``TypeError``.
+    quadric holds no W1, so the parameter surface (``W1``, ``params``,
+    ``state``, ``backward``, ``init_random``) raises ``TypeError``.
     """
 
     def __init__(self, net: QuadraticNet, gram: np.ndarray) -> None:
@@ -267,6 +270,7 @@ class Quadric(QuadraticNet):
         raise TypeError("a Quadric has no parameters; train or save the QuadraticNet")
 
     params = state = backward = _refuse
+    W1 = property(_refuse)
     init_random = classmethod(_refuse)
 
 

@@ -9,7 +9,7 @@ distinct paths differ in key or counter. numpy's Philox advances counter
 word 0 first, so a stream keeps to its own counter range for 2**64 - 1
 blocks of four words: substreams are disjoint by construction, not just
 with high probability. The library's deepest path has four indices
-(nearest probes, probe event, PGD, jitter row). Version 0.5.0 moved the
+(nearest probes, step, PGD, jitter row). Version 0.5.0 moved the
 streams of depth 2 or more; the root (key ``[seed, 0]``) and depth-1
 (``[seed, 1 + k]``) streams kept their words. Raw words are the counter
 words; a uniform (numpy's ``Generator.random``, the top 53 bits of a word)
@@ -52,13 +52,13 @@ Stream-index registry (children of a root stream, see :meth:`RngStream.child`):
 child  purpose
 ====== ==================================================================
 1      fixed training set (a child of the sphere seed, not the run seed)
-2      training minibatches (online draws or fixed-set indices)
+2      minibatch of step k (child k): online draws or fixed-set indices
 3      model initialization
-4      fresh evaluation samples
-5      error-rate Monte Carlo
+4      fresh evaluation samples of the record at step k (child k)
+5      error-rate Monte Carlo of the record at step k (child k)
 6      attack starts and saddle jitter
-7      in-training probe starts (child 0) and worst-mode probes
-8      in-training nearest-mode probes
+7      in-training probe batch (child 0) and step k's worst probe (1 + k)
+8      in-training nearest-mode probe at step k (child k)
 ====== ==================================================================
 """
 
@@ -71,7 +71,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.random import Philox
 
-from spherelab import require_above, require_int
+from spherelab import require_above, require_int, require_seed
 
 _U64 = np.uint64
 _DEPTH = 4  # path levels: one in the key, three in the counter
@@ -96,14 +96,13 @@ class RngStream:
     """
 
     def __init__(self, seed: int, *path: int) -> None:
-        if require_int("seed", seed, 0) >= 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        seed = require_seed(seed)
         if len(path) > _DEPTH:
             raise ValueError(f"a stream path has at most {_DEPTH} child indices, got {len(path)}")
         for index in path:
             if require_int("child index", index, 0) > 2**64 - 2:
                 raise ValueError(f"child index must be in [0, 2**64 - 2], got {index}")
-        self.seed, self.path = int(seed), tuple(int(index) for index in path)
+        self.seed, self.path = seed, tuple(int(index) for index in path)
         words = [index + 1 for index in self.path] + [0] * (_DEPTH - len(path))
         self._bits = Philox(key=np.array([self.seed, words[0]], dtype=_U64),
                             counter=np.array([0, *words[1:]], dtype=_U64))

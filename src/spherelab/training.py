@@ -1,25 +1,22 @@
 """Adam training over online or fixed sphere data, with metric streams.
 
-The loop is deterministic per seed: minibatches, fresh evaluation samples,
-error-rate Monte Carlo, and attack probes all draw from fixed substreams
-of the run seed (see the registry in :mod:`spherelab.rng`). A fixed
-training set of N points is the first N draws of the dataset child of
-the sphere seed, not of the run seed, so runs with the same sphere and N
-train on the same points, whatever their ``TrainConfig.seed``. Metrics are
-emitted at a configured cadence as step-keyed records; a metrics file is
-JSON lines with a schema header. Record k (from 0) takes ``child(k)`` of
-the eval and error-MC streams; probe event k takes ``child(1 + k)`` of the
-probe stream (worst mode) and ``child(k)`` of the nearest-probe stream.
-A child index may reach 2**64 - 2 (see :mod:`spherelab.rng`), so no
-schedule runs out of keys. A non-finite training loss aborts the run,
-restoring the model's whole ``state()`` (batch-norm statistics too) from
-the last metric point.
+The loop is deterministic per seed: every draw comes from a substream of
+the run seed (see the registry in :mod:`spherelab.rng`), keyed by the
+step it serves. The minibatch of step k >= 1 is ``child(k)`` of the
+minibatch stream. The record at step k >= 0 takes ``child(k)`` of the
+eval, error-MC and nearest-probe streams, and runs its worst-mode probe
+on ``child(1 + k)`` of the probe stream over the probe batch of
+``child(0)``. So no draw depends on an earlier one or on the record
+cadence, and a resume saves no stream state and no counter. These keys
+are a stream change of version 0.9.0; each draw keeps its law.
 
-Each minibatch is drawn on the caller thread when its step begins, so
-after step k the minibatch stream has drawn exactly k batches, and that
-is the stream state a resume saves. The loop keeps no counter outside
-its records: probe event k is the number of earlier records with a
-``worst_loss``, and ``train_loss`` averages the steps since the last record.
+A fixed training set of N points is the first N draws of the dataset
+child of the sphere seed, not of the run seed, so runs with the same
+sphere and N train on the same points, whatever their
+``TrainConfig.seed``. Metrics are emitted at a configured cadence as
+step-keyed records; a metrics file is JSON lines with a schema header. A
+non-finite training loss aborts the run, restoring the model's whole
+``state()`` (batch-norm statistics too) from the last metric point.
 
 Quadratic nets additionally report their ellipsoid-coefficient violation
 count at a separate (coarser) cadence, since each check costs an SVD of
@@ -27,12 +24,7 @@ the h x n first-layer weights; other models have none, and are refused.
 
 The error-rate Monte Carlo of a quadratic net with at least 8 samples per
 input dimension runs in the eigenbasis of its quadric, from one n x n
-eigensolve per call, and forms no shell point (see
-:func:`evaluate_error_rate`). Since version 0.4.0 the counts of such calls
-differ from those of the point-by-point path; their law does not. Since
-version 0.6.0 each drawn direction serves one inner and one outer sample,
-so a call draws half the normals it did; each shell's count keeps its
-binomial law.
+eigensolve per call (see :func:`evaluate_error_rate`).
 """
 
 from __future__ import annotations
@@ -46,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 import spherelab
-from spherelab import attack as attack_mod, require_above, require_bool, require_int, require_ints
+from spherelab import (
+    attack as attack_mod, require_above, require_bool, require_int, require_ints, require_seed)
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import (
     MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, quadric_gram, sigmoid_ce_loss)
@@ -221,6 +214,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         require_ints(self, steps=0, batch_size=1, seed=0, train_set_size=0, metric_every=1,
                      eval_batch=1, error_eval_samples=0, alpha_every=0)
+        require_seed(self.seed)
         require_above("lr", self.lr, 0)
         self.stop_on_perfect = require_bool("stop_on_perfect", self.stop_on_perfect)
         if self.stop_on_perfect and self.alpha_every <= 0:
@@ -467,18 +461,20 @@ def _manifest(cfg: TrainConfig, sphere: SphereConfig) -> dict:
             "train": asdict(cfg) | {"metrics_path": os.fspath(cfg.metrics_path)}}
 
 
-def _minibatches(cfg: TrainConfig, sphere: SphereConfig, stream: RngStream):
+def _minibatches(cfg: TrainConfig, sphere: SphereConfig):
     """Yield the ``cfg.steps`` training minibatches, each drawn when it is asked for.
 
-    An online batch is one :func:`spherelab.dataset.sample_batch`. With
+    The batch of step k is drawn on ``RngStream(cfg.seed, CHILD_MINIBATCH,
+    k)``: online, one :func:`spherelab.dataset.sample_batch`. With
     ``cfg.train_set_size`` N > 0 the set is one ``sample_batch`` of N
     points on the dataset child of the sphere seed, built at the first
     batch, and a batch indexes it with one uniform per row.
     """
     size = cfg.train_set_size
     if size:
-        xs, labels = sample_batch(sphere, RngStream(sphere.seed).child(CHILD_DATASET), size)
-    for _ in range(cfg.steps):
+        xs, labels = sample_batch(sphere, RngStream(sphere.seed, CHILD_DATASET), size)
+    for step in range(1, cfg.steps + 1):
+        stream = RngStream(cfg.seed, CHILD_MINIBATCH, step)
         if not size:
             yield sample_batch(sphere, stream, cfg.batch_size)
         else:
@@ -495,42 +491,32 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     if cfg.alpha_every > 0 and not isinstance(model, QuadraticNet):
         raise ValueError("alpha_every > 0 needs a QuadraticNet: only it has an alpha spectrum")
 
-    root = RngStream(cfg.seed)
-    data_stream = root.child(CHILD_MINIBATCH)
-    eval_stream = root.child(CHILD_EVAL)
-    errmc_stream = root.child(CHILD_ERROR_MC)
-    probe_stream = root.child(CHILD_PROBE)
-    nearest_stream = root.child(CHILD_NEAREST_PROBE)
-
     params = model.params()
     state = model.state()
     snapshot = {k: np.empty_like(v) for k, v in state.items()}  # filled at each record
     adam = AdamState.for_params(params, lr=cfg.lr)
     result = TrainResult(model=model, metrics=[], completed_steps=0)
-    if cfg.probe is not None:
-        probe_batch = sample_batch(sphere, probe_stream.child(0), cfg.probe.starts)
 
     def emit(step: int, train_loss: float | None, alpha: int | None, probe: bool) -> None:
         wl = dmean = None
         if probe:
-            event = sum(m.worst_loss is not None for m in result.metrics)
-            xs, ys = probe_batch
+            xs, ys = sample_batch(sphere, RngStream(cfg.seed, CHILD_PROBE, 0), cfg.probe.starts)
             worst = attack_mod.AttackConfig(mode="worst", steps=cfg.probe.steps,
                                             step_size=cfg.probe.step_size, starts=len(ys))
-            wl = attack_mod.worst_case_loss(model, xs, ys, worst, probe_stream.child(1 + event))
+            wl = attack_mod.worst_case_loss(model, xs, ys, worst,
+                                            RngStream(cfg.seed, CHILD_PROBE, 1 + step))
             if cfg.probe.nearest:
                 stats = attack_mod.estimate_mean_distance(
                     model, sphere,
                     attack_mod.AttackConfig(mode="nearest", starts=cfg.probe.starts),
-                    nearest_stream.child(event))
+                    RngStream(cfg.seed, CHILD_NEAREST_PROBE, step))
                 dmean = None if stats.all_failed else stats.dmean
-        record = len(result.metrics)
         rate = upper = None
         if cfg.error_eval_samples > 0:
             est = evaluate_error_rate(model, sphere, cfg.error_eval_samples,
-                                      errmc_stream.child(record))
+                                      RngStream(cfg.seed, CHILD_ERROR_MC, step))
             rate, upper = est.rate, est.upper95
-        xs, ys = sample_batch(sphere, eval_stream.child(record), cfg.eval_batch)
+        xs, ys = sample_batch(sphere, RngStream(cfg.seed, CHILD_EVAL, step), cfg.eval_batch)
         rec = MetricsRecord(step=step, train_loss=train_loss,
                             eval_loss=float(np.mean(sigmoid_ce_loss(model.logits(xs), ys))),
                             error_rate=rate, error_upper95=upper, attack_dmean=dmean,
@@ -548,7 +534,7 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         alpha0 = _alpha_violations(model, sphere) if cfg.alpha_every > 0 else None
         emit(0, None, alpha0, probe=cfg.probe is not None)
 
-        for step, (xs, ys) in enumerate(_minibatches(cfg, sphere, data_stream), start=1):
+        for step, (xs, ys) in enumerate(_minibatches(cfg, sphere), start=1):
             logits, cache = model.forward(xs)
             batch_loss = float(np.mean(sigmoid_ce_loss(logits, ys)))
             if not np.isfinite(batch_loss):

@@ -25,6 +25,10 @@ def test_config_validation():
         SphereConfig(n=5, seed=2.5)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         SphereConfig(n=5, seed=-1)
+    # 2**64 was accepted here and refused by RngStream only once a run drew from it.
+    with pytest.raises(ValueError, match=f"^seed must be an unsigned 64-bit integer, got {2**64}$"):
+        SphereConfig(n=5, seed=2**64)
+    assert SphereConfig(n=5, seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_require_ints_names_the_field_and_stores_numpy_integers_as_ints():

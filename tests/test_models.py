@@ -3,6 +3,8 @@ import pytest
 from conftest import gradient_check, mean_loss
 
 from spherelab import models, training
+from spherelab.attack import AttackConfig, run_attack
+from spherelab.dataset import SphereConfig
 from spherelab.linalg import singular_values
 from spherelab.models import (
     AlphaSpectrum,
@@ -60,6 +62,15 @@ def test_quadratic_net_refuses_a_flat_w1_and_non_finite_parameters():
                      (np.eye(2), 1.0, -np.inf)):
         with pytest.raises(ValueError, match="parameters must be finite"):
             QuadraticNet(W1, w, b)
+    # "1" once raised numpy's bare TypeError from isfinite, and True was stored as 1.0.
+    for w, b, name in (("1", -1.0, "w"), (True, -1.0, "w"), (1.0, None, "b"),
+                       (1.0, np.True_, "b"), (1.0, np.array([-1.0]), "b")):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            QuadraticNet(np.eye(2), w, b)
+    net = QuadraticNet(np.eye(2), np.float32(0.5), np.int64(-1))
+    assert (float(net.w), float(net.b)) == (0.5, -1.0)
+    copy = QuadraticNet(net.W1, net.w, net.b)  # a net's own w and b are 0-d arrays
+    assert (float(copy.w), float(copy.b)) == (0.5, -1.0)
 
 
 def test_quad_logit_dimension_mismatch():
@@ -112,8 +123,14 @@ def test_quadric_refuses_the_parameter_surface_it_does_not_have():
     net = QuadraticNet.init_random(6, 4, RngStream(19))
     quadric = Quadric(net, quadric_gram(net))
     _, cache = quadric.forward(np.eye(6))
+    # Each call past quadric.W1 once raised a bare AttributeError.
+    sphere = SphereConfig(n=6)
     for call in (quadric.params, quadric.state, lambda: quadric.backward(cache, np.zeros(6)),
-                 lambda: Quadric.init_random(6, 4, RngStream(1))):
+                 lambda: Quadric.init_random(6, 4, RngStream(1)), lambda: quadric.W1,
+                 lambda: training.evaluate_error_rate(quadric, sphere, 8 * 6, RngStream(1)),
+                 lambda: run_attack(quadric, sphere, AttackConfig(mode="nearest", steps=30),
+                                    RngStream(1)),
+                 lambda: alpha_spectrum(quadric, R)):
         with pytest.raises(TypeError, match="a Quadric has no parameters"):
             call()
 

@@ -13,7 +13,8 @@ from spherelab.training import _ADAM_BLOCK, _ADAM_JOB
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import MlpNet, QuadraticNet, quad_perfect_init, sigmoid_ce_loss
 from spherelab.rng import (
-    CHILD_DATASET, CHILD_MINIBATCH, CHILD_NEAREST_PROBE, CHILD_PROBE, RngStream, pool_workers)
+    CHILD_DATASET, CHILD_ERROR_MC, CHILD_EVAL, CHILD_MINIBATCH, CHILD_NEAREST_PROBE, CHILD_PROBE,
+    RngStream, pool_workers)
 from spherelab.training import (
     METRICS_SCHEMA,
     AdamState,
@@ -268,8 +269,8 @@ def test_fixed_batches_index_the_set_drawn_from_the_sphere_seed():
     xs, labels = sample_batch(sphere, RngStream(sphere.seed).child(CHILD_DATASET), 32)
     minibatch = RngStream(cfg.seed).child(CHILD_MINIBATCH)
     assert len(seen) == 5
-    for batch_xs, batch_ys in seen:
-        idx = (minibatch.uniforms(8) * 32).astype(np.int64)
+    for step, (batch_xs, batch_ys) in enumerate(seen, start=1):
+        idx = (minibatch.child(step).uniforms(8) * 32).astype(np.int64)
         assert batch_xs.tobytes() == xs[idx].tobytes()
         assert batch_ys.tobytes() == labels[idx].tobytes()
 
@@ -422,15 +423,18 @@ def test_a_negative_run_seed_is_refused_when_the_config_is_built():
     ("metrics_path", 1, False), ("metrics_path", True, False), ("metrics_path", 2.5, False),
     ("metrics_path", 0, False), ("metrics_path", "", False), ("metrics_path", b"m.jsonl", False),
     ("probe", {"every": 2}, False), ("probe", 2, False), ("probe", "every", False),
+    ("seed", 2**64, False),
 ])
 def test_bad_config_raises_at_construction_and_opens_no_metrics_file(
         name, value, in_probe, tmp_path, opened_writers):
     path = tmp_path / "metrics.jsonl"
+    built = []
     with pytest.raises(ValueError, match=name):
         kwargs = {"steps": 5, "batch_size": 4, "metrics_path": str(path)}
         kwargs.update({"probe": ProbeConfig(**{name: value})} if in_probe else {name: value})
-        cfg = TrainConfig(**kwargs)
-        train(small_quad(), cfg, SphereConfig(n=10))
+        built.append(TrainConfig(**kwargs))
+        train(small_quad(), built[0], SphereConfig(n=10))
+    assert built == []
     assert opened_writers == []
     assert not path.exists()
 
@@ -456,19 +460,18 @@ def test_nearest_probe_dmean_is_the_mean_distance_on_its_keyed_stream():
     assert [m.step for m in probed] == [0, 10, 20]
     attack_cfg = AttackConfig(mode="nearest", starts=6)
     nearest_stream = RngStream(8).child(CHILD_NEAREST_PROBE)
-    for event, record in enumerate(probed):
+    for record in probed:
         # The model as it was at the probe: the same run stopped at that step.
         net = small_quad(seed=8)
         train(net, TrainConfig(steps=record.step, batch_size=4, seed=8), sphere)
-        stats = estimate_mean_distance(net, sphere, attack_cfg, nearest_stream.child(event))
+        stats = estimate_mean_distance(net, sphere, attack_cfg, nearest_stream.child(record.step))
         assert stats.successes > 0
         assert record.attack_dmean == stats.dmean
 
 
-def test_worst_probe_event_k_runs_on_probe_child_one_plus_k_over_the_child_zero_batch(
-        monkeypatch):
-    # Probes every 2 steps and at the final step 7, records every 3: the
-    # record at step 3 carries no worst_loss, so event k != record index.
+def test_worst_probe_at_step_k_runs_on_child_one_plus_k_over_the_child_zero_batch(monkeypatch):
+    # Probes every 2 steps and at the final step 7, records every 3: a
+    # probe's step is neither its index among the probes nor among the records.
     sphere = SphereConfig(n=10, seed=8)
     probe = ProbeConfig(every=2, starts=4, steps=20, step_size=0.01)
     cfg = TrainConfig(steps=7, batch_size=4, seed=8, metric_every=3, probe=probe)
@@ -487,14 +490,39 @@ def test_worst_probe_event_k_runs_on_probe_child_one_plus_k_over_the_child_zero_
     xs, ys = sample_batch(sphere, probe_stream.child(0), 4)
     attack_cfg = AttackConfig(mode="worst", steps=20, step_size=0.01, starts=4)
     assert len(calls) == len(probed)
-    for event, (record, (X0, labels, path)) in enumerate(zip(probed, calls)):
-        assert path == probe_stream.child(1 + event).path
-        assert (X0 == xs).all() and (labels == ys).all()
+    for record, (X0, labels, path) in zip(probed, calls):
+        assert path == probe_stream.child(1 + record.step).path
+        assert X0.tobytes() == xs.tobytes() and labels.tobytes() == ys.tobytes()
         # The model as it was at the probe: the same run stopped at that step.
         net = small_quad(seed=8)
         train(net, TrainConfig(steps=record.step, batch_size=4, seed=8), sphere)
         assert record.worst_loss == worst_case_loss(net, xs, ys, attack_cfg,
-                                                    probe_stream.child(1 + event))
+                                                    probe_stream.child(1 + record.step))
+
+
+def test_a_record_reads_the_draws_of_its_step_whatever_the_record_cadence():
+    # Records every 2 and every 3 steps share steps 0, 6 and 12, where the
+    # two runs hold records 3 and 2, then 6 and 4: each record's eval batch,
+    # error-rate chunks and probes are keyed by its step alone.
+    sphere = SphereConfig(n=10, seed=24)
+    runs = []
+    for every in (2, 3):
+        cfg = TrainConfig(steps=12, batch_size=4, seed=24, metric_every=every,
+                          error_eval_samples=400, eval_batch=64,
+                          probe=ProbeConfig(every=every, starts=4, steps=5, nearest=True))
+        runs.append({m.step: m for m in train(small_quad(seed=24), cfg, sphere).metrics})
+    assert sorted(runs[0].keys() & runs[1].keys()) == [0, 6, 12]
+    for step in (0, 6, 12):
+        a, b = (run[step].to_dict() | {"train_loss": None} for run in runs)  # windows differ
+        assert a == b
+        assert 0 < a["error_rate"] < 1 and "attack_dmean" in a
+    # The eval and error-MC draws of step 6 are child 6 of their streams.
+    net = small_quad(seed=24)
+    train(net, TrainConfig(steps=6, batch_size=4, seed=24), sphere)
+    xs, ys = sample_batch(sphere, RngStream(24, CHILD_EVAL, 6), 64)
+    assert runs[0][6].eval_loss == float(np.mean(sigmoid_ce_loss(net.logits(xs), ys)))
+    assert runs[0][6].error_rate == evaluate_error_rate(
+        net, sphere, 400, RngStream(24, CHILD_ERROR_MC, 6)).rate
 
 
 def test_train_loss_is_the_mean_batch_loss_since_the_previous_record():
@@ -536,7 +564,7 @@ def test_nearest_probe_omits_dmean_when_every_start_fails():
 
 
 def test_a_paper_length_run_probed_every_ten_steps_trains():
-    # 10^6 steps key up to 10^6 + 1 records and 100001 probe events.
+    # 10^6 steps key draws up to child(1 + 10^6) of the probe stream.
     cfg = TrainConfig(steps=1_000_000, metric_every=1, alpha_every=1, stop_on_perfect=True,
                       probe=ProbeConfig(every=10, starts=2, steps=2))
     result = train(quad_perfect_init(10, 12), cfg, SphereConfig(n=10, seed=1))
@@ -681,22 +709,23 @@ def test_metrics_file_closed_when_a_step_raises(tmp_path, opened_writers):
 
 @pytest.fixture
 def minibatch_draws(monkeypatch):
-    """Draws made on a run's minibatch stream: ``sample_batch`` calls online, ``uniforms`` fixed.
+    """Draws made on a run's minibatch streams: ``sample_batch`` calls online, ``uniforms`` fixed.
 
-    ``draws["seed"]`` picks the run. Each draw logs the name of the thread
-    it runs on in ``draws["made"]``; draw number ``draws["fail_at"]``
-    (counted from 1) raises instead.
+    ``draws["seed"]`` picks the run. Each draw on a stream
+    ``RngStream(seed, CHILD_MINIBATCH, k)`` logs the name of the thread it
+    runs on and its key k in ``draws["made"]``; draw number
+    ``draws["fail_at"]`` (counted from 1) raises instead.
     """
     draws = {"seed": None, "made": [], "running": 0, "fail_at": None}
     sample, uniforms = training.sample_batch, RngStream.uniforms
 
     def counted(stream, fn, *args):
-        if (draws["running"] or draws["seed"] is None  # the coins inside a sample_batch
-                or stream.path != RngStream(draws["seed"]).child(CHILD_MINIBATCH).path):
+        if (draws["running"] or stream.seed != draws["seed"]  # the coins inside a sample_batch
+                or len(stream.path) != 2 or stream.path[0] != CHILD_MINIBATCH):
             return fn(*args)
         draws["running"] += 1
         try:
-            draws["made"].append(threading.current_thread().name)
+            draws["made"].append((threading.current_thread().name, stream.path[1]))
             if len(draws["made"]) == draws["fail_at"]:
                 raise FloatingPointError("injected draw failure")
             return fn(*args)
@@ -712,14 +741,14 @@ def minibatch_draws(monkeypatch):
 
 @pytest.mark.parametrize("fixed", [False, True])
 def test_minibatches_are_drawn_on_the_caller_thread_one_per_step(fixed, minibatch_draws):
-    # Every batch is drawn on the caller thread, one per step.
+    # Every batch is drawn on the caller thread, one per step, on the child keyed by its step.
     sphere = SphereConfig(n=10, seed=13)
     minibatch_draws["seed"] = 13
     cfg = TrainConfig(steps=9, batch_size=4, seed=13, train_set_size=64 if fixed else 0,
                       metric_every=4)
     result = train(small_quad(seed=13), cfg, sphere)
     assert result.completed_steps == 9
-    assert minibatch_draws["made"] == [threading.current_thread().name] * 9
+    assert minibatch_draws["made"] == [(threading.current_thread().name, k) for k in range(1, 10)]
 
 
 def test_an_early_stop_draws_no_batch_past_its_last_step(minibatch_draws):
@@ -729,7 +758,7 @@ def test_an_early_stop_draws_no_batch_past_its_last_step(minibatch_draws):
                       stop_on_perfect=True, metric_every=50)
     result = train(quad_perfect_init(10, 12), cfg, SphereConfig(n=10, seed=7))
     assert result.completed_steps == 1
-    assert minibatch_draws["made"] == [threading.current_thread().name]
+    assert minibatch_draws["made"] == [(threading.current_thread().name, 1)]
 
 
 def test_an_abort_draws_no_batch_past_the_aborted_step(minibatch_draws):
@@ -741,7 +770,7 @@ def test_an_abort_draws_no_batch_past_the_aborted_step(minibatch_draws):
         result = train(net, TrainConfig(steps=10, batch_size=4, seed=6),
                        SphereConfig(n=10, seed=6))
     assert result.aborted and result.completed_steps == 0
-    assert minibatch_draws["made"] == [threading.current_thread().name]
+    assert minibatch_draws["made"] == [(threading.current_thread().name, 1)]
 
 
 def test_a_failing_batch_draw_propagates_and_leaves_no_draw_running(
@@ -754,7 +783,8 @@ def test_a_failing_batch_draw_propagates_and_leaves_no_draw_running(
     assert len(opened_writers) == 1 and opened_writers[0]._f.closed
     records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
     assert [r["step"] for r in records] == [0, 2]
-    assert len(minibatch_draws["made"]) == 4 and minibatch_draws["running"] == 0
+    assert [k for _, k in minibatch_draws["made"]] == [1, 2, 3, 4]
+    assert minibatch_draws["running"] == 0
 
 
 def test_concurrent_train_calls_share_the_pool_and_agree():
