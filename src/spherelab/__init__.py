@@ -69,6 +69,12 @@ def require_above(name: str, value, low: float) -> None:
         raise ValueError(f"{name} must be finite and > {low}, got {value!r}")
 
 
+def require_dim(model, n: int) -> None:
+    """``ValueError`` unless ``model``'s input dimension ``model.n`` is ``n``, the sphere's."""
+    if getattr(model, "n", None) != n:
+        raise ValueError(f"model dim {getattr(model, 'n', None)} != sphere dim {n}")
+
+
 def require_radius(R) -> None:
     """``ValueError`` unless ``R`` is an outer-shell radius: finite and > 1."""
     require_above("outer radius", R, 1)

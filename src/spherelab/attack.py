@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spherelab import require_above, require_ints
+from spherelab import require_above, require_dim, require_ints
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import Quadric, QuadraticNet, classify, quadric_gram, sigmoid_ce_loss
 from spherelab.rng import RngStream, _shard_map
@@ -250,8 +250,10 @@ def run_attack(model, sphere: SphereConfig, cfg: AttackConfig, stream: RngStream
     (Z0 = X0 V), ``_pgd_batch`` runs on the :class:`spherelab.models.Quadric`,
     and each kept iterate is rotated back (x = V z), its distance taken in
     x from the drawn start. A kept iterate that is its own start maps back
-    to that start exactly.
+    to that start exactly. A model whose input dimension is not the
+    sphere's raises ``ValueError`` before any start is drawn.
     """
+    require_dim(model, sphere.n)
     xs, labels = sample_batch(sphere, stream.child(0), cfg.starts, shell)
     gram = None
     if isinstance(model, QuadraticNet) and cfg.steps >= _EIGENBASIS_STEPS:

@@ -61,16 +61,11 @@ class InfeasibleTargetError(ValueError):
     """No subspace of any size reaches the requested error rate."""
 
 
-def _gammas(spec: AlphaSpectrum, shell: str) -> np.ndarray:
-    if shell not in ("inner", "outer"):
-        raise ValueError(f"shell must be 'inner' or 'outer', got {shell!r}")
-    alphas = np.asarray(spec.alphas, dtype=np.float64)
-    return alphas if shell == "inner" else (spec.R * spec.R) * alphas
-
-
 def clt_error_rate(spec: AlphaSpectrum, shell: str) -> float:
     """Gaussian estimate of the shell error rate of an ellipsoid boundary."""
-    gamma = _gammas(spec, shell)
+    if shell not in ("inner", "outer"):
+        raise ValueError(f"shell must be 'inner' or 'outer', got {shell!r}")
+    gamma = spec.alphas if shell == "inner" else (spec.R * spec.R) * spec.alphas
     if gamma.size < _CLT_MIN_DIM:
         warnings.warn(
             f"CLT error estimate with n={gamma.size} < {_CLT_MIN_DIM} is outside "
@@ -144,11 +139,14 @@ def bound_curve(n: int, mus: list[float], samples: int,
     and then ``chisquares(n - 1, count)`` from ``stream.child(c)`` and sums
     both distances at every cap height; the chunks run in order on the
     caller thread. An ``n`` that is not an integer >= 2, a ``samples``
-    that is not one >= 10^4, or a mu whose Gaussian height exceeds 1 (the
-    exact chord needs ``t <= 1``) raises ``ValueError`` before any chunk
-    is drawn, and an empty ``mus`` draws none.
+    that is not one >= 10^4, a ``mus`` that is not a sequence, or a mu
+    whose Gaussian height exceeds 1 (the exact chord needs ``t <= 1``)
+    raises ``ValueError`` before any chunk is drawn, and an empty ``mus``
+    draws none.
     """
     n, samples = require_int("n", n, 2), require_int("samples", samples, 10**4)
+    if np.ndim(mus) != 1:
+        raise ValueError(f"mus must be a sequence of cap measures, got {mus!r}")
     heights = [theorem_bound(mu, n) for mu in mus]
     for mu, t in zip(mus, heights):
         if t > 1.0:

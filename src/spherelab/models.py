@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spherelab import require_int, require_radius, require_real
+from spherelab import require_above, require_bool, require_int, require_radius, require_real
 from spherelab.linalg import singular_values
 from spherelab.rng import RngStream
 
@@ -126,13 +126,21 @@ def classify(logits) -> np.ndarray:
     return (np.asarray(logits) > 0.0).astype(np.uint8)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlphaSpectrum:
     """Ellipsoid coefficients of a quadratic net, judged against radius R."""
 
     alphas: np.ndarray  # descending, length n
     R: float
     padded: bool = False  # True when h < n forced zero padding
+
+    def __post_init__(self) -> None:
+        # NaN alphas stay: is_perfect counts them as violations.
+        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=np.float64))
+        if self.alphas.ndim != 1:
+            raise ValueError(f"alphas must be 1-D, got shape {self.alphas.shape}")
+        require_above("R", self.R, 0)
+        object.__setattr__(self, "padded", require_bool("padded", self.padded))
 
 
 def is_perfect(spec: AlphaSpectrum) -> tuple[bool, int]:
@@ -327,8 +335,8 @@ class MlpNet:
     family = "mlp"
 
     def __init__(self, n: int, hidden: tuple[int, ...]) -> None:
-        if not hidden:
-            raise ValueError("need at least one hidden layer")
+        if np.ndim(hidden) != 1 or not len(hidden):
+            raise ValueError(f"hidden must list at least one hidden layer width, got {hidden!r}")
         self.n = require_int("n", n, 1)
         self.hidden = tuple(require_int(f"hidden[{i}]", width, 1)
                             for i, width in enumerate(hidden))

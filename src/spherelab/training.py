@@ -7,8 +7,9 @@ minibatch stream. The record at step k >= 0 takes ``child(k)`` of the
 eval, error-MC and nearest-probe streams, and runs its worst-mode probe
 on ``child(1 + k)`` of the probe stream over the probe batch of
 ``child(0)``. So no draw depends on an earlier one or on the record
-cadence, and a resume saves no stream state and no counter. These keys
-are a stream change of version 0.9.0; each draw keeps its law.
+cadence (a stream change of version 0.9.0; each draw keeps its law), and
+Adam's update count is the step: a resume at a record saves the model's
+``state()``, Adam's m and v, the step and the records, and nothing else.
 
 A fixed training set of N points is the first N draws of the dataset
 child of the sphere seed, not of the run seed, so runs with the same
@@ -39,7 +40,8 @@ import numpy as np
 
 import spherelab
 from spherelab import (
-    attack as attack_mod, require_above, require_bool, require_int, require_ints, require_seed)
+    attack as attack_mod, require_above, require_bool, require_dim, require_int, require_ints,
+    require_seed)
 from spherelab.dataset import SphereConfig, sample_batch
 from spherelab.models import (
     MlpNet, QuadraticNet, alpha_spectrum, classify, is_perfect, quadric_gram, sigmoid_ce_loss)
@@ -71,36 +73,18 @@ _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    """Per-parameter moment accumulators, step count and learning rate."""
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
-    lr: float = 1e-4
-
-    @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], lr: float = 1e-4) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(v) for k, v in params.items()},
-            v={k: np.zeros_like(v) for k, v in params.items()},
-            lr=lr,
-        )
-
-
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState) -> AdamState:
-    """One bias-corrected Adam update, mutating ``params`` in place.
+              m: dict[str, np.ndarray], v: dict[str, np.ndarray], t: int, lr: float) -> None:
+    """Adam update ``t`` at rate ``lr``, mutating ``params``, ``m`` and ``v`` in place.
 
-    This is Algorithm 1 of Kingma & Ba (2015): with ``t`` the updated step
-    count, ``m`` and ``v`` the moving averages of ``g`` and ``g**2``,
+    This is Algorithm 1 of Kingma & Ba (2015): with ``t`` the 1-based
+    update count (:func:`train` passes its step), ``m`` and ``v`` the
+    moving averages of ``g`` and ``g**2``, keyed and shaped like ``params``,
 
         p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
 
     so ``eps`` is added outside the square root of the bias-corrected
     ``v``; ``beta1`` = 0.9, ``beta2`` = 0.999 and ``eps`` = 1e-8 are fixed.
-    ``state`` (``t``, ``m``, ``v``) is advanced and returned.
 
     Monotone descent is not promised: ``m`` is a momentum term, so on a
     convex bowl the iterate can overshoot the minimum and ``|p - p*|`` can
@@ -109,11 +93,12 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     when ``1 - beta1 > sqrt(1 - beta2)``, else roughly ``lr`` (Kingma & Ba,
     section 2.1).
 
-    Every parameter, gradient and moment is checked before anything is
-    updated: a missing name, a shape that differs from the parameter's or
-    a ``p``, ``m`` or ``v`` that is not C-contiguous (they are updated
-    through flat views) raises ``ValueError`` naming the parameter, and
-    leaves ``params`` and ``state`` as they were.
+    Every argument is checked before anything is updated: a ``t`` that is
+    not an integer >= 1 or an ``lr`` that is not finite and > 0 raises
+    ``ValueError`` naming it; a missing name, a shape that differs from
+    the parameter's or a ``p``, ``m`` or ``v`` that is not C-contiguous
+    (they are updated through flat views) raises ``ValueError`` naming the
+    parameter. Either leaves ``params``, ``m`` and ``v`` as they were.
 
     The update runs over blocks of 32768 elements of each parameter's flat
     view, so its working set stays in cache. The blocks of all parameters,
@@ -125,23 +110,24 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     same element, so the bits depend on neither the block size, the job
     split nor the pool size.
     """
+    t = require_int("t", t, 1)
+    require_above("lr", lr, 0)
     flat = []
     for name, p in params.items():
-        g, m, v = grads.get(name), state.m.get(name), state.v.get(name)
+        g, mp, vp = grads.get(name), m.get(name), v.get(name)
         if g is None:
             raise ValueError(f"no gradient for parameter {name!r}")
-        if m is None or v is None:
+        if mp is None or vp is None:
             raise ValueError(f"no Adam moments for parameter {name!r}")
-        for label, a in (("gradient", g), ("m", m), ("v", v)):
+        for label, a in (("gradient", g), ("m", mp), ("v", vp)):
             if a.shape != p.shape:
                 raise ValueError(f"{label} shape {a.shape} != param shape {p.shape} for {name!r}")
-        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+        if not (p.flags.c_contiguous and mp.flags.c_contiguous and vp.flags.c_contiguous):
             raise ValueError(f"Adam updates {name!r} in place and needs it C-contiguous")
-        flat.append((p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)))
+        flat.append((p.reshape(-1), g.reshape(-1), mp.reshape(-1), vp.reshape(-1)))
 
-    state.t += 1
-    c2 = 1.0 - _ADAM_BETA2 ** state.t
-    step = state.lr / (1.0 - _ADAM_BETA1 ** state.t)
+    c2 = 1.0 - _ADAM_BETA2 ** t
+    step = lr / (1.0 - _ADAM_BETA1 ** t)
     blocks = [tuple(a[start:start + _ADAM_BLOCK] for a in arrays)
               for arrays in flat for start in range(0, arrays[0].size, _ADAM_BLOCK)]
     jobs = range(0, len(blocks), _ADAM_JOB)  # each job's first block
@@ -165,7 +151,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             pb -= scratch
 
     _shard_map(run, jobs)
-    return state
 
 
 @dataclass(frozen=True)
@@ -368,8 +353,7 @@ def evaluate_error_rate(model, sphere: SphereConfig, samples: int,
     runs.
     """
     samples = require_int("samples", samples, 1)
-    if getattr(model, "n", None) != sphere.n:
-        raise ValueError(f"model dim {getattr(model, 'n', None)} != sphere dim {sphere.n}")
+    require_dim(model, sphere.n)
     inner_total = samples // 2
     directions = samples - inner_total
     # (child, directions, how many of them are also inner samples)
@@ -484,8 +468,7 @@ def _minibatches(cfg: TrainConfig, sphere: SphereConfig):
 
 def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
     """Run the optimization loop; see module docstring for determinism."""
-    if getattr(model, "n", None) != sphere.n:
-        raise ValueError(f"model dim {getattr(model, 'n', None)} != sphere dim {sphere.n}")
+    require_dim(model, sphere.n)
     if isinstance(model, MlpNet) and cfg.batch_size < 2:
         raise ValueError("batch-norm models need batch size >= 2")
     if cfg.alpha_every > 0 and not isinstance(model, QuadraticNet):
@@ -493,8 +476,9 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
 
     params = model.params()
     state = model.state()
-    snapshot = {k: np.empty_like(v) for k, v in state.items()}  # filled at each record
-    adam = AdamState.for_params(params, lr=cfg.lr)
+    snapshot = {k: np.empty_like(a) for k, a in state.items()}  # filled at each record
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
     result = TrainResult(model=model, metrics=[], completed_steps=0)
 
     def emit(step: int, train_loss: float | None, alpha: int | None, probe: bool) -> None:
@@ -524,8 +508,8 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
         result.metrics.append(rec)
         if writer:
             writer.write(rec)
-        for k, v in state.items():
-            np.copyto(snapshot[k], v)
+        for k, a in state.items():
+            np.copyto(snapshot[k], a)
 
     loss_sum = 0.0
     writer = MetricsWriter(cfg.metrics_path, _manifest(cfg, sphere)) \
@@ -538,8 +522,8 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
             logits, cache = model.forward(xs)
             batch_loss = float(np.mean(sigmoid_ce_loss(logits, ys)))
             if not np.isfinite(batch_loss):
-                for k, v in state.items():
-                    np.copyto(v, snapshot[k])
+                for k, a in state.items():
+                    np.copyto(a, snapshot[k])
                 result.abort_reason = f"non-finite training loss at step {step}"
                 if writer:
                     writer.write_event({"step": step, "event": "aborted",
@@ -548,7 +532,7 @@ def train(model, cfg: TrainConfig, sphere: SphereConfig) -> TrainResult:
             loss_sum += batch_loss
             grads = model.backward(cache, ys)
             del logits, cache
-            adam_step(params, grads, adam)
+            adam_step(params, grads, m, v, step, cfg.lr)
             del grads  # one gradient set alive: none during the next step or an eval
             result.completed_steps = step
 

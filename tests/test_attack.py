@@ -195,6 +195,21 @@ def test_estimate_requires_nearest_mode():
                                AttackConfig(mode="worst"), RngStream(1))
 
 
+@pytest.mark.parametrize("steps", [5, 50])  # the x-space and the eigenbasis path
+def test_attack_refuses_a_model_of_another_dimension_before_any_start(monkeypatch, steps):
+    def no_starts(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(attack, "sample_batch", no_starts)
+    net = QuadraticNet.init_random(12, 12, RngStream(5))
+    sphere = SphereConfig(n=10)
+    cfg = AttackConfig(mode="nearest", steps=steps, starts=4)
+    with pytest.raises(ValueError, match="model dim 12 != sphere dim 10"):
+        run_attack(net, sphere, cfg, RngStream(6))
+    with pytest.raises(ValueError, match="model dim 12 != sphere dim 10"):
+        estimate_mean_distance(net, sphere, cfg, RngStream(6))
+
+
 def test_estimate_flags_total_failure():
     net = quad_perfect_init(20, 25)
     cfg = AttackConfig(mode="nearest", steps=100, step_size=0.01, starts=10)

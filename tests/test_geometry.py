@@ -321,4 +321,7 @@ def test_exact_chord_rejects_a_cap_higher_than_the_pole(monkeypatch):
         bound_curve(5, [0.1], 2e4, RngStream(1))
     with pytest.raises(ValueError, match="n must be an integer"):
         bound_curve(5.0, [0.1], 2 * 10**4, RngStream(1))
+    for mus in (0.01, np.float64(0.01), [[0.01]]):
+        with pytest.raises(ValueError, match="mus must be a sequence of cap measures"):
+            bound_curve(10, mus, 10**4, RngStream(1))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import gradient_check, mean_loss
@@ -228,6 +230,22 @@ def test_is_perfect_counts_violations():
     assert is_perfect(boundary) == (True, 0)
 
 
+def test_alpha_spectrum_checks_its_fields():
+    alphas = np.full(3, 0.9)
+    for radius in (0.0, -1.3, float("nan"), float("inf"), "1.3", True):
+        with pytest.raises(ValueError, match="^R must"):
+            AlphaSpectrum(alphas, radius)
+    for bad in (np.full((2, 3), 0.9), np.float64(0.9)):
+        with pytest.raises(ValueError, match="alphas must be 1-D"):
+            AlphaSpectrum(bad, R)
+    with pytest.raises(ValueError, match="padded must be a bool"):
+        AlphaSpectrum(alphas, R, padded=1)
+    spec = AlphaSpectrum(alphas, 1.0)  # radius 1 stays: test_geometry builds one
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.R = 0.0  # would skip the checks
+    assert spec.R == 1.0
+
+
 def test_a_nan_alpha_is_a_violation():
     assert is_perfect(AlphaSpectrum(np.array([np.nan, 0.9]), 1.3)) == (False, 1)
     net = QuadraticNet(np.eye(3), 1.0, -1.0)
@@ -371,6 +389,9 @@ def test_mlp_rejects_singleton_train_batch():
         MlpNet(5, (0,))
     with pytest.raises(ValueError, match="at least one hidden layer"):
         MlpNet(5, ())
+    for hidden in (1000, 2.5, "32"):
+        with pytest.raises(ValueError, match="hidden must list at least one hidden layer width"):
+            MlpNet(500, hidden)
 
 
 def moved_mlp(n, hidden, seed) -> MlpNet:

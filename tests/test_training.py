@@ -17,7 +17,6 @@ from spherelab.rng import (
     RngStream, pool_workers)
 from spherelab.training import (
     METRICS_SCHEMA,
-    AdamState,
     MetricsRecord,
     MetricsWriter,
     ProbeConfig,
@@ -36,22 +35,32 @@ def small_quad(seed=0, n=10, h=12):
 # adam_step
 
 
+def zero_moments(params):
+    """Adam's m and v for ``params``, as ``train()`` builds them."""
+    return ({k: np.zeros_like(p) for k, p in params.items()},
+            {k: np.zeros_like(p) for k, p in params.items()})
+
+
+def all_bytes(*dicts):
+    return [{k: a.tobytes() for k, a in d.items()} for d in dicts]
+
+
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = {"p": np.arange(6.0).reshape(2, 3)}
     before = params["p"].copy()
-    state = AdamState.for_params(params)
-    adam_step(params, {"p": np.zeros((2, 3))}, state)
+    m, v = zero_moments(params)
+    adam_step(params, {"p": np.zeros((2, 3))}, m, v, 1, 1e-4)
     assert (params["p"] == before).all()
-    assert state.t == 1
+    assert not m["p"].any() and not v["p"].any()
 
 
 def test_adam_constant_gradient_step_size_approaches_lr():
     params = {"p": np.array(0.0)}
-    state = AdamState.for_params(params, lr=1e-3)
+    m, v = zero_moments(params)
     g = {"p": np.array(3.7)}
     prev = float(params["p"])
-    for _ in range(200):
-        adam_step(params, g, state)
+    for t in range(1, 201):
+        adam_step(params, g, m, v, t, 1e-3)
         step = prev - float(params["p"])
         prev = float(params["p"])
     assert step == pytest.approx(1e-3, rel=0.05)
@@ -60,7 +69,7 @@ def test_adam_constant_gradient_step_size_approaches_lr():
 def test_adam_quadratic_bowl_descends_monotonically_after_warmup():
     lr, beta1, beta2, eps, warmup = 0.01, 0.9, 0.999, 1e-8, 50
     params = {"theta": np.array(1.0)}
-    state = AdamState.for_params(params, lr=lr)
+    moments = zero_moments(params)
     # Reference: Kingma & Ba (2015), Algorithm 1, in plain Python floats.
     ref, m, v = 1.0, 0.0, 0.0
     history = [1.0]  # history[t] is theta after step t
@@ -69,7 +78,7 @@ def test_adam_quadratic_bowl_descends_monotonically_after_warmup():
         m = beta1 * m + (1.0 - beta1) * g
         v = beta2 * v + (1.0 - beta2) * g * g
         ref -= lr * (m / (1.0 - beta1 ** t)) / (math.sqrt(v / (1.0 - beta2 ** t)) + eps)
-        adam_step(params, {"theta": np.array(2.0 * float(params["theta"]))}, state)
+        adam_step(params, {"theta": np.array(2.0 * float(params["theta"]))}, *moments, t, lr)
         history.append(float(params["theta"]))
         assert abs(history[t] - ref) <= 1e-15, f"step {t}: {history[t]!r} != {ref!r}"
 
@@ -103,30 +112,30 @@ ADAM_SHAPES = {"below": (_ADAM_BLOCK - 1,), "block": (_ADAM_BLOCK,), "above": (_
 
 
 def adam_run(shapes, steps=5):
-    """``steps`` Adam updates of normal parameters by normal gradients, and the gradients."""
+    """``steps`` Adam updates of normal parameters by normal gradients: params, m, v, gradients."""
     stream = RngStream(20180108, 21)
     params = {k: stream.normals(math.prod(s)).reshape(s) for k, s in shapes.items()}
-    state = AdamState.for_params(params, lr=1e-3)
+    m, v = zero_moments(params)
     history = []
-    for _ in range(steps):
+    for t in range(1, steps + 1):
         grads = {k: stream.normals(math.prod(s)).reshape(s) for k, s in shapes.items()}
-        adam_step(params, grads, state)
+        adam_step(params, grads, m, v, t, 1e-3)
         history.append(grads)
-    return params, state, history
+    return params, m, v, history
 
 
 def test_blocked_adam_equals_a_whole_array_reference_byte_for_byte():
-    params, state, history = adam_run(ADAM_SHAPES)
+    params, m, v, history = adam_run(ADAM_SHAPES)
     stream = RngStream(20180108, 21)
     ref = {k: [stream.normals(math.prod(s)).reshape(s), np.zeros(s), np.zeros(s)]
            for k, s in ADAM_SHAPES.items()}
     for t, grads in enumerate(history, start=1):
-        for k, (p, m, v) in ref.items():
-            reference_adam(p, m, v, grads[k], t)
-    for k, (p, m, v) in ref.items():
-        assert params[k].tobytes() == p.tobytes(), k
-        assert state.m[k].tobytes() == m.tobytes(), k
-        assert state.v[k].tobytes() == v.tobytes(), k
+        for k, (rp, rm, rv) in ref.items():
+            reference_adam(rp, rm, rv, grads[k], t)
+    for k, (rp, rm, rv) in ref.items():
+        assert params[k].tobytes() == rp.tobytes(), k
+        assert m[k].tobytes() == rm.tobytes(), k
+        assert v[k].tobytes() == rv.tobytes(), k
     assert sum(-(-math.prod(s) // _ADAM_BLOCK) for s in ADAM_SHAPES.values()) == 34
 
 
@@ -135,7 +144,7 @@ def test_pooled_adam_equals_a_serial_in_order_map_byte_for_byte(monkeypatch):
     # one pool job too. Each is the same split every step.
     one_job = {"job": (_ADAM_JOB * _ADAM_BLOCK,)}
     for shapes, split in ((ADAM_SHAPES, list(range(0, 34, _ADAM_JOB))), (one_job, [0])):
-        pooled_params, pooled, _ = adam_run(shapes, steps=3)
+        *pooled, pooled_history = adam_run(shapes, steps=3)
         firsts = []
 
         def serial_map(fn, jobs):
@@ -144,13 +153,10 @@ def test_pooled_adam_equals_a_serial_in_order_map_byte_for_byte(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(training, "_shard_map", serial_map)
-            params, state, _ = adam_run(shapes, steps=3)
+            *serial, history = adam_run(shapes, steps=3)
         assert firsts == [split] * 3
-        assert state.t == pooled.t == 3
-        for k in shapes:
-            assert params[k].tobytes() == pooled_params[k].tobytes(), k
-            assert state.m[k].tobytes() == pooled.m[k].tobytes(), k
-            assert state.v[k].tobytes() == pooled.v[k].tobytes(), k
+        assert len(history) == len(pooled_history) == 3
+        assert all_bytes(*serial) == all_bytes(*pooled)
 
 
 def test_adam_holds_one_block_of_scratch_per_running_job(monkeypatch, traced_peak):
@@ -160,9 +166,18 @@ def test_adam_holds_one_block_of_scratch_per_running_job(monkeypatch, traced_pea
     stream = RngStream(3)
     params = {k: stream.normals(math.prod(s)).reshape(s) for k, s in ADAM_SHAPES.items()}
     grads = {k: stream.normals(math.prod(s)).reshape(s) for k, s in ADAM_SHAPES.items()}
-    state = AdamState.for_params(params)
-    assert traced_peak(adam_step, params, grads, state) < 1.5 * _ADAM_BLOCK * 8
-    assert state.t == 1
+    m, v = zero_moments(params)
+    assert traced_peak(adam_step, params, grads, m, v, 1, 1e-4) < 1.5 * _ADAM_BLOCK * 8
+    # One update ran: from zero moments, m is (1 - beta1) g.
+    assert all(np.array_equal(m[k], grads[k] * (1.0 - 0.9)) for k in ADAM_SHAPES)
+
+
+def updated_once(lr=0.1):
+    """Two parameters after one Adam update, with their moments."""
+    params = {"a": np.arange(3.0), "b": np.arange(4.0)}
+    m, v = zero_moments(params)
+    adam_step(params, {"a": np.ones(3), "b": np.ones(4)}, m, v, 1, lr)
+    return params, m, v
 
 
 @pytest.mark.parametrize("bad_grads,match", [
@@ -170,37 +185,50 @@ def test_adam_holds_one_block_of_scratch_per_running_job(monkeypatch, traced_pea
     ({"a": np.ones(3)}, "no gradient for parameter 'b'"),
 ])
 def test_adam_rejects_a_bad_gradient_before_updating_anything(bad_grads, match):
-    params = {"a": np.arange(3.0), "b": np.arange(4.0)}
-    state = AdamState.for_params(params, lr=0.1)
-    adam_step(params, {"a": np.ones(3), "b": np.ones(4)}, state)
-    before = [{k: v.copy() for k, v in d.items()} for d in (params, state.m, state.v)]
+    params, m, v = updated_once()
+    before = all_bytes(params, m, v)
     with pytest.raises(ValueError, match=match):
-        adam_step(params, bad_grads, state)
-    assert state.t == 1
-    for now, then in zip((params, state.m, state.v), before):
-        assert {k: v.tobytes() for k, v in now.items()} \
-            == {k: v.tobytes() for k, v in then.items()}
+        adam_step(params, bad_grads, m, v, 2, 0.1)
+    assert all_bytes(params, m, v) == before
+
+
+@pytest.mark.parametrize("t,lr,match", [
+    (0, 0.1, "^t must be >= 1, got 0"), (-1, 0.1, "^t must be >= 1, got -1"),
+    (1.5, 0.1, "^t must be an integer, got 1.5"), (True, 0.1, "^t must be an integer, got True"),
+    (2, 0, "^lr must be finite and > 0, got 0"), (2, -1e-4, "^lr must be finite and > 0"),
+    (2, float("nan"), "^lr must be finite and > 0, got nan"),
+    (2, float("inf"), "^lr must be finite and > 0, got inf"),
+])
+def test_adam_rejects_a_bad_step_or_rate_before_updating_anything(t, lr, match):
+    # Unchecked, lr = nan made every parameter NaN, lr < 0 stepped uphill
+    # and t = -1 divided by zero.
+    params, m, v = updated_once()
+    before = all_bytes(params, m, v)
+    with pytest.raises(ValueError, match=match):
+        adam_step(params, {"a": np.ones(3), "b": np.ones(4)}, m, v, t, lr)
+    assert all_bytes(params, m, v) == before
 
 
 def test_adam_rejects_a_parameter_without_moments():
     params = {"a": np.arange(3.0), "b": np.arange(2.0)}
-    state = AdamState.for_params({"a": params["a"]})
+    m, v = zero_moments({"a": params["a"]})
     with pytest.raises(ValueError, match="no Adam moments for parameter 'b'"):
-        adam_step(params, {"a": np.ones(3), "b": np.ones(2)}, state)
-    assert state.t == 0 and params["a"].tolist() == [0.0, 1.0, 2.0]
+        adam_step(params, {"a": np.ones(3), "b": np.ones(2)}, m, v, 1, 1e-4)
+    assert params["a"].tolist() == [0.0, 1.0, 2.0]
+    assert not m["a"].any() and not v["a"].any()
 
 
 def test_adam_rejects_a_parameter_it_cannot_update_in_place():
     params = {"p": np.zeros((4, 3)).T}
     with pytest.raises(ValueError, match="C-contiguous"):
-        adam_step(params, {"p": np.ones((3, 4))}, AdamState.for_params(params))
+        adam_step(params, {"p": np.ones((3, 4))}, *zero_moments(params), 1, 1e-4)
 
 
 def test_adam_shape_mismatch():
     params = {"p": np.zeros(3)}
-    state = AdamState.for_params(params)
+    m, v = zero_moments(params)
     with pytest.raises(ValueError):
-        adam_step(params, {"p": np.zeros(4)}, state)
+        adam_step(params, {"p": np.zeros(4)}, m, v, 1, 1e-4)
 
 
 # ---------------------------------------------------------------------------
